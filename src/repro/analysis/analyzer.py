@@ -37,7 +37,7 @@ Analyzable = Union[MappingProblem, DatalogProgram, Schema]
 
 
 def _analyze_problem(
-    problem: MappingProblem, deep: bool, algorithm: str, flow: bool
+    problem: MappingProblem, deep: bool, algorithm: str
 ) -> AnalysisReport:
     report = AnalysisReport(subject=problem.name)
     report.extend(lint_schema(problem.source_schema))
@@ -64,10 +64,6 @@ def _analyze_problem(
             )
         else:
             report.extend(lint_program(program))
-            if flow:
-                from .flow import flow_diagnostics
-
-                report.extend(flow_diagnostics(program, problem))
     return report
 
 
@@ -75,27 +71,19 @@ def analyze(
     subject: Analyzable,
     deep: bool = True,
     algorithm: str = NOVEL,
-    flow: bool = False,
 ) -> AnalysisReport:
     """Run the static analyzer over a problem, a program or a schema.
 
     ``deep=False`` restricts the pass to the static checks (no pipeline
     stages are executed).  ``algorithm`` selects which query-generation
     algorithm the deep mapping checks and the generated program reflect.
-    ``flow=True`` additionally runs the abstract-interpretation engine of
-    :mod:`repro.analysis.flow` over the generated (or given) program and
-    appends its ``FLW*`` findings.
     """
     with span("lint.analyze", kind=type(subject).__name__):
         if isinstance(subject, MappingProblem):
-            return _analyze_problem(subject, deep, algorithm, flow)
+            return _analyze_problem(subject, deep, algorithm)
         if isinstance(subject, DatalogProgram):
             report = AnalysisReport(subject="datalog-program")
             report.extend(lint_program(subject))
-            if flow:
-                from .flow import flow_diagnostics
-
-                report.extend(flow_diagnostics(subject))
             return report
         if isinstance(subject, Schema):
             report = AnalysisReport(subject=subject.name)

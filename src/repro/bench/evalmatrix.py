@@ -185,16 +185,18 @@ def eval_scenario(
         row.sqlcheck = sql.counts()
         row.sql_ok = sql.ok
 
+        # Flow before cost: cost_report() consumes the flow report, so each
+        # timer covers exactly one pass with its dependencies cached.
+        stage = time.perf_counter()
+        system.flow_report()
+        row.flow_ok = True
+        row.timings["flow"] = time.perf_counter() - stage
+
         stage = time.perf_counter()
         cost = system.cost_report()
         row.timings["cost"] = time.perf_counter() - stage
         row.cost_bounded = cost.bounded
         row.cost_max_degree = cost.max_degree()
-
-        stage = time.perf_counter()
-        system.flow_report()
-        row.flow_ok = True
-        row.timings["flow"] = time.perf_counter() - stage
     except ReproError as error:
         row.status = "error"
         row.error = f"{type(error).__name__}: {error}"

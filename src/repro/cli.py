@@ -11,9 +11,8 @@ Usage (after installation, via ``python -m repro``):
   processes; ``--engine sqlite`` runs on SQLite, ``--enforce`` with real
   constraints; ``--validate`` prints the target constraint report,
   ``--fail-on-violation`` additionally exits non-zero when it is not clean);
-* ``python -m repro plan problem.txt`` (or ``--scenario NAME``) — dump the
-  batch runtime's compiled operator trees (``--json`` for machine-readable
-  output);
+* ``python -m repro plan problem.txt`` — dump the batch runtime's compiled
+  operator trees;
 * ``python -m repro explain problem.txt`` — the full audit trail: logical
   relations, candidates, prune log, key conflicts, resolution;
 * ``python -m repro match source.txt target.txt`` — suggest correspondences
@@ -21,27 +20,23 @@ Usage (after installation, via ``python -m repro``):
 * ``python -m repro query problem.txt instance.txt "(c, n) <- C2(c,m,p), P2(p,n,e)"``
   — transform, then answer a conjunctive query over the target
   (``--certain`` for certain answers);
-* ``python -m repro minimize problem.txt`` (or ``--scenario NAME``) —
-  semantically minimize the generated transformation via chase-based
-  containment and print the removal witnesses;
-* ``python -m repro flow problem.txt`` (or ``--scenario NAME``) — dump the
-  abstract-interpretation fixpoint over the generated program: per-position
-  nullability, source provenance and key-origin, the static functionality
-  confirmations, and the ``FLW*`` findings (``--json`` for a
-  machine-readable dump);
-* ``python -m repro certify problem.txt`` (or ``--scenario NAME``, or
-  ``--all-scenarios``) — statically prove, refute with a minimal
-  counterexample source instance, or leave UNKNOWN every key, foreign-key
-  and NOT NULL constraint of the target schema plus the chase-termination
-  bound (``--json`` / ``--sarif-out PATH`` for machine-readable output,
-  ``--fail-on {refuted,unknown,never}`` for the exit policy; the findings
-  also fold into ``lint --certify``);
-* ``python -m repro sql problem.txt`` (or ``--scenario NAME``, or
-  ``--all-scenarios``) — dump the compiled whole-program SQL pipeline
-  (intermediate DDL + one stratified INSERT per rule; ``--dialect
+* ``python -m repro minimize problem.txt`` — semantically minimize the
+  generated transformation via chase-based containment and print the
+  removal witnesses;
+* ``python -m repro flow problem.txt`` — dump the abstract-interpretation
+  fixpoint over the generated program: per-position nullability, source
+  provenance and key-origin, the static functionality confirmations, and
+  the ``FLW*`` findings;
+* ``python -m repro certify problem.txt`` — statically prove, refute with a
+  minimal counterexample source instance, or leave UNKNOWN every key,
+  foreign-key and NOT NULL constraint of the target schema plus the
+  chase-termination bound (``--sarif-out PATH`` for a SARIF log,
+  ``--fail-on {refuted,unknown,never}`` for the exit policy);
+* ``python -m repro sql problem.txt`` — dump the compiled whole-program SQL
+  pipeline (intermediate DDL + one stratified INSERT per rule; ``--dialect
   {sqlite,duckdb}``); ``--check`` runs the translation validator, printing
   one PROVED / UNKNOWN round-trip verdict per statement with the
-  containment witnesses (the findings also fold into ``lint --sql``);
+  containment witnesses;
 * ``python -m repro reproduce`` — re-run every figure/example of the paper
   and print the paper-vs-measured verdict table;
 * ``python -m repro bench-diff baseline.json current.json`` — the
@@ -55,6 +50,15 @@ Usage (after installation, via ``python -m repro``):
   matrix with provenance, ``--seed N --replay`` reprints one scenario's DSL
   and instance for offline debugging, and ``--fail-on
   {disagreement,error,never}`` sets the exit policy (the CI gate).
+
+``flow``, ``certify``, ``sql``, ``plan``, ``minimize`` and ``lint`` take
+their subjects the same way: problem files (any number for ``lint``), then
+``--scenario NAME`` or ``--all-scenarios`` (not on ``flow`` and
+``minimize``); ``--json`` prints one object for one subject and a list for
+several.  ``python -m repro lint`` runs the static analyzer and folds in the
+opt-in passes ``--flow``, ``--certify``, ``--sql``, ``--cost``,
+``--semantic`` and ``--verify-optimizations``, which share one
+:class:`~repro.core.pipeline.MappingSystem` per subject.
 
 ``compile``, ``run``, ``explain`` and ``query`` all accept the telemetry
 flags ``--trace`` (stage-by-stage run report), ``--profile`` (per-stage
@@ -89,11 +93,22 @@ from .sqlgen.executor import SqliteExecutor
 from .sqlgen.queries import program_to_sql
 
 
-def _load_problem(path: str) -> MappingProblem:
+def _load_problem(path: str, lenient: bool = False) -> tuple[MappingProblem, list]:
+    """A problem file plus, when parsed ``lenient``-ly, its parse findings."""
     if path.endswith(".json"):
-        return load_problem(path)
+        return load_problem(path), []
     with open(path) as handle:
-        return parse_problem(handle.read(), name=path)
+        if lenient:
+            from .dsl.parser import parse_problem_lenient
+
+            return parse_problem_lenient(handle.read(), name=path, file=path)
+        return parse_problem(handle.read(), name=path), []
+
+
+def _load_instance(path: str, system: MappingSystem):
+    """A source instance file of ``system``'s problem."""
+    with open(path) as handle:
+        return parse_instance(handle.read(), system.problem.source_schema)
 
 
 def _wants_trace(args) -> bool:
@@ -113,7 +128,7 @@ def _wants_metrics(args) -> bool:
 
 
 def _system(args, force_trace: bool = False) -> MappingSystem:
-    problem = _load_problem(args.problem)
+    problem, _ = _load_problem(args.problem)
     return MappingSystem(
         problem,
         algorithm=args.algorithm,
@@ -187,8 +202,7 @@ def cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    with open(args.instance) as handle:
-        source = parse_instance(handle.read(), system.problem.source_schema)
+    source = _load_instance(args.instance, system)
     result = None
     if args.engine == "sqlite":
         executor = SqliteExecutor(enforce_constraints=args.enforce)
@@ -233,11 +247,7 @@ def cmd_explain(args) -> int:
         # engine's counters (the batch engine's eval.batches /
         # eval.index_reuse included) — without an instance there is no
         # evaluation to report on.
-        with open(args.instance) as handle:
-            source = parse_instance(
-                handle.read(), system.problem.source_schema
-            )
-        system.run(source, engine=args.engine)
+        system.run(_load_instance(args.instance, system), engine=args.engine)
     print(explain(system))
     _emit_metrics(system, args)
     return 0
@@ -301,9 +311,7 @@ def cmd_query(args) -> int:
     from .model.values import format_value
 
     system = _system(args)
-    with open(args.instance) as handle:
-        source = parse_instance(handle.read(), system.problem.source_schema)
-    target = system.transform(source)
+    target = system.transform(_load_instance(args.instance, system))
     query = parse_query(args.query)
     answers = (
         certain_answers(query, target)
@@ -339,113 +347,114 @@ def cmd_minimize(args) -> int:
         minimize_unitary_mappings,
     )
 
-    if args.scenario:
+    def run(system: MappingSystem) -> None:
+        result = system.query_result()
+        minimized = minimize_program(result.program)
+
+        print(f"# {system.problem.name}: semantic minimization "
+              f"({'after' if args.syntactic_first else 'without'} the "
+              f"syntactic optimizer)")
+        if minimized.removed:
+            print(f"removed {len(minimized.removed)} rule(s):")
+            for item in minimized.diagnostics():
+                print(f"  {item.render()}")
+        else:
+            print("no removable rules: the program is already minimal")
+        flagged = minimize_unitary_mappings(result.final)
+        if flagged:
+            print(f"subsumed unitary mapping(s): {len(flagged)}")
+            for item in mapping_diagnostics(flagged):
+                print(f"  {item.render()}")
+        print()
+        print("# minimized transformation")
+        print(render_program(minimized.program, shorten=not args.long_names))
+
+    return 2 if _drive(args, run, optimize=args.syntactic_first) is None else 0
+
+
+def _subjects(args) -> list[tuple[str, MappingProblem, list]] | None:
+    """A subject command's ``(name, problem, parse findings)`` triples.
+
+    Problem files first (``lint`` parses any number leniently), then
+    ``--scenario NAME`` or every bundled scenario (``lint`` keeps bundle
+    order); None after printing the error.
+    """
+    lint = args.command == "lint"
+    subjects = [
+        (path, *_load_problem(path, lenient=lint))
+        for path in (args.problems if lint else filter(None, [args.problem]))
+    ]
+    if args.scenario or getattr(args, "all_scenarios", False):
         from . import scenarios
 
         bundled = scenarios.bundled_problems()
-        if args.scenario not in bundled:
-            print(
-                f"error: unknown scenario {args.scenario!r}; "
-                f"available: {', '.join(sorted(bundled))}",
-                file=sys.stderr,
-            )
-            return 2
-        problem = bundled[args.scenario]
-    elif args.problem:
-        problem = _load_problem(args.problem)
-    else:
-        print("error: pass a problem file or --scenario NAME", file=sys.stderr)
-        return 2
-
-    system = MappingSystem(
-        problem, algorithm=args.algorithm, optimize=args.syntactic_first
-    )
-    result = system.query_result()
-    minimized = minimize_program(result.program)
-
-    print(f"# {problem.name}: semantic minimization "
-          f"({'after' if args.syntactic_first else 'without'} the syntactic "
-          f"optimizer)")
-    if minimized.removed:
-        print(f"removed {len(minimized.removed)} rule(s):")
-        for item in minimized.diagnostics():
-            print(f"  {item.render()}")
-    else:
-        print("no removable rules: the program is already minimal")
-    flagged = minimize_unitary_mappings(result.final)
-    if flagged:
-        print(f"subsumed unitary mapping(s): {len(flagged)}")
-        for item in mapping_diagnostics(flagged):
-            print(f"  {item.render()}")
-    print()
-    print("# minimized transformation")
-    print(render_program(minimized.program, shorten=not args.long_names))
-    return 0
-
-
-def _resolve_problem(args) -> MappingProblem | None:
-    """A problem from a positional path or ``--scenario NAME`` (or None)."""
-    if args.scenario:
-        from . import scenarios
-
-        bundled = scenarios.bundled_problems()
-        if args.scenario not in bundled:
-            print(
-                f"error: unknown scenario {args.scenario!r}; "
-                f"available: {', '.join(sorted(bundled))}",
-                file=sys.stderr,
-            )
-            return None
-        return bundled[args.scenario]
-    if args.problem:
-        return _load_problem(args.problem)
-    print("error: pass a problem file or --scenario NAME", file=sys.stderr)
-    return None
-
-
-def _problem_batch(args) -> list[MappingProblem] | None:
-    """All subjects of a multi-scenario command (``--all-scenarios``) or
-    the single resolved problem; ``None`` after printing an error."""
-    if args.all_scenarios:
-        from . import scenarios
-
-        bundled = scenarios.bundled_problems()
-        return [bundled[name] for name in sorted(bundled)]
-    problem = _resolve_problem(args)
-    if problem is None:
+        if args.scenario:
+            if args.scenario not in bundled:
+                print(
+                    f"error: unknown scenario {args.scenario!r}; "
+                    f"available: {', '.join(sorted(bundled))}",
+                    file=sys.stderr,
+                )
+                return None
+            bundled = {args.scenario: bundled[args.scenario]}
+        names = bundled if lint else sorted(bundled)
+        subjects.extend((name, bundled[name], []) for name in names)
+    if not subjects:
+        print(
+            f"error: nothing to {args.command} (pass a problem file or "
+            "--scenario NAME)",
+            file=sys.stderr,
+        )
         return None
-    return [problem]
+    return subjects
+
+
+def _drive(args, run, to_json=lambda result: result, **options) -> list | None:
+    """Collect ``run(system)`` over one :class:`MappingSystem` per subject.
+
+    ``--json`` prints the results, converted by ``to_json``: one object for
+    a single subject, a list otherwise.  None after a resolution error.
+    """
+    subjects = _subjects(args)
+    if subjects is None:
+        return None
+    results = [
+        run(MappingSystem(problem, algorithm=args.algorithm, **options))
+        for _, problem, _ in subjects
+    ]
+    if getattr(args, "json", False):
+        payloads = [to_json(result) for result in results]
+        print(json.dumps(payloads[0] if len(payloads) == 1 else payloads, indent=2))
+    return results
 
 
 def cmd_flow(args) -> int:
     """Dump the flow engine's solved abstract state for one problem."""
-    problem = _resolve_problem(args)
-    if problem is None:
-        return 2
-    system = MappingSystem(problem, algorithm=args.algorithm)
-    report = system.flow_report()
-    if args.json:
-        payload = {
-            "problem": problem.name,
-            "algorithm": args.algorithm,
-            "states": report.states(),
-            "stats": report.stats(),
-            "functionality": [
-                {
-                    "relation": record.relation,
-                    "rule": repr(record.rule),
-                    "confirmed": record.confirmed,
-                    "undetermined": list(record.undetermined),
-                }
-                for record in report.functionality
-            ],
-            "diagnostics": [item.render() for item in report.diagnostics],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"# {problem.name}: flow analysis ({args.algorithm})")
+
+    def run(system: MappingSystem) -> dict | None:
+        report = system.flow_report()
+        if args.json:
+            return {
+                "problem": system.problem.name,
+                "algorithm": args.algorithm,
+                "states": report.states(),
+                "stats": report.stats(),
+                "functionality": [
+                    {
+                        "relation": record.relation,
+                        "rule": repr(record.rule),
+                        "confirmed": record.confirmed,
+                        "undetermined": list(record.undetermined),
+                    }
+                    for record in report.functionality
+                ],
+                "diagnostics": [item.render() for item in report.diagnostics],
+            }
+        print(f"# {system.problem.name}: flow analysis ({args.algorithm})")
         print(report.render())
-    return 0
+        return None
+
+    return 2 if _drive(args, run) is None else 0
 
 
 def cmd_certify(args) -> int:
@@ -458,23 +467,17 @@ def cmd_certify(args) -> int:
     """
     from .analysis.sarif import write_sarif
 
-    problems = _problem_batch(args)
-    if problems is None:
+    reports = _drive(
+        args, lambda system: system.certify(), lambda report: report.to_dict()
+    )
+    if reports is None:
         return 2
-
-    reports = []
-    for problem in problems:
-        system = MappingSystem(problem, algorithm=args.algorithm)
-        reports.append(system.certify())
 
     if args.sarif_out:
         write_sarif(
             args.sarif_out, *[report.diagnostics() for report in reports]
         )
-    if args.json:
-        payload = [report.to_dict() for report in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
-    else:
+    if not args.json:
         for report in reports:
             print(report.render())
             print()
@@ -504,45 +507,33 @@ def cmd_sql(args) -> int:
     """
     from .sqlgen import dialect_named
 
-    problems = _problem_batch(args)
-    if problems is None:
-        return 2
     dialect = dialect_named(args.dialect)
 
-    payloads = []
-    ok = True
-    for problem in problems:
-        system = MappingSystem(problem, algorithm=args.algorithm)
-        pipeline = system.sql_pipeline()
+    def run(system: MappingSystem) -> dict:
+        statements = system.sql_pipeline().sql(dialect)
+        report = system.sql_report() if args.check else None
         payload: dict = {
-            "problem": problem.name,
+            "problem": system.problem.name,
             "algorithm": args.algorithm,
             "dialect": dialect.name,
-            "statements": pipeline.sql(dialect),
+            "statements": statements,
         }
-        if args.check:
-            report = system.sql_report()
-            ok = ok and report.ok
+        if report is not None:
             payload["check"] = report.to_dict()
-            if not args.json:
-                print(f"# {problem.name}: SQL pipeline ({dialect.name})")
-                for statement in pipeline.sql(dialect):
-                    print(f"{statement};")
-                print(report.render())
-                print()
-        elif not args.json:
-            print(f"# {problem.name}: SQL pipeline ({dialect.name})")
-            for statement in pipeline.sql(dialect):
+        if not args.json:
+            print(f"# {system.problem.name}: SQL pipeline ({dialect.name})")
+            for statement in statements:
                 print(f"{statement};")
+            if report is not None:
+                print(report.render())
             print()
-        payloads.append(payload)
-    if args.json:
-        print(
-            json.dumps(
-                payloads[0] if len(payloads) == 1 else payloads, indent=2
-            )
-        )
-    return 0 if (ok or not args.check) else 1
+        return payload
+
+    payloads = _drive(args, run)
+    if payloads is None:
+        return 2
+    ok = all(payload["check"]["ok"] for payload in payloads if args.check)
+    return 0 if ok else 1
 
 
 def cmd_plan(args) -> int:
@@ -550,44 +541,31 @@ def cmd_plan(args) -> int:
     if args.analyze and args.all_scenarios:
         print("error: --analyze works on a single problem", file=sys.stderr)
         return 2
-    problems = _problem_batch(args)
-    if problems is None:
+    if args.analyze and not args.instance:
+        print("error: --analyze requires --instance PATH", file=sys.stderr)
         return 2
-    if args.analyze:
-        if not args.instance:
-            print("error: --analyze requires --instance PATH", file=sys.stderr)
-            return 2
-        problem = problems[0]
-        system = MappingSystem(problem, algorithm=args.algorithm)
-        with open(args.instance) as handle:
-            source = parse_instance(handle.read(), problem.source_schema)
-        profile = system.run(source, engine="batch", analyze=True).profile
-        if args.json:
-            payload = {
-                "problem": problem.name,
-                "algorithm": args.algorithm,
-                "analyze": profile.to_dict(),
-            }
-            print(json.dumps(payload, indent=2))
-        else:
-            print(
-                f"# {problem.name}: batch execution plan, analyzed "
-                f"({args.algorithm})"
-            )
-            print(profile.render())
-        return 0
 
-    payloads = []
-    for problem in problems:
-        system = MappingSystem(problem, algorithm=args.algorithm)
-        payload = {"problem": problem.name, "algorithm": args.algorithm}
-        if args.cost:
+    def run(system: MappingSystem) -> dict:
+        name = system.problem.name
+        payload = {"problem": name, "algorithm": args.algorithm}
+        if args.analyze:
+            source = _load_instance(args.instance, system)
+            profile = system.run(source, engine="batch", analyze=True).profile
+            if args.json:
+                payload["analyze"] = profile.to_dict()
+            else:
+                print(
+                    f"# {name}: batch execution plan, analyzed "
+                    f"({args.algorithm})"
+                )
+                print(profile.render())
+        elif args.cost:
             report = system.cost_report()
             if args.json:
                 payload["cost"] = report.to_dict()
             else:
                 print(
-                    f"# {problem.name}: static cost & cardinality bounds "
+                    f"# {name}: static cost & cardinality bounds "
                     f"({args.algorithm})"
                 )
                 print(report.render())
@@ -612,19 +590,72 @@ def cmd_plan(args) -> int:
                     for stratum, relation in enumerate(plan.order)
                 ]
             else:
-                print(
-                    f"# {problem.name}: batch execution plan "
-                    f"({args.algorithm})"
-                )
+                print(f"# {name}: batch execution plan ({args.algorithm})")
                 print(plan.render())
-        payloads.append(payload)
-    if args.json:
-        print(
-            json.dumps(
-                payloads[0] if len(payloads) == 1 else payloads, indent=2
-            )
-        )
-    return 0
+        return payload
+
+    return 2 if _drive(args, run) is None else 0
+
+
+def _semantic_findings(system: MappingSystem) -> list:
+    """SEM001/SEM002: chase-provable subsumed rules and unitary mappings."""
+    from .analysis.semantic.minimize import (
+        mapping_diagnostics,
+        minimize_program,
+        minimize_unitary_mappings,
+    )
+
+    result = system.query_result()
+    return minimize_program(result.program).diagnostics() + mapping_diagnostics(
+        minimize_unitary_mappings(result.final)
+    )
+
+
+#: The opt-in lint passes in output order (after analyze's findings): flag,
+#: help, and the pass's findings over the subject's shared MappingSystem.
+LINT_PASSES = (
+    ("flow",
+     "also run the abstract-interpretation flow engine over the generated "
+     "program (FLW001/FLW002/FLW003 findings)",
+     lambda system: system.flow_report().diagnostics),
+    ("certify",
+     "also run the constraint certifier (CER001/CER002/CER003/TRM001 on "
+     "constraints not statically PROVED)",
+     lambda system: system.certify().diagnostics().diagnostics),
+    ("sql",
+     "also run the SQL translation validator (SQL001 on statements without "
+     "a round-trip proof; SQL002–SQL005 structural findings)",
+     lambda system: system.sql_report().diagnostics().diagnostics),
+    ("cost",
+     "also run the cost & cardinality certifier (PLN001–PLN004: cross "
+     "products, super-linear bounds, unbounded fan-out, dominated join "
+     "orders)",
+     lambda system: system.cost_report().findings),
+    ("semantic",
+     "also run the semantic redundancy pass (SEM001/SEM002: chase-provable "
+     "subsumed rules and unitary mappings)",
+     _semantic_findings),
+    ("verify_optimizations",
+     "also run the differential optimizer verifier (SEM003/SEM004 on "
+     "certificate failures)",
+     lambda system: system.verify().diagnostics),
+)
+
+
+def _pass_findings(problem: MappingProblem, algorithm: str, passes) -> list:
+    """The findings of ``passes`` over one shared :class:`MappingSystem`; a
+    failing stage adds none (the structural analyzer reported it)."""
+    findings: list = []
+    try:
+        system = MappingSystem(problem, algorithm=algorithm)
+    except ReproError:
+        return findings
+    for lint_pass in passes:
+        try:
+            findings.extend(lint_pass(system))
+        except ReproError:
+            pass
+    return findings
 
 
 def cmd_lint(args) -> int:
@@ -636,56 +667,17 @@ def cmd_lint(args) -> int:
         severity_at_least,
     )
     from .analysis.sarif import to_sarif_json, write_sarif
-    from .dsl.parser import parse_problem_lenient
 
-    subjects: list[tuple[str, MappingProblem, list]] = []
-    for path in args.problems:
-        if path.endswith(".json"):
-            subjects.append((path, load_problem(path), []))
-        else:
-            with open(path) as handle:
-                problem, parse_diags = parse_problem_lenient(
-                    handle.read(), name=path, file=path
-                )
-            subjects.append((path, problem, parse_diags))
-    if args.all_scenarios or args.scenario:
-        from . import scenarios
-
-        bundled = scenarios.bundled_problems()
-        if args.scenario:
-            if args.scenario not in bundled:
-                print(
-                    f"error: unknown scenario {args.scenario!r}; "
-                    f"available: {', '.join(sorted(bundled))}",
-                    file=sys.stderr,
-                )
-                return 2
-            bundled = {args.scenario: bundled[args.scenario]}
-        subjects.extend((name, problem, []) for name, problem in bundled.items())
-    if not subjects:
-        print("error: nothing to lint (pass problem files, --scenario or "
-              "--all-scenarios)", file=sys.stderr)
+    subjects = _subjects(args)
+    if subjects is None:
         return 2
+    passes = [run for flag, _, run in LINT_PASSES if getattr(args, flag)]
 
     reports: list[AnalysisReport] = []
     for name, problem, parse_diags in subjects:
-        report = analyze(problem, deep=not args.no_deep, algorithm=args.algorithm,
-                         flow=args.flow)
-        if args.certify:
-            report.extend(_certify_lint(problem, algorithm=args.algorithm))
-        if args.sql:
-            report.extend(_sql_lint(problem, algorithm=args.algorithm))
-        if args.cost:
-            report.extend(_cost_lint(problem, algorithm=args.algorithm))
-        if args.semantic or args.verify_optimizations:
-            report.extend(
-                _semantic_lint(
-                    problem,
-                    algorithm=args.algorithm,
-                    semantic=args.semantic,
-                    verify=args.verify_optimizations,
-                )
-            )
+        report = analyze(problem, deep=not args.no_deep, algorithm=args.algorithm)
+        if passes:
+            report.extend(_pass_findings(problem, args.algorithm, passes))
         # Lenient parsing and re-linting the built schema can both see the
         # same defect (e.g. SCH010); keep one copy of each finding.
         merged = AnalysisReport(subject=name)
@@ -725,59 +717,6 @@ def cmd_lint(args) -> int:
         for item in report
     )
     return 1 if failing else 0
-
-
-def _certify_lint(problem, algorithm: str) -> list:
-    """The opt-in certification lint pass: CER001–003/TRM001 findings for
-    every constraint the certifier could not prove."""
-    try:
-        system = MappingSystem(problem, algorithm=algorithm)
-        return system.certify().diagnostics().diagnostics
-    except ReproError:
-        return []  # the structural analyzer already reported the failure
-
-
-def _sql_lint(problem, algorithm: str) -> list:
-    """The opt-in SQL lint pass: SQL001 for statements without a round-trip
-    proof plus the structural SQL002–SQL005 findings."""
-    try:
-        system = MappingSystem(problem, algorithm=algorithm)
-        return system.sql_report().diagnostics().diagnostics
-    except ReproError:
-        return []  # the structural analyzer already reported the failure
-
-
-def _cost_lint(problem, algorithm: str) -> list:
-    """The opt-in cost lint pass: PLN001–PLN004 findings from the symbolic
-    cardinality bounds over the compiled plans (full fact base)."""
-    try:
-        system = MappingSystem(problem, algorithm=algorithm)
-        return list(system.cost_report().findings)
-    except ReproError:
-        return []  # the structural analyzer already reported the failure
-
-
-def _semantic_lint(problem, algorithm: str, semantic: bool, verify: bool) -> list:
-    """The opt-in semantic lint pass: SEM001/SEM002 redundancy findings and
-    SEM003/SEM004 differential-verifier certificate failures."""
-    from .analysis.semantic.minimize import (
-        mapping_diagnostics,
-        minimize_program,
-        minimize_unitary_mappings,
-    )
-
-    diags: list = []
-    try:
-        system = MappingSystem(problem, algorithm=algorithm)
-        result = system.query_result()
-    except ReproError:
-        return diags  # the structural analyzer already reported the failure
-    if semantic:
-        diags.extend(minimize_program(result.program).diagnostics())
-        diags.extend(mapping_diagnostics(minimize_unitary_mappings(result.final)))
-    if verify:
-        diags.extend(system.verify().diagnostics)
-    return diags
 
 
 def cmd_bench_diff(args) -> int:
@@ -921,6 +860,9 @@ def cmd_match(args) -> int:
     return 0
 
 
+ALGORITHM_HELP = "basic = Clio-style Algorithms 1+2; novel = the paper's 3+4"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -933,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="problem file (.txt DSL or .json)")
         p.add_argument(
             "--algorithm", choices=[BASIC, NOVEL], default=NOVEL,
-            help="basic = Clio-style Algorithms 1+2; novel = the paper's 3+4",
+            help=ALGORITHM_HELP,
         )
         p.add_argument("--no-optimize", action="store_true",
                        help="keep subsumed Datalog rules")
@@ -1039,20 +981,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce_parser.set_defaults(func=cmd_reproduce)
 
-    minimize_parser = sub.add_parser(
+    def subject_parser(name, help, verb, json_help=None, all_scenarios=True):
+        """A subcommand with the analysis subject flags (see _subjects)."""
+        p = sub.add_parser(name, help=help)
+        if name == "lint":
+            p.add_argument(
+                "problems", nargs="*",
+                help="problem files (.txt DSL, parsed leniently, or .json)",
+            )
+        else:
+            p.add_argument(
+                "problem", nargs="?", help="problem file (.txt DSL or .json)"
+            )
+        p.add_argument(
+            "--scenario", metavar="NAME", help=f"{verb} one bundled scenario"
+        )
+        if all_scenarios:
+            p.add_argument(
+                "--all-scenarios", action="store_true",
+                help=f"{verb} every bundled scenario (the CI configuration)",
+            )
+        p.add_argument(
+            "--algorithm", choices=[BASIC, NOVEL], default=NOVEL,
+            help=ALGORITHM_HELP,
+        )
+        if json_help:
+            p.add_argument("--json", action="store_true", help=json_help)
+        return p
+
+    minimize_parser = subject_parser(
         "minimize",
-        help="semantically minimize the generated transformation "
-             "(chase-based containment, witnesses printed)",
-    )
-    minimize_parser.add_argument(
-        "problem", nargs="?", help="problem file (.txt DSL or .json)"
-    )
-    minimize_parser.add_argument(
-        "--scenario", metavar="NAME", help="minimize one bundled scenario"
-    )
-    minimize_parser.add_argument(
-        "--algorithm", choices=[BASIC, NOVEL], default=NOVEL,
-        help="basic = Clio-style Algorithms 1+2; novel = the paper's 3+4",
+        "semantically minimize the generated transformation "
+        "(chase-based containment, witnesses printed)",
+        "minimize",
+        all_scenarios=False,
     )
     minimize_parser.add_argument(
         "--syntactic-first", action="store_true",
@@ -1065,51 +1027,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     minimize_parser.set_defaults(func=cmd_minimize)
 
-    flow_parser = sub.add_parser(
+    flow_parser = subject_parser(
         "flow",
-        help="dump the abstract-interpretation fixpoint over the generated "
-             "program (nullability, provenance, key-origin)",
-    )
-    flow_parser.add_argument(
-        "problem", nargs="?", help="problem file (.txt DSL or .json)"
-    )
-    flow_parser.add_argument(
-        "--scenario", metavar="NAME", help="analyze one bundled scenario"
-    )
-    flow_parser.add_argument(
-        "--algorithm", choices=[BASIC, NOVEL], default=NOVEL,
-        help="basic = Clio-style Algorithms 1+2; novel = the paper's 3+4",
-    )
-    flow_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the per-position states, solver stats, functionality "
-             "records and findings as JSON",
+        "dump the abstract-interpretation fixpoint over the generated "
+        "program (nullability, provenance, key-origin)",
+        "analyze",
+        json_help="emit the per-position states, solver stats, functionality "
+                  "records and findings as JSON",
+        all_scenarios=False,
     )
     flow_parser.set_defaults(func=cmd_flow)
 
-    certify_parser = sub.add_parser(
+    certify_parser = subject_parser(
         "certify",
-        help="statically prove (or refute with a counterexample instance) "
-             "every target key, foreign-key and NOT NULL constraint",
-    )
-    certify_parser.add_argument(
-        "problem", nargs="?", help="problem file (.txt DSL or .json)"
-    )
-    certify_parser.add_argument(
-        "--scenario", metavar="NAME", help="certify one bundled scenario"
-    )
-    certify_parser.add_argument(
-        "--all-scenarios", action="store_true",
-        help="certify every bundled scenario (the CI configuration)",
-    )
-    certify_parser.add_argument(
-        "--algorithm", choices=[BASIC, NOVEL], default=NOVEL,
-        help="basic = Clio-style Algorithms 1+2; novel = the paper's 3+4",
-    )
-    certify_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the verdicts (witnesses and counterexamples included) "
-             "as JSON",
+        "statically prove (or refute with a counterexample instance) "
+        "every target key, foreign-key and NOT NULL constraint",
+        "certify",
+        json_help="emit the verdicts (witnesses and counterexamples included) "
+                  "as JSON",
     )
     certify_parser.add_argument(
         "--sarif-out", metavar="PATH",
@@ -1123,24 +1058,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify_parser.set_defaults(func=cmd_certify)
 
-    sql_parser = sub.add_parser(
+    sql_parser = subject_parser(
         "sql",
-        help="dump the compiled SQL pipeline (intermediate DDL + stratified "
-             "inserts) and, with --check, its round-trip proofs",
-    )
-    sql_parser.add_argument(
-        "problem", nargs="?", help="problem file (.txt DSL or .json)"
-    )
-    sql_parser.add_argument(
-        "--scenario", metavar="NAME", help="compile one bundled scenario"
-    )
-    sql_parser.add_argument(
-        "--all-scenarios", action="store_true",
-        help="compile every bundled scenario (the CI configuration)",
-    )
-    sql_parser.add_argument(
-        "--algorithm", choices=[BASIC, NOVEL], default=NOVEL,
-        help="basic = Clio-style Algorithms 1+2; novel = the paper's 3+4",
+        "dump the compiled SQL pipeline (intermediate DDL + stratified "
+        "inserts) and, with --check, its round-trip proofs",
+        "compile",
+        json_help="emit the statements (and --check verdicts) as JSON",
     )
     sql_parser.add_argument(
         "--dialect", choices=["sqlite", "duckdb"], default="sqlite",
@@ -1152,34 +1075,14 @@ def build_parser() -> argparse.ArgumentParser:
              "a conjunctive query and prove it equivalent to its rule "
              "(exit 1 unless everything is PROVED)",
     )
-    sql_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the statements (and --check verdicts) as JSON",
-    )
     sql_parser.set_defaults(func=cmd_sql)
 
-    plan_parser = sub.add_parser(
+    plan_parser = subject_parser(
         "plan",
-        help="dump the batch runtime's compiled operator trees "
-             "(scan/join/filter/antijoin/project per rule)",
-    )
-    plan_parser.add_argument(
-        "problem", nargs="?", help="problem file (.txt DSL or .json)"
-    )
-    plan_parser.add_argument(
-        "--scenario", metavar="NAME", help="plan one bundled scenario"
-    )
-    plan_parser.add_argument(
-        "--all-scenarios", action="store_true",
-        help="plan every bundled scenario (the CI configuration)",
-    )
-    plan_parser.add_argument(
-        "--algorithm", choices=[BASIC, NOVEL], default=NOVEL,
-        help="basic = Clio-style Algorithms 1+2; novel = the paper's 3+4",
-    )
-    plan_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the per-stratum operator trees as JSON",
+        "dump the batch runtime's compiled operator trees "
+        "(scan/join/filter/antijoin/project per rule)",
+        "plan",
+        json_help="emit the per-stratum operator trees as JSON",
     )
     plan_parser.add_argument(
         "--cost", action="store_true",
@@ -1198,60 +1101,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan_parser.set_defaults(func=cmd_plan)
 
-    lint_parser = sub.add_parser(
-        "lint", help="statically analyze problems (schemas, mappings, Datalog)"
-    )
-    lint_parser.add_argument(
-        "problems", nargs="*",
-        help="problem files (.txt DSL, parsed leniently, or .json)",
-    )
-    lint_parser.add_argument(
-        "--scenario", metavar="NAME", help="lint one bundled scenario by name"
-    )
-    lint_parser.add_argument(
-        "--all-scenarios", action="store_true",
-        help="lint every bundled scenario (the CI configuration)",
-    )
-    lint_parser.add_argument(
-        "--algorithm", choices=[BASIC, NOVEL], default=NOVEL,
-        help="algorithm the deep checks and the generated program reflect",
+    lint_parser = subject_parser(
+        "lint",
+        "statically analyze problems (schemas, mappings, Datalog)",
+        "lint",
     )
     lint_parser.add_argument(
         "--no-deep", action="store_true",
         help="static checks only: skip the pipeline-backed MAP/DLG checks",
     )
-    lint_parser.add_argument(
-        "--flow", action="store_true",
-        help="also run the abstract-interpretation flow engine over the "
-             "generated program (FLW001/FLW002/FLW003 findings)",
-    )
-    lint_parser.add_argument(
-        "--certify", action="store_true",
-        help="also run the constraint certifier (CER001/CER002/CER003/"
-             "TRM001 on constraints not statically PROVED)",
-    )
-    lint_parser.add_argument(
-        "--sql", action="store_true",
-        help="also run the SQL translation validator (SQL001 on statements "
-             "without a round-trip proof; SQL002–SQL005 structural "
-             "findings)",
-    )
-    lint_parser.add_argument(
-        "--cost", action="store_true",
-        help="also run the cost & cardinality certifier (PLN001–PLN004: "
-             "cross products, super-linear bounds, unbounded fan-out, "
-             "dominated join orders)",
-    )
-    lint_parser.add_argument(
-        "--semantic", action="store_true",
-        help="also run the semantic redundancy pass (SEM001/SEM002: "
-             "chase-provable subsumed rules and unitary mappings)",
-    )
-    lint_parser.add_argument(
-        "--verify-optimizations", action="store_true",
-        help="also run the differential optimizer verifier "
-             "(SEM003/SEM004 on certificate failures)",
-    )
+    for flag, help, _ in LINT_PASSES:
+        lint_parser.add_argument(
+            "--" + flag.replace("_", "-"), action="store_true", help=help
+        )
     lint_parser.add_argument(
         "--format", choices=["text", "sarif"], default="text",
         help="output format (sarif = SARIF 2.1.0 JSON on stdout)",
@@ -1368,10 +1230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as error:
+    except (ReproError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -78,11 +78,12 @@ class MappingSystem:
     :meth:`metrics_snapshot` serializes them.  Both are off by default and
     the disabled instrumentation is a no-op.
 
-    Cached stage results are fingerprinted against the problem's
-    correspondences: mutating the problem (e.g. via
-    :meth:`MappingProblem.add_correspondence`) after a result was computed
-    invalidates the cache, so the next access recomputes instead of silently
-    returning a mapping for the old problem.
+    Stage and pass results are cached, keyed by the problem object, its name
+    and rendered DSL (schemas with keys, foreign keys and nullability, and
+    the correspondences) and the stage options: mutating
+    the problem (e.g. via :meth:`MappingProblem.add_correspondence`, or by
+    swapping a schema) or an option invalidates the cache, so the next
+    access recomputes instead of returning a result for the old problem.
     """
 
     def __init__(
@@ -110,15 +111,9 @@ class MappingSystem:
         self.metrics: MetricsRegistry | None = (
             MetricsRegistry() if metrics else None
         )
-        self._schema_mapping_result: SchemaMappingResult | None = None
-        self._query_result: QueryGenerationResult | None = None
-        self._last_evaluation: EvaluationResult | None = None
-        self._verification_report = None
-        self._flow_report = None
-        self._certification_report = None
-        self._cost_report = None
-        self._sql_report = None
-        self._fingerprint = self._problem_fingerprint()
+        #: stage and pass results by name, valid for :attr:`_key`
+        self._results: dict[str, object] = {}
+        self._key = self._cache_key()
         #: the AnalysisReport of the most recent :meth:`compile` quick lint
         self.lint_report = None
         self._lint_run_report: RunReport | None = None
@@ -134,40 +129,54 @@ class MappingSystem:
             stack.enter_context(use_metrics(self.metrics))
         return stack
 
-    # -- cache freshness ----------------------------------------------------
+    # -- the result cache ----------------------------------------------------
 
-    def _problem_fingerprint(self) -> tuple:
-        items = self.problem.correspondences
-        return (len(items), tuple(id(item) for item in items))
+    def _cache_key(self) -> tuple:
+        # The rendered text itself, not a hash of it: exact, and hashlib
+        # would load OpenSSL (~3 MB) into every process using the pipeline.
+        from ..dsl.renderer import render_problem
 
-    def _check_fresh(self) -> None:
-        """Drop cached stage results if the problem was mutated since."""
-        fingerprint = self._problem_fingerprint()
-        if fingerprint != self._fingerprint:
-            self._fingerprint = fingerprint
-            self._schema_mapping_result = None
-            self._query_result = None
-            self._last_evaluation = None
-            self._verification_report = None
-            self._flow_report = None
-            self._certification_report = None
-            self._cost_report = None
-            self._sql_report = None
+        return (
+            id(self.problem),
+            self.problem.name,
+            render_problem(self.problem),
+            self.algorithm,
+            self.skolem_strategy,
+            self.optimize,
+            self.semantic_pruning,
+            self.verify_optimizations,
+        )
+
+    def _cached(self, name: str, compute):
+        """The cached result ``name``, computed under the tracer on a miss.
+
+        Every cached result is dropped first if the problem or an option
+        changed.  A result is stored only once ``compute`` returns, so a
+        stage that raises raises again on the next access.
+        """
+        key = self._cache_key()
+        if key != self._key:
+            self._key = key
+            self._results.clear()
+        if name not in self._results:
+            with self._traced():
+                result = compute()
+            self._results[name] = result
+        return self._results[name]
 
     # -- stage 1: schema mapping generation --------------------------------
 
     def schema_mapping_result(self) -> SchemaMappingResult:
-        self._check_fresh()
-        if self._schema_mapping_result is None:
-            with self._traced():
-                self._schema_mapping_result = generate_schema_mapping(
-                    self.problem.source_schema,
-                    self.problem.target_schema,
-                    self.problem.correspondences,
-                    algorithm=self.algorithm,
-                    semantic_pruning=self.semantic_pruning,
-                )
-        return self._schema_mapping_result
+        return self._cached(
+            "schema_mapping",
+            lambda: generate_schema_mapping(
+                self.problem.source_schema,
+                self.problem.target_schema,
+                self.problem.correspondences,
+                algorithm=self.algorithm,
+                semantic_pruning=self.semantic_pruning,
+            ),
+        )
 
     @property
     def schema_mapping(self) -> SchemaMapping:
@@ -176,26 +185,25 @@ class MappingSystem:
     # -- stage 2: query generation -----------------------------------------
 
     def query_result(self) -> QueryGenerationResult:
-        self._check_fresh()
-        if self._query_result is None:
-            mapping = self.schema_mapping
-            with self._traced():
-                self._query_result = generate_queries(
-                    mapping,
-                    algorithm=self.algorithm,
-                    skolem_strategy=self.skolem_strategy,
-                    optimize=self.optimize,
+        return self._cached("query", self._generate_queries)
+
+    def _generate_queries(self) -> QueryGenerationResult:
+        result = generate_queries(
+            self.schema_mapping,
+            algorithm=self.algorithm,
+            skolem_strategy=self.skolem_strategy,
+            optimize=self.optimize,
+        )
+        if self.verify_optimizations:
+            report = self.verify()
+            if not report.ok:
+                first = report.diagnostics[0]
+                raise ReproError(
+                    f"optimization verification failed for "
+                    f"{self.problem.name!r}: {first.render()}",
+                    diagnostic=first,
                 )
-            if self.verify_optimizations:
-                report = self.verify()
-                if not report.ok:
-                    first = report.diagnostics[0]
-                    raise ReproError(
-                        f"optimization verification failed for "
-                        f"{self.problem.name!r}: {first.render()}",
-                        diagnostic=first,
-                    )
-        return self._query_result
+        return result
 
     def verify(self):
         """Run (and cache) the differential optimizer / resolution verifier.
@@ -206,18 +214,9 @@ class MappingSystem:
         Never raises on failures — :attr:`verify_optimizations` adds the
         raising behaviour to the pipeline itself.
         """
-        from ..analysis.semantic.verifier import verify_generation
+        from ..analysis.semantic.verifier import verify_system
 
-        self._check_fresh()
-        if self._verification_report is None:
-            with self._traced():
-                self._verification_report = verify_generation(
-                    self.schema_mapping,
-                    algorithm=self.algorithm,
-                    skolem_strategy=self.skolem_strategy,
-                    problem=self.problem.name,
-                )
-        return self._verification_report
+        return self._cached("verify", lambda: verify_system(self))
 
     @property
     def transformation(self) -> DatalogProgram:
@@ -234,12 +233,9 @@ class MappingSystem:
         """
         from ..analysis.flow import analyze_flow
 
-        self._check_fresh()
-        if self._flow_report is None:
-            program = self.transformation
-            with self._traced():
-                self._flow_report = analyze_flow(program, self.problem)
-        return self._flow_report
+        return self._cached(
+            "flow", lambda: analyze_flow(self.transformation, self.problem)
+        )
 
     def certify(self):
         """Run (and cache) the constraint certifier over the generated program.
@@ -251,14 +247,12 @@ class MappingSystem:
         """
         from ..analysis.certify import certify_program
 
-        self._check_fresh()
-        if self._certification_report is None:
-            program = self.transformation
-            with self._traced():
-                self._certification_report = certify_program(
-                    program, subject=self.problem.name
-                )
-        return self._certification_report
+        return self._cached(
+            "certify",
+            lambda: certify_program(
+                self.transformation, subject=self.problem.name
+            ),
+        )
 
     def cost_report(self):
         """Run (and cache) the cost & cardinality certifier.
@@ -273,22 +267,19 @@ class MappingSystem:
         """
         from ..analysis.cost import CostFacts, analyze_cost
 
-        self._check_fresh()
-        if self._cost_report is None:
-            program = self.transformation
-            certification = self.certify()
-            flow = self.flow_report()
-            with self._traced():
-                facts = CostFacts.for_program(
-                    program, certification=certification, flow=flow
-                )
-                self._cost_report = analyze_cost(
-                    program,
-                    subject=self.problem.name,
-                    facts=facts,
-                    plan=self.plan(),
-                )
-        return self._cost_report
+        return self._cached(
+            "cost",
+            lambda: analyze_cost(
+                self.transformation,
+                subject=self.problem.name,
+                facts=CostFacts.for_program(
+                    self.transformation,
+                    certification=self.certify(),
+                    flow=self.flow_report(),
+                ),
+                plan=self.plan(),
+            ),
+        )
 
     def sql_pipeline(self):
         """Compile the generated program into its SQL pipeline.
@@ -313,14 +304,12 @@ class MappingSystem:
         """
         from ..analysis.sqlcheck import check_pipeline
 
-        self._check_fresh()
-        if self._sql_report is None:
-            pipeline = self.sql_pipeline()
-            with self._traced():
-                self._sql_report = check_pipeline(
-                    pipeline, subject=self.problem.name
-                )
-        return self._sql_report
+        return self._cached(
+            "sql",
+            lambda: check_pipeline(
+                self.sql_pipeline(), subject=self.problem.name
+            ),
+        )
 
     def compile(self, strict: bool = True, flow: bool = False) -> DatalogProgram:
         """Lint cheaply, then run both pipeline stages and return the program.
@@ -409,7 +398,7 @@ class MappingSystem:
                 )
             else:
                 result = evaluate(program, source, analyze=analyze)
-        self._last_evaluation = result
+        self._results["evaluation"] = result
         return result
 
     def plan(self) -> ProgramPlan:
@@ -437,9 +426,8 @@ class MappingSystem:
             )
         stage1 = self.schema_mapping_result().run_report
         stage2 = self.query_result().run_report
-        evaluation = (
-            self._last_evaluation.run_report if self._last_evaluation else None
-        )
+        last = self._results.get("evaluation")
+        evaluation = last.run_report if last is not None else None
         assert stage1 is not None and stage2 is not None
         return stage1.merged(stage2, evaluation, self._lint_run_report)
 

@@ -366,6 +366,23 @@ class TestPipelineSurface:
         system.problem = bundled_problems()["figure-1"]
         assert system.certify() is not first
 
+    def test_schema_swap_recomputes(self):
+        # The correspondences stay the same objects; only the target schema
+        # changes (C2.person becomes NOT NULL), which adds one verdict.
+        problem = bundled_problems()["figure-1"]
+        system = MappingSystem(problem)
+        stale = system.transformation
+        assert len(system.certify().verdicts) == 9
+        problem.target_schema = (
+            SchemaBuilder("CARS2")
+            .relation("P2", "person", "name", "email", key="person")
+            .relation("C2", "car", "model", "person", key="car")
+            .foreign_key("C2", "person", "P2")
+            .build()
+        )
+        assert system.transformation is not stale
+        assert len(system.certify().verdicts) == 10
+
 
 # --- CLI -------------------------------------------------------------------
 

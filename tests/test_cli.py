@@ -275,6 +275,27 @@ class TestSemanticLint:
         assert "<-" in capsys.readouterr().out
 
 
+class TestLintPasses:
+    ALL_PASSES = ["--flow", "--certify", "--sql", "--cost", "--semantic",
+                  "--verify-optimizations"]
+
+    def test_pass_flags_share_one_compile(self, monkeypatch, capsys):
+        import repro.core.pipeline as pipeline
+
+        calls = []
+        real = pipeline.generate_queries
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("algorithm"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_queries", spy)
+        assert main(["lint", "--scenario", "figure-1", *self.ALL_PASSES]) == 0
+        assert "1 subject(s)" in capsys.readouterr().out
+        # analyze's deep checks, plus one system shared by every pass flag
+        assert len(calls) <= 2
+
+
 UNCOVERED_TEXT = """
 source schema S:
   relation R (a key)

@@ -35,6 +35,34 @@ class TestEvalScenario:
         for leg in row.engines:
             assert leg in row.timings
 
+    def test_each_stage_timer_covers_one_pass(self, monkeypatch):
+        # cost_report() consumes the flow report: the flow fixpoint must
+        # already be cached when the cost timer starts.
+        import repro.analysis.flow as flow_module
+        from repro.core.pipeline import MappingSystem
+
+        window = {"cost": False}
+        flow_calls = []
+        real_flow = flow_module.analyze_flow
+        real_cost = MappingSystem.cost_report
+
+        def spy_flow(*args, **kwargs):
+            flow_calls.append(window["cost"])
+            return real_flow(*args, **kwargs)
+
+        def spy_cost(system):
+            window["cost"] = True
+            try:
+                return real_cost(system)
+            finally:
+                window["cost"] = False
+
+        monkeypatch.setattr(flow_module, "analyze_flow", spy_flow)
+        monkeypatch.setattr(MappingSystem, "cost_report", spy_cost)
+        row = eval_scenario(0, duckdb=False)
+        assert row.flow_ok is True and row.cost_bounded is True
+        assert flow_calls == [False]
+
     def test_cyclic_config_reports_lint_error(self):
         row = eval_scenario(0, GeneratorConfig(weakly_acyclic=False), duckdb=False)
         assert row.status == "lint-error"

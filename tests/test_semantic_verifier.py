@@ -43,11 +43,22 @@ class TestPipelineFlag:
         assert report.ok
         assert system.verify() is report  # cached
 
-    def test_verify_without_flag_is_lazy(self):
+    def test_verify_without_flag_is_lazy(self, monkeypatch):
+        import repro.analysis.semantic.verifier as verifier_module
+
+        calls = []
+        real = verifier_module.verify_generation
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("problem"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verifier_module, "verify_generation", spy)
         system = MappingSystem(cars.figure1_problem())
         system.query_result()
-        assert system._verification_report is None
+        assert calls == []
         report = system.verify()
+        assert calls == ["figure-1"]
         assert report.ok and report.problem == "figure-1"
 
     def test_cache_invalidated_on_problem_mutation(self):
@@ -136,3 +147,6 @@ class TestFailureDetection:
             system.query_result()
         assert "SEM003" in str(excinfo.value)
         assert excinfo.value.diagnostic is not None
+        # The unverified program is never cached: every access raises.
+        with pytest.raises(ReproError, match="SEM003"):
+            system.query_result()
