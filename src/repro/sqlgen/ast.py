@@ -439,16 +439,17 @@ class SqlStatement:
 
 @dataclass(frozen=True)
 class CreateTable(SqlStatement):
-    """``CREATE TABLE name (col type, ...)`` — used for intermediates."""
+    """``CREATE TABLE name (col type, ..., UNIQUE (col, ...))`` — used for
+    intermediates; the ``UNIQUE`` spans every column in order."""
 
     name: str
     columns: tuple[tuple[str, str], ...]  # (column name, type)
 
     def render(self, dialect: Dialect) -> str:
-        body = ", ".join(
-            f"{dialect.quote(column)} {type_}" for column, type_ in self.columns
-        )
-        return f"CREATE TABLE {dialect.quote(self.name)} ({body})"
+        parts = [f"{dialect.quote(column)} {type_}" for column, type_ in self.columns]
+        names = ", ".join(dialect.quote(column) for column, _ in self.columns)
+        parts.append(f"UNIQUE ({names})")
+        return f"CREATE TABLE {dialect.quote(self.name)} ({', '.join(parts)})"
 
 
 #: Dedup policies of :class:`InsertSelect`.  ``"except"`` subtracts the

@@ -33,7 +33,11 @@ from .values import decode_value, encode_value
 
 @dataclass
 class ExecutionTrace:
-    """The statements an execution ran, for inspection and documentation."""
+    """The statements an execution ran, for inspection and documentation.
+
+    A source relation is loaded with one parameterised ``INSERT`` run over
+    all its rows, recorded once.
+    """
 
     statements: list[str] = field(default_factory=list)
 
@@ -63,12 +67,14 @@ class _PipelineExecutor:
         for statement in schema_ddl(instance.schema, enforce=False):
             self._execute(connection, statement)
         for name, relation in instance.relations.items():
-            arity = relation.schema.arity
-            placeholders = ", ".join(["?"] * arity)
+            if not relation:
+                continue
+            placeholders = ", ".join(["?"] * relation.schema.arity)
             sql = f"INSERT INTO {quote_identifier(name)} VALUES ({placeholders})"
-            for row in relation.rows:
-                self.trace.statements.append(sql)
-                connection.execute(sql, tuple(encode_value(v) for v in row))
+            self.trace.statements.append(sql)
+            connection.executemany(
+                sql, [tuple(encode_value(v) for v in row) for row in relation]
+            )
 
     def run(self, program: DatalogProgram, source: Instance) -> Instance:
         """Execute the compiled pipeline and return the decoded target instance."""

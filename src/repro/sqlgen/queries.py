@@ -190,7 +190,16 @@ def rule_to_sql(
 
 
 def intermediate_tables(program: DatalogProgram) -> list[CreateTable]:
-    """``CREATE TABLE`` trees for the intermediate (tmp) relations."""
+    """``CREATE TABLE`` trees for the intermediate (tmp) relations.
+
+    Every intermediate is negated somewhere, and each ``NOT EXISTS`` probe
+    predicates all of its columns with null-safe equality, so a ``UNIQUE``
+    constraint over all columns (which :class:`CreateTable` always renders)
+    gives the engine an index covering every probe: a search per outer row
+    instead of a scan of the whole table.  It never fires: each INSERT
+    already subtracts the rows present, and NULLs are distinct under
+    ``UNIQUE``.
+    """
     return [
         CreateTable(name, tuple((f"c{i}", "TEXT") for i in range(arity)))
         for name, arity in program.intermediates.items()

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.pipeline import MappingSystem
 from repro.errors import QueryGenerationError
 from repro.model.values import NULL, LabeledNull
+from repro.scenarios.composite import enrollment_problem
 from repro.sqlgen.ast import (
     Cmp,
     Col,
@@ -26,6 +28,7 @@ from repro.sqlgen.ast import (
     skolem_encode,
     sql_literal,
 )
+from repro.sqlgen.queries import intermediate_tables
 from repro.sqlgen.values import decode_value, encode_value
 
 
@@ -107,9 +110,17 @@ class TestStatements:
 
     def test_create_table(self):
         statement = CreateTable("tmp", (("c0", "TEXT"), ("c1", "TEXT")))
-        assert statement.render(SQLITE) == (
-            'CREATE TABLE "tmp" ("c0" TEXT, "c1" TEXT)'
-        )
+        expected = 'CREATE TABLE "tmp" ("c0" TEXT, "c1" TEXT, UNIQUE ("c0", "c1"))'
+        assert statement.render(SQLITE) == expected
+        assert statement.render(DUCKDB) == expected
+
+    def test_intermediate_tables_are_unique(self):
+        program = MappingSystem(enrollment_problem()).transformation
+        assert program.intermediates == {"Mtmp": 2, "Gtmp": 2}
+        assert [table.render(SQLITE) for table in intermediate_tables(program)] == [
+            f'CREATE TABLE "{name}" ("c0" TEXT, "c1" TEXT, UNIQUE ("c0", "c1"))'
+            for name in ("Mtmp", "Gtmp")
+        ]
 
     def test_not_exists(self):
         subquery = Select(

@@ -162,3 +162,18 @@ class TestConstraintEnforcement:
         executor.run(system.transformation, cars3_instance)
         assert any("INSERT INTO" in s for s in executor.trace.statements)
         assert any(s.startswith("CREATE TABLE") for s in executor.trace.statements)
+
+    def test_trace_records_one_source_insert_per_relation(
+        self, figure1_problem, cars3_instance
+    ):
+        system = MappingSystem(figure1_problem)
+        executor = SqliteExecutor()
+        executor.run(system.transformation, cars3_instance)
+        loads = [s for s in executor.trace.statements if " VALUES (" in s]
+        expected = [
+            f"INSERT INTO {quote_identifier(name)} VALUES "
+            f"({', '.join(['?'] * relation.schema.arity)})"
+            for name, relation in cars3_instance.relations.items()
+            if relation
+        ]
+        assert expected and loads == expected
