@@ -3,10 +3,11 @@
 Each benchmark times one workload of the chase-based semantic analyzer —
 cold containment checks, warm (signature-cached) re-checks, program
 minimization, and full differential verification — and collects the
-``semantic.*`` counters of the run.  After the module finishes, the
-collected numbers are serialized to ``BENCH_containment.json`` at the
-repository root so counter totals (checks, cache hits, certificates) can be
-diffed across revisions.  Run with::
+``semantic.*`` counters of the run plus the median ``seconds`` of its
+rounds.  After the module finishes, the collected numbers are serialized to
+``BENCH_containment.json`` at the repository root so timings (through
+``repro bench-diff``) and counter totals (checks, cache hits, certificates)
+can be diffed across revisions.  Run with::
 
     pytest benchmarks/test_bench_containment.py --benchmark-only
 """
@@ -76,6 +77,7 @@ def test_pairwise_containment(benchmark, name):
     _reports[f"pairwise-{name}"] = {
         "pairs": len(queries) ** 2,
         "verdicts": verdicts,
+        "seconds": round(benchmark.stats.stats.median, 6),
         "counters": counters,
     }
 
@@ -100,6 +102,7 @@ def test_minimize_program(benchmark, name):
     _reports[f"minimize-{name}"] = {
         "rules": len(program.rules),
         "removed": len(result.removed),
+        "seconds": round(benchmark.stats.stats.median, 6),
         "counters": counters,
     }
 
@@ -123,6 +126,7 @@ def test_differential_verification(benchmark, name):
     benchmark.extra_info["counters"] = counters
     _reports[f"verify-{name}"] = {
         "checks": len(report.checks),
+        "seconds": round(benchmark.stats.stats.median, 6),
         "counters": counters,
     }
 

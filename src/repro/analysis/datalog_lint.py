@@ -110,13 +110,12 @@ def null_flow_diagnostics(program: DatalogProgram) -> list[Diagnostic]:
     if find_recursion_cycle(program) is not None:
         return []  # recursive program: reported as DLG002, dataflow undefined
 
-    from ..datalog.stratify import stratify
     from .flow import NO, YES, NullabilityAnalysis, rule_term_status, solve
     from .flow.lattice import BOTTOM
 
     solved = solve(program, NullabilityAnalysis(program))
     found: list[Diagnostic] = []
-    for relation in stratify(program):
+    for relation in program.stratification():
         if relation in program.intermediates or relation not in target:
             continue
         attributes = target.relation(relation).attributes

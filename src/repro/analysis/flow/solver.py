@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from ...datalog.program import DatalogProgram, Rule
-from ...datalog.stratify import DatalogError, readers, stratify
+from ...datalog.stratify import DatalogError, readers
 from ...errors import ReproError
 from ...logic.terms import Variable
 from ...obs import count, metric_inc
@@ -152,7 +152,7 @@ def evaluation_order(program: DatalogProgram) -> list[str]:
     the single-sweep guarantee.
     """
     try:
-        return stratify(program)
+        return list(program.stratification())
     except DatalogError:
         return program.defined_relations()
 

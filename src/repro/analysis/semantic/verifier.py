@@ -17,9 +17,12 @@ statically certifies both, per mapping problem:
   its disabling negations stripped, must be equivalent to its pre-resolution
   sibling modulo the reported Skolem functor renaming (resolution only
   disables and renames — it never changes what a mapping copies); (b) the
-  final program, run on every canonical instance, must produce a target with
-  no key violations (the whole point of resolution).  Failures are
-  ``SEM004`` errors.
+  final program's target on every canonical instance must have no key
+  violations (the whole point of resolution).  Failures are ``SEM004``
+  errors.
+
+Each program runs once per canonical instance: the differential keeps the
+final (optimized) program's targets, and the key certificate checks those.
 
 The canonical instances are the frozen rule bodies: for each rule, every
 variable class becomes a distinct fresh constant (null-conditioned classes
@@ -282,10 +285,10 @@ def verify_generation(
         optimized = remove_subsumed_rules(unoptimized)
         _certify_optimizer(report, engine, unoptimized, optimized)
         instances = canonical_instances(unoptimized)
-        _certify_differential(report, unoptimized, optimized, instances)
+        targets = _certify_differential(report, unoptimized, optimized, instances)
         if base.resolution is not None:
             _certify_resolution_rewrites(report, engine, base)
-            _certify_resolution_keys(report, optimized, instances)
+            _certify_resolution_keys(report, targets)
     return report
 
 
@@ -359,8 +362,12 @@ def _certify_differential(
     unoptimized: DatalogProgram,
     optimized: DatalogProgram,
     instances: list[tuple[str, Instance]],
-) -> None:
-    """Before/after evaluation on canonical instances (``SEM003``)."""
+) -> list[tuple[str, Instance]]:
+    """Before/after evaluation on canonical instances (``SEM003``).
+
+    Returns the optimized program's target on each instance, by label.
+    """
+    targets: list[tuple[str, Instance]] = []
     for label, instance in instances:
         before = evaluate(unoptimized, instance).target
         after = evaluate(optimized, instance).target
@@ -373,6 +380,8 @@ def _certify_differential(
             f"unoptimized={before!r} optimized={after!r}",
             code="SEM003",
         )
+        targets.append((label, after))
+    return targets
 
 
 def _certify_resolution_rewrites(
@@ -408,13 +417,10 @@ def _certify_resolution_rewrites(
 
 
 def _certify_resolution_keys(
-    report: VerificationReport,
-    program: DatalogProgram,
-    instances: list[tuple[str, Instance]],
+    report: VerificationReport, targets: list[tuple[str, Instance]]
 ) -> None:
-    """The resolved program must respect target keys on canonical instances."""
-    for label, instance in instances:
-        target = evaluate(program, instance).target
+    """The resolved program's canonical-instance targets must respect keys."""
+    for label, target in targets:
         violations = validate_instance(target).key_violations
         ok = not violations
         report._record(

@@ -20,7 +20,9 @@ dotted-path entry, e.g. ``figure1-cars3.1600.batch``.  Non-timing numerics
 (counters, speedups, sizes) are ignored.
 
 ``repro bench-diff baseline.json current.json`` renders the report and
-exits 1 when any regression was found — the CI perf gate.
+exits 1 when any regression was found — the CI perf gate.  A file with no
+timing leaf at all exits 2: a gate that compares nothing is an error, not
+a pass.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: Leaf keys whose numeric values are wall-time seconds worth comparing.
-TIMING_KEYS = frozenset({"wall_time", "reference", "batch", "sqlite", "seconds"})
+TIMING_KEYS = frozenset(
+    {"wall_time", "wall_seconds", "reference", "batch", "sqlite", "seconds"}
+)
 
 #: Baselines below this many seconds are timer noise: never compared.
 DEFAULT_MIN_SECONDS = 0.001

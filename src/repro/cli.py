@@ -723,9 +723,9 @@ def cmd_bench_diff(args) -> int:
     """The perf-regression gate: compare two benchmark report files.
 
     Exit status: 0 when no wall time regressed past the threshold, 1 when
-    one did, 2 on unreadable inputs.
+    one did, 2 on unreadable inputs or on a file without timings.
     """
-    from .bench import diff_benchmarks, load_bench_file
+    from .bench import diff_benchmarks, extract_timings, load_bench_file
 
     try:
         baseline = load_bench_file(args.baseline)
@@ -733,6 +733,13 @@ def cmd_bench_diff(args) -> int:
     except (OSError, json.JSONDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    for path, data in ((args.baseline, baseline), (args.current, current)):
+        if not extract_timings(data):
+            print(
+                f"error: {path} has no timing keys: nothing to compare",
+                file=sys.stderr,
+            )
+            return 2
     try:
         report = diff_benchmarks(
             baseline,
@@ -913,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("instance", help="source instance file (DSL)")
     run_parser.add_argument(
         "--engine", choices=["reference", "batch", "sqlite", "datalog"],
-        default="reference",
+        default=MappingSystem.DEFAULT_ENGINE,
         help="reference = tuple-at-a-time oracle interpreter; batch = "
              "planned set-oriented runtime; sqlite = SQL translation on "
              "SQLite (datalog is a legacy alias for reference)",

@@ -354,13 +354,16 @@ class MappingSystem:
     #: reference = tuple-at-a-time oracle interpreter; batch = planned
     #: set-oriented runtime (repro.datalog.exec).
     ENGINES = ("reference", "batch")
+    #: the engine of :meth:`transform`, :meth:`transform_detailed` and
+    #: :meth:`run` when none is named (see ``docs/ENGINE.md``)
+    DEFAULT_ENGINE = "reference"
 
-    def transform(self, source: Instance, engine: str = "reference") -> Instance:
+    def transform(self, source: Instance, engine: str = DEFAULT_ENGINE) -> Instance:
         """Compute the target instance for a source instance."""
         return self.transform_detailed(source, engine=engine).target
 
     def transform_detailed(
-        self, source: Instance, engine: str = "reference"
+        self, source: Instance, engine: str = DEFAULT_ENGINE
     ) -> EvaluationResult:
         """Like :meth:`transform` but also returns the intermediate relations."""
         return self.run(source, engine=engine)
@@ -368,18 +371,18 @@ class MappingSystem:
     def run(
         self,
         source: Instance,
-        engine: str = "batch",
+        engine: str = DEFAULT_ENGINE,
         workers: int | None = None,
         analyze: bool = False,
     ) -> EvaluationResult:
         """Execute the transformation on a selectable engine.
 
-        ``engine="batch"`` (the default) runs the planned, set-oriented
-        batch runtime of :mod:`repro.datalog.exec`; ``engine="reference"``
-        runs the tuple-at-a-time interpreter of
-        :mod:`repro.datalog.engine`, which stays the differential-testing
-        oracle.  ``workers=N`` (batch only) partitions large outer scans
-        across a process pool — see ``docs/ENGINE.md``.  ``analyze=True``
+        ``engine="reference"`` (the default, :attr:`DEFAULT_ENGINE`) runs
+        the tuple-at-a-time interpreter of :mod:`repro.datalog.engine`,
+        which stays the differential-testing oracle; ``engine="batch"``
+        runs the planned, set-oriented batch runtime of
+        :mod:`repro.datalog.exec`.  ``workers=N`` (batch only) partitions
+        large outer scans across a process pool — see ``docs/ENGINE.md``.  ``analyze=True``
         collects the EXPLAIN ANALYZE profile on the returned result (also
         collected implicitly when the system was created with
         ``metrics=True``).

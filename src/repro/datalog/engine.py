@@ -21,7 +21,6 @@ from ..model.instance import Instance, Row
 from ..model.values import NULL, LabeledNull, is_null
 from ..obs import RunReport, count, metrics_enabled, span, stage_report
 from .program import DatalogProgram, Rule
-from .stratify import stratify
 
 
 class _Store:
@@ -238,7 +237,7 @@ def evaluate(
     """
     if program.target_schema is None:
         raise EvaluationError("program has no target schema")
-    program.validate()
+    order = program.validate()
     collect = analyze or metrics_enabled()
     profile = None
     if collect:
@@ -260,10 +259,12 @@ def evaluate(
             source_rows += store.size(name)
         count("eval.source_tuples", source_rows)
 
-        order = stratify(program)
         computed: dict[str, list[Row]] = {}
         rule_counts: dict[int, int] = {}
         rule_index = {id(rule): i for i, rule in enumerate(program.rules)}
+        by_head: dict[str, list[Rule]] = {}
+        for rule in program.rules:
+            by_head.setdefault(rule.head_relation, []).append(rule)
         for stratum, relation in enumerate(order):
             with span("eval.stratum", stratum=stratum, relation=relation) as stratum_trace:
                 stratum_profile = None
@@ -274,7 +275,7 @@ def evaluate(
                     )
                     profile.strata.append(stratum_profile)
                 rows: dict[Row, None] = {}
-                for rule in program.rules_for(relation):
+                for rule in by_head.get(relation, ()):
                     rule_started = time.perf_counter()
                     derived = evaluate_rule(rule, store)
                     if stratum_profile is not None:

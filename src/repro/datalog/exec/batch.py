@@ -44,7 +44,6 @@ from ...model.values import NULL, LabeledNull
 from ...obs import count, metrics_enabled, span, stage_report
 from ..engine import EvaluationResult
 from ..program import DatalogProgram
-from ..stratify import stratify
 from .plan import RulePlan, ValueExpr, plan_rule
 from .profile import (
     ExecutionProfile,
@@ -453,7 +452,7 @@ def evaluate_batch(
     """
     if program.target_schema is None:
         raise EvaluationError("program has no target schema")
-    program.validate()
+    order = program.validate()
     if workers is not None and workers > 1:
         from .workers import run_plan_partitioned
     collect = analyze or metrics_enabled()
@@ -469,7 +468,6 @@ def evaluate_batch(
             source_rows += store.size(name)
         count("eval.source_tuples", source_rows)
 
-        order = stratify(program)
         computed: dict[str, list[Row]] = {}
         rule_counts: dict[int, int] = {}
         rule_index = {id(rule): i for i, rule in enumerate(program.rules)}

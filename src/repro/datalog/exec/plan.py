@@ -41,7 +41,6 @@ from ...errors import EvaluationError
 from ...logic.atoms import RelationalAtom
 from ...logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
 from ..program import DatalogProgram, Rule
-from ..stratify import stratify
 
 #: A compiled value expression: ("slot", i) | ("const", v) | ("null",)
 #: | ("skolem", functor, tuple[ValueExpr, ...]).
@@ -443,8 +442,7 @@ def plan_program(
     The batch runtime instead compiles stratum by stratum with live counts
     (see :mod:`repro.datalog.exec.batch`).
     """
-    program.validate()
-    order = stratify(program)
+    order = list(program.validate())
     advisor = None
     if cost_advice and not stats:
         # Imported lazily: the cost analyzer imports this module at load

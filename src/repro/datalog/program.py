@@ -103,6 +103,12 @@ class DatalogProgram:
     target_schema: Schema | None = None
     #: name -> arity for intermediate (tmp) relations introduced by negation
     intermediates: dict[str, int] = field(default_factory=dict)
+    #: ``(rules, order)`` of the last successful :meth:`validate`, one pair
+    #: so the order never outlives its rules; left out of ``__init__`` (so
+    #: ``dataclasses.replace`` starts without it), ``repr`` and equality
+    _validated: tuple[tuple[Rule, ...], tuple[str, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def defined_relations(self) -> list[str]:
         """Relations appearing in some head, in first-definition order."""
@@ -136,20 +142,47 @@ class DatalogProgram:
         """Rules defining target relations (not intermediates)."""
         return [r for r in self.rules if r.head_relation not in self.intermediates]
 
-    def validate(self) -> None:
-        """Check safety, definedness of negated relations, and non-recursion."""
+    def validate(self) -> tuple[str, ...]:
+        """Check safety, definedness of negated relations, and non-recursion.
+
+        Returns the defined relations in evaluation order (see
+        :func:`repro.datalog.stratify.stratify`).  A successful check is kept
+        per rule tuple: while ``tuple(self.rules)`` equals the validated one
+        (frozen rules compare by content, identical ones in constant time),
+        repeat calls return the kept order without re-checking.  A failed
+        check keeps nothing, so every call on an invalid program raises.
+        """
+        rules = tuple(self.rules)
+        memo = self._validated
+        if memo is not None and memo[0] == rules:
+            return memo[1]
         from .stratify import stratify
 
-        for rule in self.rules:
+        for rule in rules:
             rule.check_safety()
         defined = set(self.defined_relations())
-        for rule in self.rules:
+        for rule in rules:
             for atom in rule.negated:
                 if atom.relation not in defined:
                     raise DatalogError(
                         f"negated relation {atom.relation!r} has no defining rules"
                     )
-        stratify(self)  # raises on recursion
+        order = tuple(stratify(self))  # raises on recursion
+        self._validated = (rules, order)
+        return order
+
+    def stratification(self) -> tuple[str, ...]:
+        """The evaluation order, also for programs that fail validation.
+
+        Valid programs get (and keep) the :meth:`validate` order; the others
+        are stratified afresh, which still raises ``DLG002`` on recursion.
+        """
+        try:
+            return self.validate()
+        except DatalogError:
+            from .stratify import stratify
+
+            return tuple(stratify(self))
 
     def __iter__(self):
         return iter(self.rules)

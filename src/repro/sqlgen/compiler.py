@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..datalog.program import DatalogProgram, Rule
-from ..datalog.stratify import stratify
 from .ast import Dialect, SQLITE, SqlStatement
 from .queries import intermediate_tables, rule_insert
 
@@ -74,7 +73,7 @@ def _rule_reads(rule: Rule) -> tuple[str, ...]:
 
 def compile_program(program: DatalogProgram) -> SqlPipeline:
     """Compile ``program`` into its stratified SQL pipeline."""
-    order = {name: i for i, name in enumerate(stratify(program))}
+    order = {name: i for i, name in enumerate(program.stratification())}
     statements: list[CompiledStatement] = [
         CompiledStatement(
             kind="create",

@@ -30,6 +30,10 @@ BARE = {
 
 
 class TestExtractTimings:
+    def test_wall_seconds_is_a_timing_key(self):
+        timings = extract_timings({"figure-1": {"wall_seconds": 0.002, "rules": 4}})
+        assert timings == {"figure-1.wall_seconds": 0.002}
+
     def test_dotted_paths_for_timing_leaves_only(self):
         timings = extract_timings(BARE)
         assert timings["figure1-cars3.100.batch"] == 0.004
@@ -109,7 +113,14 @@ class TestCommittedBaselines:
     """The checked-in BENCH_*.json files must gate against themselves."""
 
     @pytest.mark.parametrize(
-        "name", ["BENCH_scaling.json", "BENCH_pipeline.json"]
+        "name",
+        [
+            "BENCH_scaling.json",
+            "BENCH_pipeline.json",
+            "BENCH_containment.json",
+            "BENCH_flow.json",
+            "BENCH_eval.json",
+        ],
     )
     def test_self_compare_passes(self, name):
         path = REPO_ROOT / name
@@ -163,6 +174,17 @@ class TestCli:
         proc = self._run(baseline, str(tmp_path / "missing.json"))
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize("side", ["baseline", "current"])
+    def test_file_without_timings_exits_two(self, tmp_path, side):
+        timed = self._write(tmp_path, "timed.json", BARE)
+        empty = self._write(
+            tmp_path, "untimed.json", {"verify": {"checks": 17, "counters": {}}}
+        )
+        argv = (empty, timed) if side == "baseline" else (timed, empty)
+        proc = self._run(*argv)
+        assert proc.returncode == 2
+        assert "untimed.json has no timing keys" in proc.stderr
 
     def test_bad_threshold_exits_two(self, tmp_path):
         baseline = self._write(tmp_path, "base.json", BARE)

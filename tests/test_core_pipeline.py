@@ -49,6 +49,35 @@ class TestMappingSystem:
         result = system.transform_detailed(cars3_instance)
         assert result.intermediate("OCtmp") == [("c85",)]
 
+    def test_transform_and_run_share_the_default_engine(
+        self, figure1_problem, cars3_instance, monkeypatch
+    ):
+        import repro.core.pipeline as pipeline_module
+
+        engines = []
+
+        def recording(name, real):
+            def run(program, source, **kwargs):
+                engines.append(name)
+                return real(program, source, **kwargs)
+
+            return run
+
+        monkeypatch.setattr(
+            pipeline_module, "evaluate", recording("reference", pipeline_module.evaluate)
+        )
+        monkeypatch.setattr(
+            pipeline_module,
+            "evaluate_batch",
+            recording("batch", pipeline_module.evaluate_batch),
+        )
+        system = MappingSystem(figure1_problem)
+        transformed = system.transform(cars3_instance)
+        detailed = system.transform_detailed(cars3_instance).target
+        ran = system.run(cars3_instance).target
+        assert transformed == detailed == ran
+        assert engines == [MappingSystem.DEFAULT_ENGINE] * 3
+
     def test_basic_and_novel_differ(self, figure1_problem, cars3_instance):
         novel = MappingSystem(figure1_problem)
         basic = MappingSystem(figure1_problem, algorithm=BASIC)

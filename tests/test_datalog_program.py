@@ -1,12 +1,17 @@
 """Tests for Datalog rules and programs: safety, validation."""
 
+import dataclasses
+import importlib
+
 import pytest
 
+from repro.datalog.engine import evaluate
 from repro.datalog.program import DatalogProgram, Rule
 from repro.errors import DatalogError
 from repro.logic.atoms import Equality, RelationalAtom
 from repro.logic.terms import Constant, Variable
 from repro.model.builder import SchemaBuilder
+from repro.model.instance import instance_from_dict
 
 
 def V(name):
@@ -122,3 +127,79 @@ class TestProgramValidation:
         assert program.rules_for("T") == [rule_a]
         assert program.target_rules() == [rule_a]
         assert len(program) == 2
+
+
+class TestValidationMemo:
+    """``validate()`` keeps its order per rule tuple, and only on success."""
+
+    x, y = V("x"), V("y")
+    t_xy = RelationalAtom("T", (x, y))
+    copy = Rule(head=t_xy, body=(RelationalAtom("S", (x, y)),))
+    unsafe = Rule(head=t_xy, body=(RelationalAtom("S", (x,)),))
+    recursive = Rule(head=t_xy, body=(RelationalAtom("T", (y, x)),))
+    projection = Rule(head=RelationalAtom("U", (x,)), body=(RelationalAtom("S", (x, y)),))
+
+    def _validated(self):
+        source = SchemaBuilder("s").relation("S", "k", "v").build()
+        program = DatalogProgram(
+            rules=[self.copy], source_schema=source, target_schema=_simple_schema()
+        )
+        assert program.validate() == ("T",)
+        return program
+
+    def _source(self, program):
+        return instance_from_dict(program.source_schema, {"S": [("a", 1)]})
+
+    def _code(self, program):
+        with pytest.raises(DatalogError) as info:
+            evaluate(program, self._source(program))
+        return info.value.diagnostic.code
+
+    def test_unchanged_rules_are_not_rechecked(self, monkeypatch):
+        program = self._validated()
+        calls = []
+        # the package re-exports the function under the submodule's name
+        stratify_module = importlib.import_module("repro.datalog.stratify")
+        real = stratify_module.stratify
+        monkeypatch.setattr(
+            stratify_module, "stratify", lambda p: calls.append(p) or real(p)
+        )
+        for _ in range(3):
+            assert evaluate(program, self._source(program)).target.relation("T").rows
+        assert program.validate() == program.stratification() == ("T",)
+        assert calls == []
+
+    def test_appended_unsafe_rule_raises(self):
+        program = self._validated()
+        program.rules.append(self.unsafe)
+        assert self._code(program) == "DLG001"
+
+    def test_assigned_recursive_rules_raise(self):
+        program = self._validated()
+        program.rules = [self.recursive]
+        assert self._code(program) == "DLG002"
+
+    def test_in_place_replacement_is_rechecked(self):
+        program = self._validated()
+        program.rules[0] = self.unsafe
+        assert self._code(program) == "DLG001"
+        program.rules[0] = self.projection
+        assert program.validate() == ("U",)
+
+    def test_failing_program_raises_on_every_call(self):
+        program = self._validated()
+        program.rules = [self.copy, self.unsafe]
+        for _ in range(3):
+            assert self._code(program) == "DLG001"
+            with pytest.raises(DatalogError):
+                program.validate()
+        program.rules = [self.copy]
+        assert program.validate() == ("T",)
+
+    def test_replace_never_reuses_the_old_order(self):
+        program = self._validated()
+        recursive = dataclasses.replace(program, rules=[self.recursive])
+        assert self._code(recursive) == "DLG002"
+        renamed = dataclasses.replace(program, rules=[self.projection])
+        assert renamed.validate() == ("U",)
+        assert renamed != program and program.validate() == ("T",)

@@ -1,5 +1,8 @@
 """The differential optimizer verifier, always-on over every bundled scenario."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.semantic.verifier import (
@@ -150,3 +153,78 @@ class TestFailureDetection:
         # The unverified program is never cached: every access raises.
         with pytest.raises(ReproError, match="SEM003"):
             system.query_result()
+
+
+def _drop_disabling_negations(monkeypatch):
+    """Make resolution forget the negations that disable conflicting rules."""
+    import repro.core.query_generation as qgen_module
+
+    real = qgen_module.resolve_key_conflicts
+
+    def no_negations(*args, **kwargs):
+        final, resolution = real(*args, **kwargs)
+        stripped = [m.with_premise(replace(m.premise, negated=())) for m in final]
+        return stripped, resolution
+
+    monkeypatch.setattr(qgen_module, "resolve_key_conflicts", no_negations)
+
+
+class TestOneRunPerInstance:
+    """Each program runs once per canonical instance; the keys reuse it."""
+
+    RESOLVED = ["example-6-6", "example-6-7", "figure-1", "figure-12"]
+
+    def test_evaluate_runs_twice_per_instance(self, monkeypatch):
+        import repro.analysis.semantic.verifier as verifier_module
+
+        runs = []
+        real = verifier_module.evaluate
+
+        def counting(program, instance, *args, **kwargs):
+            runs.append(id(instance))
+            return real(program, instance, *args, **kwargs)
+
+        monkeypatch.setattr(verifier_module, "evaluate", counting)
+        problem = cars.figure1_problem()
+        report = verify_system(MappingSystem(problem))
+        unoptimized = MappingSystem(problem, optimize=False).query_result().program
+        instances = canonical_instances(unoptimized)
+        assert any(c.name == "resolution:keys" for c in report.checks)
+        assert len(runs) == 2 * len(instances)
+        assert sorted(Counter(runs).values()) == [2] * len(instances)
+
+    def test_missing_disabling_negations_fail_the_key_check(self, monkeypatch):
+        """A resolution that adds no negations leaves a key conflict: SEM004."""
+        _drop_disabling_negations(monkeypatch)
+        report = verify_system(MappingSystem(cars.figure1_problem()))
+        failures = report.failures()
+        assert failures
+        assert {c.name for c in failures} == {"resolution:keys"}
+        assert all("violates target keys" in c.detail for c in failures)
+        assert {d.code for d in report.diagnostics} == {"SEM004"}
+
+    @pytest.mark.parametrize("negations", ["kept", "dropped"])
+    @pytest.mark.parametrize("name", RESOLVED)
+    def test_key_checks_match_direct_evaluation(self, name, negations, monkeypatch):
+        from repro.datalog.engine import evaluate
+        from repro.datalog.optimize import remove_subsumed_rules
+        from repro.model.validation import validate_instance
+
+        if negations == "dropped":
+            _drop_disabling_negations(monkeypatch)
+        problem = bundled_problems()[name]
+        report = verify_system(MappingSystem(problem))
+        unoptimized = MappingSystem(problem, optimize=False).query_result().program
+        optimized = remove_subsumed_rules(unoptimized)
+        expected = [
+            (label, validate_instance(evaluate(optimized, instance).target))
+            for label, instance in canonical_instances(unoptimized)
+        ]
+        checks = [c for c in report.checks if c.name == "resolution:keys"]
+        assert [(c.subject, c.ok) for c in checks] == [
+            (label, not validation.key_violations) for label, validation in expected
+        ]
+        for check, (_, validation) in zip(checks, expected):
+            assert all(str(v) in check.detail for v in validation.key_violations)
+        if negations == "dropped":
+            assert not all(check.ok for check in checks)
