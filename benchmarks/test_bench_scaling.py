@@ -168,15 +168,15 @@ def test_batch_engine_speedup_on_largest_workload():
 
 
 def test_metrics_overhead_under_five_percent():
-    """Acceptance: metrics collection costs <5% of batch wall time.
+    """Acceptance: telemetry collection costs <5% of batch wall time.
 
     Profile timing is batch-granular (two ``perf_counter`` reads per
     operator per batch — see ``_run_plan_profiled``), so collecting the
-    full EXPLAIN ANALYZE profile plus the metric families must be nearly
-    free on the largest figure1 workload.  Best-of-N, interleaved, with a
+    full EXPLAIN ANALYZE profile plus the spans and metric families of an
+    active tracer must be nearly free on the largest figure1 workload.  Best-of-N, interleaved, with a
     1ms absolute slack so CI timer noise cannot flake the gate.
     """
-    from repro.obs import MetricsRegistry, use_metrics
+    from repro.obs import Tracer, use_tracer
 
     size = max(SIZES)
     system = MappingSystem(figure1_problem())
@@ -184,17 +184,17 @@ def test_metrics_overhead_under_five_percent():
     source = cars3_instance(
         n_persons=size // 2, n_cars=size, ownership=0.6, seed=size
     )
-    registry = MetricsRegistry()
+    tracer = Tracer()
     best_off = best_on = float("inf")
     for _ in range(7):
         started = time.perf_counter()
         system.run(source, engine="batch")
         best_off = min(best_off, time.perf_counter() - started)
         started = time.perf_counter()
-        with use_metrics(registry):
+        with use_tracer(tracer):
             result = system.run(source, engine="batch")
         best_on = min(best_on, time.perf_counter() - started)
-    assert result.profile is not None  # metrics imply profile collection
+    assert result.profile is not None  # tracing implies profile collection
     budget = max(best_off * 1.05, best_off + 0.001)
     assert best_on <= budget, (
         f"metrics-on batch run took {best_on * 1000:.2f}ms vs "

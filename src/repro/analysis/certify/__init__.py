@@ -29,7 +29,7 @@ only valid target instances — into a machine-checked theorem per scenario;
 from __future__ import annotations
 
 from ...datalog.program import DatalogProgram
-from ...obs import metric_inc, span
+from ...obs import count, span
 from .report import (
     PROVED,
     REFUTED,
@@ -70,7 +70,7 @@ def certify_program(
             report.verdicts.extend(certify_not_null(program))
         else:
             report.verdicts.extend(_all_unknown(program))
-        metric_inc("certify.runs", 1, ok=str(report.ok).lower())
+        count("certify.runs", 1, ok=str(report.ok).lower())
     return report
 
 

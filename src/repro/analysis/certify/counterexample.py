@@ -34,7 +34,7 @@ from ...logic.terms import Term
 from ...model.instance import Instance
 from ...model.validation import validate_instance
 from ...model.values import NULL
-from ...obs import metric_inc
+from ...obs import count
 from .closure import EgdClosure
 
 #: FK-repair chase rounds before giving up (weakly acyclic schemas need
@@ -192,10 +192,10 @@ def confirmed_counterexample(
         return None
     source = instance_from_closure(closure, program.source_schema)
     if source is None:
-        metric_inc("certify.counterexamples", 1, outcome="unrealizable")
+        count("certify.counterexamples", 1, outcome="unrealizable")
         return None
     if not violation_reproduces(program, source, check):
-        metric_inc("certify.counterexamples", 1, outcome="unconfirmed")
+        count("certify.counterexamples", 1, outcome="unconfirmed")
         return None
-    metric_inc("certify.counterexamples", 1, outcome="confirmed")
+    count("certify.counterexamples", 1, outcome="confirmed")
     return minimize(program, source, check)

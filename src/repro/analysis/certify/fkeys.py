@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from ...datalog.program import DatalogProgram, Rule
 from ...logic.terms import NullTerm, Variable
-from ...obs import metric_inc
+from ...obs import count
 from ..semantic.containment import (
     ConjunctiveQuery,
     ContainmentEngine,
@@ -51,9 +51,7 @@ def certify_foreign_keys(program: DatalogProgram) -> list[ConstraintVerdict]:
     for fk in schema.foreign_keys:
         verdict = _certify_foreign_key(program, engine, fk)
         verdict.span = fk.span
-        metric_inc(
-            "certify.verdicts", 1, kind="foreign-key", verdict=verdict.verdict
-        )
+        count("certify.verdicts", 1, kind="foreign-key", verdict=verdict.verdict)
         verdicts.append(verdict)
     return verdicts
 

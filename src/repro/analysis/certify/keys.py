@@ -36,7 +36,7 @@ counterexample refutes the key, otherwise the verdict is UNKNOWN.
 from __future__ import annotations
 
 from ...datalog.program import DatalogProgram, Rule
-from ...obs import metric_inc
+from ...obs import count
 from ..flow.keyorigin import FunctionalityRecord, functionality_records
 from .closure import EgdClosure, negation_refutation, rename_rule
 from .counterexample import confirmed_counterexample, key_violation_check
@@ -55,7 +55,7 @@ def certify_keys(program: DatalogProgram) -> list[ConstraintVerdict]:
     for relation in schema:
         verdict = _certify_relation_key(program, relation, records)
         verdict.span = relation.span
-        metric_inc("certify.verdicts", 1, kind="key", verdict=verdict.verdict)
+        count("certify.verdicts", 1, kind="key", verdict=verdict.verdict)
         verdicts.append(verdict)
     return verdicts
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from ...datalog.program import DatalogProgram, Rule
 from ...logic.terms import NullTerm, Variable
 from ...model.instance import Instance
-from ...obs import metric_inc
+from ...obs import count
 from ..flow.lattice import BOTTOM, NO
 from ..flow.nullability import NullabilityAnalysis
 from ..flow.solver import FlowResult, solve
@@ -44,12 +44,7 @@ def certify_not_null(
                 program, flow, relation.name, attribute.name, position
             )
             verdict.span = attribute.span or relation.span
-            metric_inc(
-                "certify.verdicts",
-                1,
-                kind="not-null",
-                verdict=verdict.verdict,
-            )
+            count("certify.verdicts", 1, kind="not-null", verdict=verdict.verdict)
             verdicts.append(verdict)
     return verdicts
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from ...datalog.program import DatalogProgram, Rule
 from ...logic.terms import SkolemTerm, Variable
-from ...obs import metric_inc
+from ...obs import count
 
 Position = tuple[str, int]
 
@@ -221,11 +221,11 @@ def certify_termination(program: DatalogProgram) -> TerminationCertificate:
     graph = build_program_graph(program)
     cycle = _find_special_cycle(graph)
     if cycle is not None:
-        metric_inc("certify.termination", 1, outcome="unbounded")
+        count("certify.termination", 1, outcome="unbounded")
         return TerminationCertificate(
             bounded=False, depth_bound=None, graph=graph, cycle=cycle
         )
     bound = _depth_bound(graph)
-    metric_inc("certify.termination", 1, outcome="bounded")
-    metric_inc("certify.chase_depth_bound", bound)
+    count("certify.termination", 1, outcome="bounded")
+    count("certify.chase_depth_bound", bound)
     return TerminationCertificate(bounded=True, depth_bound=bound, graph=graph)

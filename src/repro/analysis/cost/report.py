@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from ...datalog.exec.plan import ProgramPlan, plan_program, plan_rule
 from ...datalog.program import DatalogProgram
-from ...obs import metric_inc, metric_set
+from ...obs import count, gauge
 from ..diagnostics import AnalysisReport, Diagnostic, diagnostic
 from .bounds import RuleBound, _calibrate, bound_rule_plan
 from .facts import CostFacts
@@ -297,11 +297,11 @@ def _plan_order(rule_plan) -> list[str]:
 
 
 def _emit_metrics(report: CostReport) -> None:
-    metric_inc("cost.runs", 1, bounded=str(report.bounded).lower())
-    metric_inc("cost.relations", len(report.relations))
-    metric_inc("cost.rules", len(report.rule_bounds()))
+    count("cost.runs", 1, bounded=str(report.bounded).lower())
+    count("cost.relations", len(report.relations))
+    count("cost.rules", len(report.rule_bounds()))
     for finding in report.findings:
-        metric_inc("cost.diagnostics", 1, code=finding.code)
+        count("cost.diagnostics", 1, code=finding.code)
     degree = report.max_degree()
     if degree is not None:
-        metric_set("cost.max_degree", degree, subject=report.subject or "-")
+        gauge("cost.max_degree", degree, subject=report.subject or "-")

@@ -39,7 +39,7 @@ from ...datalog.program import DatalogProgram, Rule
 from ...datalog.stratify import DatalogError, readers
 from ...errors import ReproError
 from ...logic.terms import Variable
-from ...obs import count, metric_inc
+from ...obs import count
 
 #: Visits of one relation after which join gives way to widening.
 DEFAULT_WIDEN_AFTER = 3
@@ -209,7 +209,7 @@ def solve(
                     pending.append(reader)
                     queued.add(reader)
     count(f"flow.{analysis.name}.updates", stats.updates)
-    metric_inc("flow.iterations", stats.iterations, analysis=analysis.name)
-    metric_inc("flow.updates", stats.updates, analysis=analysis.name)
-    metric_inc("flow.widenings", stats.widenings, analysis=analysis.name)
+    count("flow.iterations", stats.iterations, analysis=analysis.name)
+    count("flow.updates", stats.updates, analysis=analysis.name)
+    count("flow.widenings", stats.widenings, analysis=analysis.name)
     return FlowResult(analysis=analysis, program=program, env=env, stats=stats)

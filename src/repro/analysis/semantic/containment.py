@@ -51,7 +51,7 @@ from ...logic.terms import (
     Variable,
     term_variables,
 )
-from ...obs import count, metric_inc
+from ...obs import count
 
 #: Upper bound on homomorphisms examined per containment check; beyond it the
 #: answer degrades to the conservative "not provably contained".
@@ -450,9 +450,9 @@ class ContainmentEngine:
         key = (contained.signature(), container.signature())
         if key in self._cache:
             count("semantic.cache_hits")
-            metric_inc("semantic.containment.lookups", 1, result="hit")
+            count("semantic.containment.lookups", 1, result="hit")
             return self._cache[key]
-        metric_inc("semantic.containment.lookups", 1, result="miss")
+        count("semantic.containment.lookups", 1, result="miss")
         witness = self._contained_in(contained, container)
         self._cache[key] = witness
         return witness
@@ -583,9 +583,9 @@ class ContainmentEngine:
         )
         if key in self._cache:
             count("semantic.cache_hits")
-            metric_inc("semantic.containment.lookups", 1, result="hit")
+            count("semantic.containment.lookups", 1, result="hit")
             return self._cache[key]
-        metric_inc("semantic.containment.lookups", 1, result="miss")
+        count("semantic.containment.lookups", 1, result="miss")
         witness = self._mapping_implies(
             strong_cq,
             strong_consequent,

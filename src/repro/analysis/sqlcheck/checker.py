@@ -30,7 +30,7 @@ metrics family records statement verdicts and finding counts.
 from __future__ import annotations
 
 from ...datalog.program import DatalogProgram
-from ...obs import metric_inc, span
+from ...obs import count, span
 from ...sqlgen.ast import (
     Cmp,
     EXCEPT_DEDUP,
@@ -71,16 +71,14 @@ def check_pipeline(
         for index, statement in enumerate(pipeline.inserts()):
             verdict = _statement_verdict(index, statement, pipeline.program, engine)
             report.add(verdict)
-            metric_inc(
-                "sqlcheck.statements", 1, verdict=verdict.verdict.lower()
-            )
+            count("sqlcheck.statements", 1, verdict=verdict.verdict.lower())
             for finding in _structural_findings(index, statement):
                 report.findings.append(finding)
         for finding in _ordering_findings(pipeline):
             report.findings.append(finding)
         for finding in report.findings:
-            metric_inc("sqlcheck.findings", 1, code=finding.code)
-        metric_inc("sqlcheck.runs", 1, ok=str(report.ok).lower())
+            count("sqlcheck.findings", 1, code=finding.code)
+        count("sqlcheck.runs", 1, ok=str(report.ok).lower())
     return report
 
 

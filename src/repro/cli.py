@@ -61,13 +61,15 @@ opt-in passes ``--flow``, ``--certify``, ``--sql``, ``--cost``,
 :class:`~repro.core.pipeline.MappingSystem` per subject.
 
 ``compile``, ``run``, ``explain`` and ``query`` all accept the telemetry
-flags ``--trace`` (stage-by-stage run report), ``--profile`` (per-stage
-timings), ``--trace-out PATH`` (JSON run report) and ``--trace-chrome PATH``
-(Chrome trace-event file), plus the metrics flags ``--metrics-out PATH``
-(typed metrics snapshot JSON, schema ``docs/metrics.schema.json``) and
-``--openmetrics-out PATH`` (Prometheus/OpenMetrics text); ``run`` adds
-``--explain-analyze`` / ``--analyze-out PATH`` for the measured operator
-trees.  See ``docs/OBSERVABILITY.md``.
+flags ``--trace`` (print the stage-by-stage run report), ``--profile``
+(print per-stage timings) and ``--telemetry-out DIR``, which writes
+``run_report.json`` (schema ``docs/run_report.schema.json``),
+``trace.chrome.json`` (Chrome trace events), ``metrics.json`` (the typed
+metrics snapshot, schema ``docs/metrics.schema.json``), ``metrics.txt``
+(Prometheus/OpenMetrics text) and, for ``run`` with a measured profile,
+``analyze.json`` (the EXPLAIN ANALYZE data); ``run`` adds
+``--explain-analyze`` to print the measured operator trees.  See
+``docs/OBSERVABILITY.md``.
 
 Problem files use the text DSL of :mod:`repro.dsl.parser`, or JSON
 (``.json``) as produced by :mod:`repro.dsl.jsonio`.
@@ -77,6 +79,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core.matching import suggest_correspondences
@@ -88,7 +91,7 @@ from .dsl.renderer import render_program, render_schema, render_schema_mapping
 from .dsl.report import explain
 from .errors import ReproError
 from .model.validation import validate_instance
-from .obs.export import write_chrome_trace
+from .obs import write_chrome_trace, write_metrics_json, write_openmetrics
 from .sqlgen.executor import SqliteExecutor
 from .sqlgen.queries import program_to_sql
 
@@ -111,19 +114,18 @@ def _load_instance(path: str, system: MappingSystem):
         return parse_instance(handle.read(), system.problem.source_schema)
 
 
-def _wants_trace(args) -> bool:
+def _telemetry_dir(value: str) -> str:
+    """The ``--telemetry-out`` argument type: a non-empty directory path."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a directory path, got ''")
+    return value
+
+
+def _wants_telemetry(args) -> bool:
     return bool(
         getattr(args, "trace", False)
         or getattr(args, "profile", False)
-        or getattr(args, "trace_out", None)
-        or getattr(args, "trace_chrome", None)
-    )
-
-
-def _wants_metrics(args) -> bool:
-    return bool(
-        getattr(args, "metrics_out", None)
-        or getattr(args, "openmetrics_out", None)
+        or getattr(args, "telemetry_out", None)
     )
 
 
@@ -133,44 +135,45 @@ def _system(args, force_trace: bool = False) -> MappingSystem:
         problem,
         algorithm=args.algorithm,
         optimize=not args.no_optimize,
-        trace=force_trace or _wants_trace(args),
-        metrics=_wants_metrics(args),
+        trace=force_trace or _wants_telemetry(args),
         semantic_pruning=getattr(args, "semantic_pruning", False),
         verify_optimizations=getattr(args, "verify_optimizations", False),
     )
 
 
-def _emit_telemetry(system: MappingSystem, args) -> None:
-    """Print/write the merged RunReport, as requested by the trace flags."""
-    if system.tracer is None or not _wants_trace(args):
+def _write_json(data, path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2)
+        handle.write("\n")
+
+
+def _emit_telemetry(
+    system: MappingSystem, args, profile=None, echo: bool = True
+) -> None:
+    """Print the merged RunReport (``--trace``/``--profile``, unless
+    ``echo`` is off) and write the ``--telemetry-out`` directory; a measured
+    ``profile`` adds ``analyze.json``."""
+    if system.tracer is None or not _wants_telemetry(args):
         return
     report = system.stats()
-    if getattr(args, "trace", False):
+    if echo and getattr(args, "trace", False):
         print()
         print("# run report")
         print(report.render())
-    if getattr(args, "profile", False):
+    if echo and getattr(args, "profile", False):
         print()
         print("# profile")
         print(report.render_profile())
-    if getattr(args, "trace_out", None):
-        with open(args.trace_out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-            handle.write("\n")
-    if getattr(args, "trace_chrome", None):
-        write_chrome_trace(report, args.trace_chrome)
-
-
-def _emit_metrics(system: MappingSystem, args) -> None:
-    """Write the metrics snapshot / OpenMetrics files, when requested."""
-    if system.metrics is None:
+    out = getattr(args, "telemetry_out", None)
+    if not out:
         return
-    from .obs import write_metrics_json, write_openmetrics
-
-    if getattr(args, "metrics_out", None):
-        write_metrics_json(system.metrics, args.metrics_out)
-    if getattr(args, "openmetrics_out", None):
-        write_openmetrics(system.metrics, args.openmetrics_out)
+    os.makedirs(out, exist_ok=True)
+    _write_json(report.to_dict(), os.path.join(out, "run_report.json"))
+    write_chrome_trace(report, os.path.join(out, "trace.chrome.json"))
+    write_metrics_json(system.tracer.metrics, os.path.join(out, "metrics.json"))
+    write_openmetrics(system.tracer.metrics, os.path.join(out, "metrics.txt"))
+    if profile is not None:
+        _write_json(profile.to_dict(), os.path.join(out, "analyze.json"))
 
 
 def cmd_compile(args) -> int:
@@ -186,7 +189,6 @@ def cmd_compile(args) -> int:
         print("# transformation (non-recursive Datalog)")
         print(render_program(system.transformation, shorten=not args.long_names))
     _emit_telemetry(system, args)
-    _emit_metrics(system, args)
     return 0
 
 
@@ -195,24 +197,26 @@ def cmd_run(args) -> int:
     if args.workers is not None and args.engine != "batch":
         print("error: --workers requires --engine batch", file=sys.stderr)
         return 2
-    analyze = bool(args.explain_analyze or args.analyze_out)
-    if analyze and args.engine == "sqlite":
+    if args.explain_analyze and args.engine == "sqlite":
         print(
             "error: --explain-analyze requires --engine batch or reference",
             file=sys.stderr,
         )
         return 2
     source = _load_instance(args.instance, system)
-    result = None
+    profile = None
     if args.engine == "sqlite":
         executor = SqliteExecutor(enforce_constraints=args.enforce)
         target = executor.run(system.transformation, source)
     else:  # batch, reference (and reference's legacy alias "datalog")
         engine = "batch" if args.engine == "batch" else "reference"
         result = system.run(
-            source, engine=engine, workers=args.workers, analyze=analyze
+            source,
+            engine=engine,
+            workers=args.workers,
+            analyze=args.explain_analyze,
         )
-        target = result.target
+        target, profile = result.target, result.profile
     print(target.to_text())
     if args.validate or args.fail_on_violation:
         report = validate_instance(target)
@@ -221,20 +225,13 @@ def cmd_run(args) -> int:
         for item in report.diagnostics():
             print(f"  {item.render()}")
         if args.fail_on_violation and not report.ok:
-            _emit_telemetry(system, args)
-            _emit_metrics(system, args)
+            _emit_telemetry(system, args, profile)
             return 1
-    if result is not None and result.profile is not None:
-        if args.explain_analyze:
-            print()
-            print("# explain analyze")
-            print(result.profile.render())
-        if args.analyze_out:
-            with open(args.analyze_out, "w") as handle:
-                json.dump(result.profile.to_dict(), handle, indent=2)
-                handle.write("\n")
-    _emit_telemetry(system, args)
-    _emit_metrics(system, args)
+    if profile is not None and args.explain_analyze:
+        print()
+        print("# explain analyze")
+        print(profile.render())
+    _emit_telemetry(system, args, profile)
     return 0
 
 
@@ -249,7 +246,8 @@ def cmd_explain(args) -> int:
         # evaluation to report on.
         system.run(_load_instance(args.instance, system), engine=args.engine)
     print(explain(system))
-    _emit_metrics(system, args)
+    # explain's own telemetry section already renders the run report
+    _emit_telemetry(system, args, echo=False)
     return 0
 
 
@@ -322,7 +320,6 @@ def cmd_query(args) -> int:
         print("(" + ", ".join(format_value(v) for v in row) + ")")
     print(f"-- {len(answers)} answer(s)" + (" (certain)" if args.certain else ""))
     _emit_telemetry(system, args)
-    _emit_metrics(system, args)
     return 0
 
 
@@ -896,16 +893,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the stage-by-stage run report (spans + counters)")
         p.add_argument("--profile", action="store_true",
                        help="print per-stage timings and counter totals")
-        p.add_argument("--trace-out", metavar="PATH",
-                       help="write the run report as JSON to PATH")
-        p.add_argument("--trace-chrome", metavar="PATH",
-                       help="write a Chrome trace-event file (chrome://tracing)")
-        p.add_argument("--metrics-out", metavar="PATH",
-                       help="write the typed metrics snapshot as JSON "
-                            "(schema: docs/metrics.schema.json)")
-        p.add_argument("--openmetrics-out", metavar="PATH",
-                       help="write the metrics in Prometheus/OpenMetrics "
-                            "text exposition format")
+        p.add_argument("--telemetry-out", metavar="DIR", type=_telemetry_dir,
+                       help="write run_report.json, trace.chrome.json, "
+                            "metrics.json, metrics.txt (OpenMetrics) and, "
+                            "for run, analyze.json into DIR")
 
     compile_parser = sub.add_parser("compile", help="generate mapping + queries")
     common(compile_parser)
@@ -943,11 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain-analyze", action="store_true",
         help="print the measured operator trees (rows in/out, batches, "
              "timings, index hits) after the target instance",
-    )
-    run_parser.add_argument(
-        "--analyze-out", metavar="PATH",
-        help="write the execution profile (the EXPLAIN ANALYZE data) as "
-             "JSON to PATH",
     )
     run_parser.set_defaults(func=cmd_run)
 

@@ -11,7 +11,7 @@ algorithms (3 and 4); everything is computed lazily and cached.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..datalog.engine import EvaluationResult, evaluate
@@ -21,7 +21,7 @@ from ..logic.mappings import SchemaMapping
 from ..model.instance import Instance
 from ..errors import ReproError, SchemaError
 from ..model.schema import Schema
-from ..obs import MetricsRegistry, RunReport, Tracer, use_metrics, use_tracer
+from ..obs import RunReport, Tracer, use_tracer
 from .correspondences import Correspondence, correspondence
 from .query_generation import QueryGenerationResult, generate_queries
 from .schema_mapping import NOVEL, SchemaMappingResult, generate_schema_mapping
@@ -71,11 +71,10 @@ class MappingSystem:
     With ``trace=True`` a :class:`repro.obs.Tracer` records every stage run
     through this system: the stage results carry a
     :class:`~repro.obs.RunReport` each and :meth:`stats` returns the merged
-    report (see ``docs/OBSERVABILITY.md``).  With ``metrics=True`` a
-    :class:`repro.obs.MetricsRegistry` is installed for every stage run, so
-    the typed metric families (``eval.*``, ``exec.*``, ``flow.*``,
-    ``semantic.*``) accumulate across this system's lifetime;
-    :meth:`metrics_snapshot` serializes them.  Both are off by default and
+    report (see ``docs/OBSERVABILITY.md``).  The same tracer records the
+    typed, labeled metric families (``eval.*``, ``exec.*``, ``flow.*``,
+    ``semantic.*``, ...) across this system's lifetime;
+    :meth:`metrics_snapshot` serializes them.  Tracing is off by default and
     the disabled instrumentation is a no-op.
 
     Stage and pass results are cached, keyed by the problem object, its name
@@ -93,7 +92,6 @@ class MappingSystem:
         skolem_strategy: str | None = None,
         optimize: bool = True,
         trace: bool = False,
-        metrics: bool = False,
         semantic_pruning: bool = False,
         verify_optimizations: bool = False,
     ):
@@ -108,9 +106,6 @@ class MappingSystem:
         #: raise carrying the SEM003/SEM004 diagnostic.
         self.verify_optimizations = verify_optimizations
         self.tracer: Tracer | None = Tracer() if trace else None
-        self.metrics: MetricsRegistry | None = (
-            MetricsRegistry() if metrics else None
-        )
         #: stage and pass results by name, valid for :attr:`_key`
         self._results: dict[str, object] = {}
         self._key = self._cache_key()
@@ -119,15 +114,10 @@ class MappingSystem:
         self._lint_run_report: RunReport | None = None
 
     def _traced(self):
-        """Install this system's tracer and metrics registry (when enabled)."""
-        if self.tracer is None and self.metrics is None:
+        """Install this system's tracer (when enabled)."""
+        if self.tracer is None:
             return nullcontext()
-        stack = ExitStack()
-        if self.tracer is not None:
-            stack.enter_context(use_tracer(self.tracer))
-        if self.metrics is not None:
-            stack.enter_context(use_metrics(self.metrics))
-        return stack
+        return use_tracer(self.tracer)
 
     # -- the result cache ----------------------------------------------------
 
@@ -385,7 +375,7 @@ class MappingSystem:
         large outer scans across a process pool — see ``docs/ENGINE.md``.  ``analyze=True``
         collects the EXPLAIN ANALYZE profile on the returned result (also
         collected implicitly when the system was created with
-        ``metrics=True``).
+        ``trace=True``).
         """
         if engine not in self.ENGINES:
             raise ReproError(
@@ -435,15 +425,15 @@ class MappingSystem:
         return stage1.merged(stage2, evaluation, self._lint_run_report)
 
     def metrics_snapshot(self) -> dict:
-        """The serialized state of this system's metrics registry.
+        """The serialized state of this system's tracer metrics.
 
         The snapshot format is pinned by ``docs/metrics.schema.json`` and
         round-trips through :meth:`repro.obs.MetricsRegistry.from_snapshot`.
-        Requires the system to have been created with ``metrics=True``.
+        Requires the system to have been created with ``trace=True``.
         """
-        if self.metrics is None:
+        if self.tracer is None:
             raise ReproError(
-                "metrics are off: create the MappingSystem with metrics=True "
+                "telemetry is off: create the MappingSystem with trace=True "
                 "to collect the typed metric families"
             )
-        return self.metrics.snapshot()
+        return self.tracer.metrics.snapshot()

@@ -19,7 +19,7 @@ from ..logic.atoms import RelationalAtom
 from ..logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
 from ..model.instance import Instance, Row
 from ..model.values import NULL, LabeledNull, is_null
-from ..obs import RunReport, count, metrics_enabled, span, stage_report
+from ..obs import RunReport, count, current_tracer, span, stage_report
 from .program import DatalogProgram, Rule
 
 
@@ -216,7 +216,7 @@ class EvaluationResult:
     run_report: RunReport | None = None
     #: the measured :class:`repro.datalog.exec.profile.ExecutionProfile`
     #: behind EXPLAIN ANALYZE, populated when evaluation ran with
-    #: ``analyze=True`` or under an active metrics registry (typed ``Any``
+    #: ``analyze=True`` or under an active tracer (typed ``Any``
     #: here because the exec package imports this module)
     profile: Any | None = None
 
@@ -229,7 +229,7 @@ def evaluate(
 ) -> EvaluationResult:
     """Run the transformation: compute a target instance from a source instance.
 
-    ``analyze=True`` — or an active metrics registry — collects rule-level
+    ``analyze=True`` — or an active tracer — collects rule-level
     timing and derived-row counts into ``EvaluationResult.profile``.  The
     reference interpreter has no static operator pipeline, so its profiles
     carry empty operator lists; the rollups stay comparable with the batch
@@ -238,7 +238,7 @@ def evaluate(
     if program.target_schema is None:
         raise EvaluationError("program has no target schema")
     order = program.validate()
-    collect = analyze or metrics_enabled()
+    collect = analyze or current_tracer().enabled
     profile = None
     if collect:
         # Imported lazily: repro.datalog.exec.batch imports this module.
@@ -292,7 +292,7 @@ def evaluate(
                     count("eval.derived_tuples", len(derived))
                     for row in derived:
                         rows.setdefault(row, None)
-                count("eval.strata")
+                count("eval.strata", engine="reference")
                 count("eval.tuples", len(rows))
                 stratum_trace.set(tuples=len(rows))
                 if stratum_profile is not None:

@@ -24,12 +24,12 @@ Observability: ``eval.batches`` counts processed scan batches,
 engine emits (``eval.source_tuples``, ``eval.rules_evaluated``,
 ``eval.derived_tuples``, ``eval.strata``, ``eval.tuples``) keep their
 meaning, so run reports are comparable across engines.  With
-``analyze=True`` — or whenever a metrics registry is active (see
-:mod:`repro.obs.metrics`) — every operator additionally records rows
-in/out, batches, wall seconds and index build-vs-probe splits into an
+``analyze=True`` — or whenever a tracer is active (see :mod:`repro.obs`) —
+every operator additionally records rows in/out, batches, wall seconds and
+index build-vs-probe splits into an
 :class:`~repro.datalog.exec.profile.ExecutionProfile` (the data behind
 ``repro run --explain-analyze``), and the profile is folded into the
-registry's ``exec.*`` / ``eval.*`` metric families on completion.
+tracer's ``exec.*`` / ``eval.*`` metric families on completion.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterator
 from ...errors import EvaluationError
 from ...model.instance import Instance, Row
 from ...model.values import NULL, LabeledNull
-from ...obs import count, metrics_enabled, span, stage_report
+from ...obs import count, current_tracer, span, stage_report
 from ..engine import EvaluationResult
 from ..program import DatalogProgram
 from .plan import RulePlan, ValueExpr, plan_rule
@@ -445,17 +445,18 @@ def evaluate_batch(
     outer scan of sufficiently large rules is partitioned across a process
     pool (see :mod:`repro.datalog.exec.workers`).
 
-    ``analyze=True`` — or an active metrics registry — collects an
+    ``analyze=True`` — or an active tracer — collects an
     :class:`~repro.datalog.exec.profile.ExecutionProfile` (per-operator
     rows/batches/seconds, EXPLAIN ANALYZE's data) on
-    ``EvaluationResult.profile`` and records its totals into the registry.
+    ``EvaluationResult.profile`` and records its totals into the tracer's
+    metrics.
     """
     if program.target_schema is None:
         raise EvaluationError("program has no target schema")
     order = program.validate()
     if workers is not None and workers > 1:
         from .workers import run_plan_partitioned
-    collect = analyze or metrics_enabled()
+    collect = analyze or current_tracer().enabled
     profile = (
         ExecutionProfile(engine="batch", workers=workers) if collect else None
     )
@@ -514,7 +515,7 @@ def evaluate_batch(
                     count("eval.derived_tuples", len(derived))
                     for row in derived:
                         rows.setdefault(row, None)
-                count("eval.strata")
+                count("eval.strata", engine="batch")
                 count("eval.tuples", len(rows))
                 stratum_trace.set(tuples=len(rows))
                 if stratum_profile is not None:

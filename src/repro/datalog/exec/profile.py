@@ -5,7 +5,7 @@ A profile is the *measured* twin of a compiled plan: one
 out, batches, wall seconds, index build-vs-probe split), rolled up into
 :class:`RuleProfile`, :class:`StratumProfile` and :class:`ExecutionProfile`.
 The batch runtime fills these in when ``evaluate_batch(..., analyze=True)``
-or an active metrics registry asks for collection; the reference
+or an active tracer asks for collection; the reference
 interpreter produces the rule-level rollups (it has no static operator
 pipeline to annotate).
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ...obs import metric_inc, metric_observe, metrics_enabled
+from ...obs import count, current_tracer, observe
 from .plan import RulePlan
 
 
@@ -265,56 +265,37 @@ class ExecutionProfile:
 
 
 def emit_profile_metrics(profile: ExecutionProfile) -> None:
-    """Record a finished profile into the active metrics registry.
+    """Record a finished profile into the active tracer's metrics.
 
     Both engines call this once per evaluation, so the metric families are
     engine-comparable: ``eval.rows{kind,engine}``, ``eval.run.seconds``,
     ``eval.rule.seconds{relation}``, and — batch engine only, since only it
     has an operator pipeline — ``exec.operator.rows_in/rows_out/seconds{op}``,
-    ``exec.batches`` and ``exec.index.lookups{result}``.  A no-op when no
-    registry is installed (:func:`repro.obs.metrics_enabled`).
+    ``exec.batches`` and ``exec.index.lookups{result}``.  (``eval.strata``
+    is counted per stratum while the engine runs.)  A no-op when tracing is
+    off.
     """
-    if not metrics_enabled():
+    if not current_tracer().enabled:
         return
     engine = profile.engine
-    metric_inc("eval.rows", profile.source_rows, engine=engine, kind="source")
-    metric_inc("eval.rows", profile.target_rows, engine=engine, kind="target")
-    metric_inc("eval.strata", len(profile.strata), engine=engine)
-    metric_observe("eval.run.seconds", profile.seconds, engine=engine)
-    for stratum in profile.strata:
-        for rule in stratum.rules:
-            metric_inc("eval.rules", 1, engine=engine)
-            metric_inc(
-                "eval.rows", rule.rows_unique, engine=engine, kind="derived"
-            )
-            metric_observe(
-                "eval.rule.seconds",
-                rule.seconds,
-                engine=engine,
-                relation=rule.relation,
-            )
+    count("eval.rows", profile.source_rows, engine=engine, kind="source")
+    count("eval.rows", profile.target_rows, engine=engine, kind="target")
+    observe("eval.run.seconds", profile.seconds, engine=engine)
+    rules = [rule for stratum in profile.strata for rule in stratum.rules]
+    if rules:
+        count("eval.rules", len(rules), engine=engine)
+        derived = sum(rule.rows_unique for rule in rules)
+        count("eval.rows", derived, engine=engine, kind="derived")
+    for rule in rules:
+        relation = rule.relation
+        observe("eval.rule.seconds", rule.seconds, engine=engine, relation=relation)
     for kind, totals in sorted(profile.operator_totals().items()):
-        metric_inc(
-            "exec.operator.rows_in", totals.rows_in, engine=engine, op=kind
-        )
-        metric_inc(
-            "exec.operator.rows_out", totals.rows_out, engine=engine, op=kind
-        )
-        metric_observe(
-            "exec.operator.seconds", totals.seconds, engine=engine, op=kind
-        )
+        count("exec.operator.rows_in", totals.rows_in, engine=engine, op=kind)
+        count("exec.operator.rows_out", totals.rows_out, engine=engine, op=kind)
+        observe("exec.operator.seconds", totals.seconds, engine=engine, op=kind)
         if kind == "scan":
-            metric_inc("exec.batches", totals.batches, engine=engine)
+            count("exec.batches", totals.batches, engine=engine)
         elif kind == "join":
-            metric_inc(
-                "exec.index.lookups",
-                totals.index_hits,
-                engine=engine,
-                result="hit",
-            )
-            metric_inc(
-                "exec.index.lookups",
-                totals.index_misses,
-                engine=engine,
-                result="miss",
-            )
+            lookups = totals.index_hits, totals.index_misses
+            for result, value in zip(("hit", "miss"), lookups):
+                count("exec.index.lookups", value, engine=engine, result=result)

@@ -15,10 +15,11 @@ round-trip through pickle by value, so merging preserves set semantics.
 
 Worker processes start without the parent's contextvars, so each worker
 runs its slice under a private :class:`~repro.obs.tracer.Tracer` and ships
-the counters (``eval.batches``, ``eval.index_reuse``) back with the rows;
-the parent replays them into its active tracer.  Per-operator profiles
-(when EXPLAIN ANALYZE or a metrics registry is collecting) come back the
-same way and are folded with :meth:`RuleProfile.merge` — rows and seconds
+its metrics registry (``eval.batches``, ``eval.index_reuse``) back with the
+rows; the parent folds it into its active tracer with
+:meth:`~repro.obs.tracer.Tracer.merge` (a :meth:`MetricsRegistry.merge`).
+Per-operator profiles (when EXPLAIN ANALYZE or a tracer is collecting) come
+back the same way and are folded with :meth:`RuleProfile.merge` — rows and seconds
 add across disjoint slices, while the parent's post-merge deduplication
 count overwrites ``rows_unique``.  Note that ``eval.batches`` and index
 hit/miss splits are *not* comparable with a serial run: each worker batches
@@ -35,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 from ...model.instance import Row
-from ...obs import Tracer, count, use_tracer
+from ...obs import MetricsRegistry, Tracer, current_tracer, use_tracer
 from .batch import BATCH_SIZE, BatchStore, run_plan
 from .plan import RulePlan
 from .profile import RuleProfile, operators_for_plan
@@ -54,12 +55,14 @@ def _relations_read(plan: RulePlan) -> list[str]:
     return list(names)
 
 
-def _run_slice(payload) -> tuple[list[Row], dict[str, int], RuleProfile | None]:
+def _run_slice(
+    payload,
+) -> tuple[list[Row], MetricsRegistry, RuleProfile | None]:
     """Worker entry point: evaluate one plan over one scan slice.
 
-    Returns ``(rows, tracer counters, slice profile or None)`` so nothing
-    measured inside the pool is lost: the parent replays the counters and
-    merges the profile.
+    Returns ``(rows, tracer metrics, slice profile or None)`` so nothing
+    measured inside the pool is lost: the parent merges the metrics and the
+    profile.
     """
     plan, scan_rows, relations, collect_profile = payload
     store = BatchStore()
@@ -78,7 +81,7 @@ def _run_slice(payload) -> tuple[list[Row], dict[str, int], RuleProfile | None]:
     tracer = Tracer()
     with use_tracer(tracer):
         derived = run_plan(plan, store, scan_rows=scan_rows, profile=profile)
-    return derived, tracer.counters, profile
+    return derived, tracer.metrics, profile
 
 
 def run_plan_partitioned(
@@ -110,10 +113,10 @@ def run_plan_partitioned(
         if part
     ]
     derived: dict[Row, None] = {}
+    tracer = current_tracer()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for rows, counters, slice_profile in pool.map(_run_slice, payloads):
-            for name, value in counters.items():
-                count(name, value)
+        for rows, metrics, slice_profile in pool.map(_run_slice, payloads):
+            tracer.merge(metrics)
             if profile is not None and slice_profile is not None:
                 profile.merge(slice_profile)
             for row in rows:

@@ -49,7 +49,7 @@ from ..analysis.schema_lint import (
     weak_acyclicity_diagnostic,
 )
 from ..core.pipeline import MappingProblem
-from ..errors import ParseError, ReproError
+from ..errors import InstanceError, ParseError, ReproError, SchemaError
 from ..model.builder import SchemaBuilder
 from ..model.instance import Instance
 from ..model.schema import Attribute, Schema
@@ -72,6 +72,11 @@ def _strip_comment(line: str) -> str:
         elif char == "#" and not in_quote:
             return line[:position].strip()
     return line.strip()
+
+
+def _located(error: ReproError, line_number: int) -> ReproError:
+    """``error`` with a ``line N:`` prefix, keeping its class and diagnostic."""
+    return type(error)(f"line {line_number}: {error}", diagnostic=error.diagnostic)
 
 
 def _parse_attribute_spec(spec: str, line_number: int, span: SourceSpan | None = None):
@@ -105,7 +110,7 @@ class _SchemaSection:
         self.builder = SchemaBuilder(name)
         self.file = file
         self.pending_fks: list[tuple[str, str, str, SourceSpan]] = []
-        self.saw_relation = False
+        self.names: set[str] = set()
 
     def add_relation(self, name: str, body: str, line_number: int) -> None:
         span = SourceSpan(line_number, file=self.file)
@@ -120,13 +125,24 @@ class _SchemaSection:
                 keys.append(attribute.name)
             if fk_target:
                 self.pending_fks.append((name, attribute.name, fk_target, span))
-        self.builder.relation(name, *attributes, key=keys or None, span=span)
-        self.saw_relation = True
+        if name in self.names:
+            raise ParseError(f"duplicate relation name {name!r}", line_number)
+        try:
+            self.builder.relation(name, *attributes, key=keys or None, span=span)
+        except SchemaError as error:
+            raise _located(error, line_number) from error
+        self.names.add(name)
 
     def build(self) -> Schema:
         for relation, attribute, target, span in self.pending_fks:
             self.builder.foreign_key(relation, attribute, target, span=span)
-        return self.builder.build()
+        try:
+            return self.builder.build()
+        except SchemaError as error:
+            span = error.diagnostic.span if error.diagnostic else None
+            if span is None:
+                raise
+            raise _located(error, span.line) from error
 
     def build_lenient(self) -> tuple[Schema, list[Diagnostic]]:
         """Build, dropping defective foreign keys and reporting them.
@@ -283,7 +299,7 @@ def parse_schema(text: str, name: str = "parsed-schema", file: str | None = None
         if not relation:
             raise ParseError(f"expected a relation line, got {line!r}", line_number)
         section.add_relation(relation.group(1), relation.group(2), line_number)
-    if not section.saw_relation:
+    if not section.names:
         raise ParseError("no relations found")
     return section.build()
 
@@ -318,5 +334,8 @@ def parse_instance(text: str, schema: Schema) -> Instance:
                     values.append(piece)
                 else:
                     values.append(NULL if piece == "null" else piece)
-            instance.add(relation, tuple(values))
+            try:
+                instance.add(relation, tuple(values))
+            except InstanceError as error:
+                raise _located(error, line_number) from error
     return instance

@@ -20,7 +20,7 @@ from ..logic.terms import Variable
 from ..model.instance import Instance
 from ..model.schema import Schema
 from ..model.values import NULL, LabeledNull, is_labeled_null, is_null
-from ..obs import metric_inc
+from ..obs import count
 from ..datalog.engine import _Store, _eval_term, _join  # reuse the join machinery
 
 
@@ -117,9 +117,9 @@ def chase_with_tgds(
                 )
                 result.add(atom.relation, row)
                 rows_added += 1
-    metric_inc("chase.bindings", bindings_seen, step="tgd")
-    metric_inc("chase.invented", invented, step="tgd")
-    metric_inc("chase.rows", rows_added, step="tgd")
+    count("chase.bindings", bindings_seen, step="tgd")
+    count("chase.invented", invented, step="tgd")
+    count("chase.rows", rows_added, step="tgd")
     return result
 
 
@@ -247,12 +247,12 @@ def chase_with_key_egds(instance: Instance, resolve_nulls: bool = False) -> EgdC
                     if failure:
                         break
                 if failure:
-                    metric_inc("chase.merged", merged, step="egd")
-                    metric_inc("chase.failures", 1, step="egd")
+                    count("chase.merged", merged, step="egd")
+                    count("chase.failures", 1, step="egd")
                     return EgdChaseResult(current, merged, True, failure)
                 rebuilt.add(rel_schema.name, tuple(resolve(v) for v in base))
         if rebuilt == current:
-            metric_inc("chase.merged", merged, step="egd")
+            count("chase.merged", merged, step="egd")
             return EgdChaseResult(rebuilt, merged, False)
         current = rebuilt
     return EgdChaseResult(current, merged, False)  # pragma: no cover - fixpoint reached

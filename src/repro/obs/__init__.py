@@ -1,22 +1,24 @@
 """Pipeline observability: tracing spans, counters and run reports.
 
 Zero-dependency, off-by-default instrumentation for the two-stage mapping
-pipeline.  The module-level helpers :func:`span` and :func:`count` dispatch
-to the tracer installed via :func:`use_tracer`; with no tracer installed
-they hit the shared no-op tracer and cost one contextvar read each, so the
-instrumented hot paths are unaffected when observability is off.
+pipeline, through one channel.  The module-level helpers :func:`span`,
+:func:`count`, :func:`gauge` and :func:`observe` dispatch to the tracer
+installed via :func:`use_tracer`; with no tracer installed they hit the
+shared no-op tracer and cost one contextvar read each, so the instrumented
+hot paths are unaffected when observability is off.
 
 Layers:
 
 * :mod:`repro.obs.tracer` — contextvar-based :class:`Tracer` with nested
-  :class:`Span` trees, monotonic timers and named counters;
+  :class:`Span` trees, monotonic timers and one metrics registry, its only
+  counter store;
 * :mod:`repro.obs.report` — :class:`RunReport`, the serializable per-stage
   summary attached to pipeline results and merged by
   :meth:`repro.core.pipeline.MappingSystem.stats`;
 * :mod:`repro.obs.export` — JSON-lines and Chrome trace-event exporters;
 * :mod:`repro.obs.metrics` — the typed, labeled metrics registry
-  (counters, gauges, fixed-bucket histograms; per-run scopes and
-  cross-process merging) behind ``--explain-analyze`` and the exporters;
+  (counters, gauges, fixed-bucket histograms; cross-process merging) that
+  every tracer records into, behind the exporters;
 * :mod:`repro.obs.metrics_export` — metrics snapshot JSON (pinned by
   ``docs/metrics.schema.json``) and Prometheus/OpenMetrics text exposition;
 * :mod:`repro.obs.schema` — the mini JSON-schema validator used by CI to
@@ -38,19 +40,11 @@ from .export import (
 )
 from .metrics import (
     DEFAULT_BUCKETS,
-    NOOP_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     MetricTypeError,
-    NoopMetricsRegistry,
-    current_metrics,
-    metric_inc,
-    metric_observe,
-    metric_set,
-    metrics_enabled,
-    use_metrics,
 )
 from .metrics_export import (
     metrics_snapshot_json,
@@ -67,6 +61,8 @@ from .tracer import (
     Tracer,
     count,
     current_tracer,
+    gauge,
+    observe,
     span,
     use_tracer,
 )
@@ -83,26 +79,21 @@ def stage_report(root_span, label: str = "") -> RunReport | None:
 __all__ = [
     "DEFAULT_BUCKETS",
     "NOOP",
-    "NOOP_METRICS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricTypeError",
     "MetricsRegistry",
-    "NoopMetricsRegistry",
     "NoopTracer",
     "RunReport",
     "Span",
     "Tracer",
     "count",
-    "current_metrics",
     "current_tracer",
     "from_jsonl",
-    "metric_inc",
-    "metric_observe",
-    "metric_set",
-    "metrics_enabled",
+    "gauge",
     "metrics_snapshot_json",
+    "observe",
     "read_metrics_json",
     "report_records",
     "span",
@@ -111,7 +102,6 @@ __all__ = [
     "to_chrome_trace",
     "to_jsonl",
     "to_openmetrics",
-    "use_metrics",
     "use_tracer",
     "write_chrome_trace",
     "write_jsonl",

@@ -1,9 +1,9 @@
 """A typed, labeled metrics registry: counters, gauges and histograms.
 
-Where the tracer (:mod:`repro.obs.tracer`) answers "what did *this* run do,
-stage by stage", the metrics registry answers "what is this *process* doing
-over time": every metric is a named **family** with a fixed type, an
-optional help string, and one sample per distinct label set.  Families are
+The tracer's spans (:mod:`repro.obs.tracer`) answer "where did the time
+go, stage by stage"; its registry answers "what did each layer do": every
+metric is a named **family** with a fixed type, an optional help string,
+and one sample per distinct label set.  Families are
 typed at first use — incrementing a name that was registered as a histogram
 raises :class:`MetricTypeError` — so exporters never have to guess.
 
@@ -18,21 +18,22 @@ Three instrument types:
 
 Registries **merge**: counters and histogram buckets add, gauges take the
 other side's last write.  Merging is associative (property-tested in
-``tests/test_obs_metrics.py``), which is what lets per-run scopes
-(:meth:`MetricsRegistry.run_scope`) and ``workers=N`` subprocesses
-(:mod:`repro.datalog.exec.workers`) fold their samples into the
-process-wide registry in any order.
+``tests/test_obs_metrics.py``), which is what lets ``workers=N``
+subprocesses (:mod:`repro.datalog.exec.workers`) fold their samples into
+the parent's registry in any order.
 
-Instrumentation sites use the module-level helpers, which dispatch through
-a :class:`contextvars.ContextVar` exactly like the tracer — a no-op costing
-one contextvar read when no registry is installed::
+Each recording :class:`~repro.obs.tracer.Tracer` owns one registry
+(``tracer.metrics``); instrumentation sites reach it through the tracer's
+module-level helpers :func:`~repro.obs.tracer.count`,
+:func:`~repro.obs.tracer.gauge` and :func:`~repro.obs.tracer.observe` — a
+no-op costing one contextvar read when no tracer is installed::
 
-    from repro.obs import MetricsRegistry, use_metrics, metric_inc
+    from repro.obs import Tracer, use_tracer, count
 
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        metric_inc("exec.operator.rows_out", 42, op="join", engine="batch")
-    registry.snapshot()   # JSON-ready, pinned by docs/metrics.schema.json
+    tracer = Tracer()
+    with use_tracer(tracer):
+        count("exec.operator.rows_out", 42, op="join", engine="batch")
+    tracer.metrics.snapshot()   # JSON-ready, pinned by docs/metrics.schema.json
 
 Exporters live in :mod:`repro.obs.metrics_export` (JSON snapshot and
 Prometheus/OpenMetrics text exposition); the metric families the engines
@@ -42,8 +43,6 @@ emit are tabulated in ``docs/OBSERVABILITY.md``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Any, Iterator, Mapping
 
 #: Default histogram bucket upper bounds, in seconds: spans microsecond
@@ -66,7 +65,7 @@ class MetricTypeError(TypeError):
 
 def _label_key(labels: Mapping[str, Any]) -> LabelKey:
     """Canonical, hashable form of a label set (values stringified)."""
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    return tuple(sorted(zip(labels, map(str, labels.values()))))
 
 
 class Counter:
@@ -254,6 +253,19 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._family(name, Gauge, help=help)
 
+    def inc(self, name: str, value: float, labels: Mapping[str, Any]) -> None:
+        """Add ``value`` to counter ``name`` (created on first use) under
+        ``labels``: :meth:`counter` plus :meth:`Counter.inc` in one call,
+        for the tracer's ``count``, which every instrumentation site hits."""
+        family = self._families.get(name)
+        if type(family) is not Counter:
+            family = self.counter(name)
+        if value < 0:
+            raise ValueError(f"counter {name!r} cannot decrease ({value})")
+        key = _label_key(labels) if labels else ()
+        values = family._values
+        values[key] = values.get(key, 0.0) + value
+
     def histogram(
         self,
         name: str,
@@ -261,7 +273,7 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> Histogram:
         family = self._family(name, Histogram, help=help, buckets=buckets)
-        if family.buckets != tuple(float(b) for b in buckets):
+        if family.buckets != tuple(buckets):  # numeric: 1 == 1.0
             raise MetricTypeError(
                 f"histogram {name!r} already registered with buckets "
                 f"{family.buckets!r}"
@@ -287,8 +299,8 @@ class MetricsRegistry:
         """Fold ``other``'s samples into this registry (and return self).
 
         Counters and histograms add; gauges take ``other``'s writes.  The
-        operation is associative, so scopes and worker snapshots can be
-        folded in any grouping.
+        operation is associative, so worker registries can be folded in
+        any grouping.
         """
         for name in sorted(other._families):
             family = other._families[name]
@@ -302,17 +314,6 @@ class MetricsRegistry:
                 mine.help = family.help
             mine.merge(family)
         return self
-
-    @contextmanager
-    def run_scope(self) -> Iterator["MetricsRegistry"]:
-        """A per-run child registry, installed as the active one; its samples
-        merge into this registry when the scope exits (even on error)."""
-        child = MetricsRegistry()
-        try:
-            with use_metrics(child):
-                yield child
-        finally:
-            self.merge(child)
 
     # -- serialization ------------------------------------------------------
 
@@ -333,10 +334,17 @@ class MetricsRegistry:
 
     @classmethod
     def from_snapshot(cls, data: Mapping[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output (exact round-trip)."""
+        """Rebuild a registry from :meth:`snapshot` output (exact round-trip).
+
+        Raises :class:`MetricTypeError`, naming the family, on an entry
+        without ``samples`` or a histogram sample whose ``counts`` do not
+        have one entry per bucket plus the ``+Inf`` overflow.
+        """
         registry = cls()
         for entry in data.get("metrics", ()):
             name, kind, help = entry["name"], entry["type"], entry.get("help", "")
+            if "samples" not in entry:
+                raise MetricTypeError(f"metric {name!r} has no samples")
             if kind == "counter":
                 family = registry.counter(name, help=help)
                 for sample in entry["samples"]:
@@ -350,6 +358,13 @@ class MetricsRegistry:
                     name, help=help, buckets=tuple(entry["buckets"])
                 )
                 for sample in entry["samples"]:
+                    if len(sample["counts"]) != len(family.buckets) + 1:
+                        raise MetricTypeError(
+                            f"histogram {name!r}: a sample has "
+                            f"{len(sample['counts'])} counts, expected "
+                            f"{len(family.buckets) + 1} (one per bucket "
+                            "plus +Inf)"
+                        )
                     key = _label_key(sample["labels"])
                     family._series[key] = (
                         list(sample["counts"]),
@@ -362,76 +377,3 @@ class MetricsRegistry:
 
     def copy(self) -> "MetricsRegistry":
         return MetricsRegistry().merge(self)
-
-
-class NoopMetricsRegistry:
-    """The do-nothing registry the module helpers hit when metrics are off."""
-
-    enabled = False
-
-    def counter_inc(self, name, value=1.0, **labels) -> None:
-        pass
-
-    def gauge_set(self, name, value, **labels) -> None:
-        pass
-
-    def observe(self, name, value, buckets=DEFAULT_BUCKETS, **labels) -> None:
-        pass
-
-
-NOOP_METRICS = NoopMetricsRegistry()
-
-_ACTIVE_METRICS: ContextVar["MetricsRegistry | NoopMetricsRegistry"] = ContextVar(
-    "repro_obs_metrics", default=NOOP_METRICS
-)
-
-
-def current_metrics() -> MetricsRegistry | NoopMetricsRegistry:
-    """The registry instrumentation is currently dispatching to."""
-    return _ACTIVE_METRICS.get()
-
-
-def metrics_enabled() -> bool:
-    """True when a recording registry is installed (cheap hot-path check)."""
-    return _ACTIVE_METRICS.get() is not NOOP_METRICS
-
-
-@contextmanager
-def use_metrics(
-    registry: MetricsRegistry | NoopMetricsRegistry,
-) -> Iterator[MetricsRegistry | NoopMetricsRegistry]:
-    """Install ``registry`` as the active one for the duration of the block."""
-    token = _ACTIVE_METRICS.set(registry)
-    try:
-        yield registry
-    finally:
-        _ACTIVE_METRICS.reset(token)
-
-
-def metric_inc(name: str, value: float = 1.0, **labels: Any) -> None:
-    """Increment a counter on the active registry (no-op when metrics are off)."""
-    registry = _ACTIVE_METRICS.get()
-    if registry is NOOP_METRICS:
-        return
-    registry.counter(name).inc(value, **labels)
-
-
-def metric_set(name: str, value: float, **labels: Any) -> None:
-    """Set a gauge on the active registry (no-op when metrics are off)."""
-    registry = _ACTIVE_METRICS.get()
-    if registry is NOOP_METRICS:
-        return
-    registry.gauge(name).set(value, **labels)
-
-
-def metric_observe(
-    name: str,
-    value: float,
-    buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    **labels: Any,
-) -> None:
-    """Record a histogram observation (no-op when metrics are off)."""
-    registry = _ACTIVE_METRICS.get()
-    if registry is NOOP_METRICS:
-        return
-    registry.histogram(name, buckets=buckets).observe(value, **labels)

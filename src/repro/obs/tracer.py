@@ -1,12 +1,19 @@
-"""A zero-dependency tracer: nested spans, monotonic timers, named counters.
+"""The recorder: nested spans, monotonic timers and one metrics registry.
 
 The active tracer lives in a :class:`contextvars.ContextVar`, so tracing is
 re-entrant and safe across generators and (hypothetical) concurrent tasks.
-Instrumentation sites call the module-level helpers :func:`span` and
-:func:`count`; when no tracer has been installed they dispatch to the shared
-:data:`NOOP` tracer, whose methods allocate nothing — a single contextvar
-read plus a method call — so the instrumented pipeline is unaffected when
-observability is off (the default).
+Instrumentation sites call the module-level helpers :func:`span`,
+:func:`count`, :func:`gauge` and :func:`observe`; when no tracer has been
+installed they find the shared :data:`NOOP` tracer, whose ``span()``
+allocates nothing and whose ``enabled = False`` makes the metric helpers
+return at once — a single contextvar read each — so the instrumented
+pipeline is unaffected when observability is off (the default).
+
+A recording :class:`Tracer` keeps its spans plus one
+:class:`~repro.obs.metrics.MetricsRegistry`, the only counter store:
+``count`` adds to the registry's counter family (per label set) and to the
+innermost span, and :attr:`Tracer.counters` reads the registry's totals per
+name, summed over label sets.
 
 Typical use::
 
@@ -16,8 +23,10 @@ Typical use::
     with use_tracer(tracer):
         with span("chase.relation", relation="C2") as s:
             count("chase.steps")
+            count("eval.rows", 3, kind="source")
             s.set(tableaux=2)
-    tracer.counters        # {"chase.steps": 1}
+    tracer.counters        # {"chase.steps": 1, "eval.rows": 3}
+    tracer.metrics         # the labeled families, for the exporters
     tracer.spans[0].name   # "chase.relation"
 """
 
@@ -29,13 +38,16 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from .metrics import DEFAULT_BUCKETS, Counter, MetricsRegistry
+
 
 @dataclass
 class Span:
     """One timed, named region of the pipeline, possibly with children.
 
     ``start``/``end`` are :func:`time.perf_counter` readings; ``counters``
-    holds the counts incremented while this span was the innermost one.
+    holds the counts incremented while this span was the innermost one,
+    summed over label sets.
     """
 
     name: str
@@ -91,7 +103,7 @@ NOOP_SPAN = _NoopSpan()
 class NoopTracer:
     """The do-nothing tracer installed by default.
 
-    It records no spans and no counters; ``span()`` hands back one shared
+    It records no spans and no metrics; ``span()`` hands back one shared
     context manager, so disabled instrumentation performs no allocation.
     """
 
@@ -102,14 +114,16 @@ class NoopTracer:
     def span(self, name: str, **attributes: Any) -> _NoopSpan:
         return NOOP_SPAN
 
-    def count(self, name: str, value: int = 1) -> None:
-        pass
+    def _ignore(self, *args: Any, **labels: Any) -> None:
+        """Record nothing (``count``, ``gauge``, ``observe`` and ``merge``)."""
+
+    count = gauge = observe = merge = _ignore
 
 
 NOOP = NoopTracer()
 
 #: The tracer instrumentation dispatches to; NOOP unless :func:`use_tracer`
-#: (or :func:`set_tracer`) installed a recording one.
+#: installed a recording one.
 _ACTIVE_TRACER: ContextVar["Tracer | NoopTracer"] = ContextVar(
     "repro_obs_tracer", default=NOOP
 )
@@ -118,14 +132,19 @@ _CURRENT_SPAN: ContextVar[Span | None] = ContextVar("repro_obs_span", default=No
 
 
 class Tracer:
-    """A recording tracer: a forest of spans plus global counter totals."""
+    """A recording tracer: a forest of spans plus one metrics registry."""
 
     enabled = True
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
         self.spans: list[Span] = []
-        self.counters: dict[str, int] = {}
+        self.metrics = MetricsRegistry()
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Each counter family's total, summed over its label sets."""
+        return _counter_totals(self.metrics)
 
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
@@ -143,12 +162,43 @@ class Tracer:
             node.end = self._clock()
             _CURRENT_SPAN.reset(token)
 
-    def count(self, name: str, value: int = 1) -> None:
-        """Increment a named counter (global, and on the innermost span)."""
-        self.counters[name] = self.counters.get(name, 0) + value
+    def count(self, name: str, value: int = 1, **labels: Any) -> None:
+        """Increment a counter (in the registry, and on the innermost span)."""
+        self.metrics.inc(name, value, labels)
         current = _CURRENT_SPAN.get()
         if current is not None:
             current.counters[name] = current.counters.get(name, 0) + value
+
+    def gauge(self, name: str, value: float, **labels: Any) -> None:
+        """Set a gauge (last write wins)."""
+        self.metrics.gauge(name).set(value, **labels)
+
+    def observe(
+        self,
+        name: str,
+        value: float,
+        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
+        **labels: Any,
+    ) -> None:
+        """Record a histogram observation."""
+        self.metrics.histogram(name, buckets=buckets).observe(value, **labels)
+
+    def merge(self, registry: MetricsRegistry) -> None:
+        """Fold another recorder's registry (e.g. a worker process's) into
+        this one; its counter totals also land on the innermost span."""
+        self.metrics.merge(registry)
+        current = _CURRENT_SPAN.get()
+        if current is not None:
+            for name, value in _counter_totals(registry).items():
+                current.counters[name] = current.counters.get(name, 0) + value
+
+
+def _counter_totals(registry: MetricsRegistry) -> dict[str, int]:
+    return {
+        family.name: int(family.total())
+        for family in registry.families()
+        if isinstance(family, Counter)
+    }
 
 
 def current_tracer() -> Tracer | NoopTracer:
@@ -161,9 +211,34 @@ def span(name: str, **attributes: Any):
     return _ACTIVE_TRACER.get().span(name, **attributes)
 
 
-def count(name: str, value: int = 1) -> None:
+# The metric helpers test ``enabled`` rather than call the no-op tracer:
+# forwarding ``**labels`` into a no-op costs more than the contextvar read.
+
+
+def count(name: str, value: int = 1, **labels: Any) -> None:
     """Increment a counter on the active tracer (a no-op when tracing is off)."""
-    _ACTIVE_TRACER.get().count(name, value)
+    tracer = _ACTIVE_TRACER.get()
+    if tracer.enabled:
+        tracer.count(name, value, **labels)
+
+
+def gauge(name: str, value: float, **labels: Any) -> None:
+    """Set a gauge on the active tracer (a no-op when tracing is off)."""
+    tracer = _ACTIVE_TRACER.get()
+    if tracer.enabled:
+        tracer.gauge(name, value, **labels)
+
+
+def observe(
+    name: str,
+    value: float,
+    buckets: tuple[float, ...] = DEFAULT_BUCKETS,
+    **labels: Any,
+) -> None:
+    """Record a histogram observation (a no-op when tracing is off)."""
+    tracer = _ACTIVE_TRACER.get()
+    if tracer.enabled:
+        tracer.observe(name, value, buckets, **labels)
 
 
 @contextmanager

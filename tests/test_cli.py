@@ -407,20 +407,20 @@ class TestTelemetry:
                                                 capsys):
         from repro.obs.schema import main as validate_main
 
-        report_path = tmp_path / "report.json"
+        report_path = tmp_path / "run_report.json"
         schema_path = (pathlib.Path(__file__).resolve().parent.parent
                        / "docs" / "run_report.schema.json")
-        assert main(["compile", problem_file, "--trace-out",
-                     str(report_path)]) == 0
+        assert main(["compile", problem_file, "--telemetry-out",
+                     str(tmp_path)]) == 0
         payload = json.loads(report_path.read_text())
         assert payload["counters"]["chase.steps"] > 0
         assert validate_main([str(report_path), str(schema_path)]) == 0
         assert "conforms" in capsys.readouterr().out
 
-    def test_trace_chrome_writes_trace_events(self, problem_file, tmp_path):
-        trace_path = tmp_path / "trace.json"
-        assert main(["compile", problem_file, "--trace-chrome",
-                     str(trace_path)]) == 0
+    def test_telemetry_out_writes_chrome_trace_events(self, problem_file, tmp_path):
+        trace_path = tmp_path / "out" / "trace.chrome.json"
+        assert main(["compile", problem_file, "--telemetry-out",
+                     str(tmp_path / "out")]) == 0
         trace = json.loads(trace_path.read_text())
         names = {event["name"] for event in trace["traceEvents"]}
         assert "stage.schema_mapping" in names
@@ -431,6 +431,21 @@ class TestTelemetry:
         out = capsys.readouterr().out
         assert "--- telemetry ---" in out
         assert "counters (totals):" in out
+
+    def test_telemetry_out_writes_one_directory(self, problem_file, tmp_path):
+        out = tmp_path / "telemetry"
+        assert main(["compile", problem_file, "--telemetry-out",
+                     str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "metrics.json", "metrics.txt", "run_report.json",
+            "trace.chrome.json",
+        ]
+
+    def test_telemetry_out_rejects_empty_path(self, problem_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compile", problem_file, "--telemetry-out", ""])
+        assert exit_info.value.code == 2
+        assert "--telemetry-out" in capsys.readouterr().err
 
     def test_no_flags_no_telemetry(self, problem_file, capsys):
         assert main(["compile", problem_file]) == 0
@@ -531,9 +546,9 @@ class TestExplainAnalyze:
         out_path = tmp_path / "analyze.json"
         assert main([
             "run", problem_file, instance_file,
-            "--engine", "batch", "--analyze-out", str(out_path),
+            "--engine", "batch", "--telemetry-out", str(tmp_path),
         ]) == 0
-        # --analyze-out alone triggers collection but not the text dump
+        # --telemetry-out alone triggers collection but not the text dump
         assert "# explain analyze" not in capsys.readouterr().out
         payload = json.loads(out_path.read_text())
         assert payload["engine"] == "batch"
@@ -571,7 +586,7 @@ class TestExplainAnalyze:
 
 
 class TestMetricsExport:
-    def test_run_metrics_out_is_schema_valid(
+    def test_run_metrics_json_is_schema_valid(
         self, problem_file, instance_file, tmp_path
     ):
         from repro.obs.schema import validate
@@ -579,7 +594,7 @@ class TestMetricsExport:
         out_path = tmp_path / "metrics.json"
         assert main([
             "run", problem_file, instance_file,
-            "--engine", "batch", "--metrics-out", str(out_path),
+            "--engine", "batch", "--telemetry-out", str(tmp_path),
         ]) == 0
         payload = json.loads(out_path.read_text())
         schema = json.loads(
@@ -592,16 +607,26 @@ class TestMetricsExport:
         assert "exec.batches" in names
         assert "eval.run.seconds" in names
 
-    def test_run_openmetrics_out(self, problem_file, instance_file, tmp_path):
+    def test_run_metrics_txt_is_openmetrics(self, problem_file, instance_file, tmp_path):
         out_path = tmp_path / "metrics.txt"
         assert main([
             "run", problem_file, instance_file,
-            "--engine", "batch", "--openmetrics-out", str(out_path),
+            "--engine", "batch", "--telemetry-out", str(tmp_path),
         ]) == 0
         text = out_path.read_text()
         assert text.endswith("# EOF\n")
         assert "# TYPE eval_rows counter" in text
         assert 'eval_rows_total{engine="batch",kind="target"}' in text
+
+    def test_sqlite_run_writes_no_profile(
+        self, problem_file, instance_file, tmp_path
+    ):
+        assert main([
+            "run", problem_file, instance_file,
+            "--engine", "sqlite", "--telemetry-out", str(tmp_path),
+        ]) == 0
+        assert (tmp_path / "metrics.json").exists()
+        assert not (tmp_path / "analyze.json").exists()
 
 
 class TestExplainWithInstance:

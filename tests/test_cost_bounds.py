@@ -30,7 +30,7 @@ from repro.datalog.program import DatalogProgram, Rule
 from repro.logic.atoms import RelationalAtom
 from repro.logic.terms import Variable
 from repro.model.schema import Attribute, RelationSchema, Schema
-from repro.obs import MetricsRegistry, use_metrics
+from repro.obs import Tracer, use_tracer
 from repro.scenarios import bundled_problems
 
 SCENARIOS = sorted(bundled_problems())
@@ -322,9 +322,10 @@ class TestAnalyzeCost:
         assert analysis.by_code() == {"PLN001": 1, "PLN002": 1}
 
     def test_cost_metrics_family(self):
-        registry = MetricsRegistry()
-        with use_metrics(registry):
+        tracer = Tracer()
+        with use_tracer(tracer):
             analyze_cost(_cross_product_program(), subject="cross")
+        registry = tracer.metrics
         assert registry.counter("cost.runs").value(bounded="true") == 1
         assert registry.counter("cost.relations").value() == 1
         assert registry.counter("cost.rules").value() == 1

@@ -20,7 +20,7 @@ from repro.datalog.engine import evaluate
 from repro.datalog.exec import evaluate_batch
 from repro.model.instance import Instance
 from repro.model.values import NULL
-from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.obs import MetricsRegistry, Tracer, use_tracer
 from repro.scenarios import bundled_problems
 from repro.scenarios.cars import figure1_problem
 from repro.scenarios.synthetic import cars3_instance
@@ -146,12 +146,13 @@ def test_profile_json_shape():
 
 
 def test_metrics_registry_implies_collection():
-    """An active registry collects the profile even without analyze=True."""
+    """An active tracer collects the profile even without analyze=True."""
     system = MappingSystem(figure1_problem())
     source = cars3_instance(n_persons=10, n_cars=20, ownership=0.6, seed=3)
-    registry = MetricsRegistry()
-    with use_metrics(registry):
+    tracer = Tracer()
+    with use_tracer(tracer):
         result = evaluate_batch(system.transformation, source)
+    registry = tracer.metrics
     assert result.profile is not None
     assert registry.counter("eval.rows").value(
         engine="batch", kind="target"
@@ -194,14 +195,16 @@ class TestWorkersProfile:
         """Acceptance: every rows family agrees between workers=2 and serial."""
         program = MappingSystem(figure1_problem()).transformation
         source = self._source()
-        serial, partitioned = MetricsRegistry(), MetricsRegistry()
-        with use_metrics(serial):
+        serial, partitioned = Tracer(), Tracer()
+        with use_tracer(serial):
             evaluate_batch(program, source, analyze=True)
-        with use_metrics(partitioned):
+        with use_tracer(partitioned):
             evaluate_batch(
                 program, source, workers=2, min_partition_rows=1, analyze=True
             )
-        assert _rows_families(serial) == _rows_families(partitioned)
+        assert _rows_families(serial.metrics) == _rows_families(
+            partitioned.metrics
+        )
 
     def test_worker_tracer_counters_are_merged(self):
         """Regression: pool workers' tracer counters used to be dropped.

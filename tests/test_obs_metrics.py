@@ -1,8 +1,8 @@
-"""The typed metrics registry: instruments, merging, scopes and exporters.
+"""The typed metrics registry: instruments, merging, dispatch and exporters.
 
 The merge-associativity and bucket-monotonicity properties asserted here are
-what make the worker fan-in of ``repro.datalog.exec.workers`` and the
-``run_scope`` fold of ``MappingSystem`` correct in any order.
+what make the worker fan-in of ``repro.datalog.exec.workers`` correct in any
+order.
 """
 
 import json
@@ -19,14 +19,14 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     MetricTypeError,
-    current_metrics,
-    metric_inc,
-    metric_observe,
-    metric_set,
-    metrics_enabled,
-    use_metrics,
+    NOOP,
+    Tracer,
+    count,
+    current_tracer,
+    gauge,
+    observe,
+    use_tracer,
 )
-from repro.obs.metrics import NOOP_METRICS
 from repro.obs.metrics_export import (
     metrics_snapshot_json,
     read_metrics_json,
@@ -60,6 +60,8 @@ class TestCounter:
     def test_counters_cannot_decrease(self):
         with pytest.raises(ValueError, match="cannot decrease"):
             Counter("x").inc(-1)
+        with pytest.raises(ValueError, match="cannot decrease"):
+            MetricsRegistry().inc("x", -1, {})
 
     def test_label_values_are_stringified(self):
         counter = Counter("x")
@@ -137,31 +139,24 @@ class TestRegistry:
         assert left.counter("c").value(k="y") == 7
         assert left.histogram("h").count() == 2
 
-    def test_run_scope_folds_into_parent_even_on_error(self):
-        parent = MetricsRegistry()
-        with pytest.raises(RuntimeError):
-            with parent.run_scope():
-                metric_inc("c", 4)
-                raise RuntimeError("boom")
-        assert parent.counter("c").value() == 4
-
 
 class TestContextvarDispatch:
     def test_disabled_by_default(self):
-        assert not metrics_enabled()
-        assert current_metrics() is NOOP_METRICS
-        metric_inc("ignored")  # must not raise, must not record anywhere
-        metric_set("ignored", 1.0)
-        metric_observe("ignored", 1.0)
+        assert not current_tracer().enabled
+        assert current_tracer() is NOOP
+        count("ignored")  # must not raise, must not record anywhere
+        gauge("ignored", 1.0)
+        observe("ignored", 1.0)
 
     def test_helpers_hit_the_installed_registry(self):
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            assert metrics_enabled()
-            metric_inc("c", 2, op="join")
-            metric_set("g", 3.5)
-            metric_observe("h", 0.2)
-        assert not metrics_enabled()
+        tracer = Tracer()
+        registry = tracer.metrics
+        with use_tracer(tracer):
+            assert current_tracer().enabled
+            count("c", 2, op="join")
+            gauge("g", 3.5)
+            observe("h", 0.2)
+        assert not current_tracer().enabled
         assert registry.counter("c").value(op="join") == 2
         assert registry.gauge("g").value() == 3.5
         assert registry.histogram("h").count() == 1
@@ -267,6 +262,24 @@ class TestSnapshot:
         rebuilt = read_metrics_json(str(path))
         assert rebuilt.snapshot() == registry.snapshot()
         assert metrics_snapshot_json(rebuilt) == metrics_snapshot_json(registry)
+
+    def test_histogram_counts_must_cover_every_bucket(self):
+        """Buckets [1, 2] need three counts (le=1, le=2, +Inf); one count
+        used to load and then render without its +Inf line."""
+        snapshot = {"version": 1, "metrics": [{
+            "name": "h", "type": "histogram", "help": "", "buckets": [1, 2],
+            "samples": [{"labels": {}, "counts": [1], "sum": 0.5, "count": 1}],
+        }]}
+        with pytest.raises(MetricTypeError, match="'h'"):
+            MetricsRegistry.from_snapshot(snapshot)
+
+    def test_entry_without_samples_is_rejected(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps({"version": 1, "metrics": [
+            {"name": "eval.rows", "type": "counter", "help": ""},
+        ]}))
+        with pytest.raises(MetricTypeError, match="'eval.rows'"):
+            read_metrics_json(str(path))
 
 
 class TestOpenMetrics:

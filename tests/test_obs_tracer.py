@@ -99,6 +99,53 @@ class TestTracer:
         assert current_tracer() is NOOP
 
 
+class TestOneChannel:
+    """Spans, counters and the labeled metric families share one recorder."""
+
+    def test_labeled_counts_sum_per_name(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with span("outer") as outer:
+                count("eval.rows", 3, kind="source")
+                count("eval.rows", 4, kind="target")
+        assert tracer.counters == {"eval.rows": 7}
+        assert outer.counters == {"eval.rows": 7}
+        assert tracer.metrics.counter("eval.rows").value(kind="target") == 4
+
+    def test_merge_folds_a_registry_into_counters_and_span(self):
+        worker = Tracer()
+        with use_tracer(worker):
+            count("eval.batches", 2)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with span("stratum") as stratum:
+                count("eval.batches")
+                tracer.merge(worker.metrics)
+        assert tracer.counters == {"eval.batches": 3}
+        assert stratum.counters == {"eval.batches": 3}
+
+    def test_counters_equal_snapshot_totals_on_figure1(self):
+        """Every counter family's samples sum to the tracer's total."""
+        from repro.core.pipeline import MappingSystem
+        from repro.scenarios.cars import figure1_problem
+        from repro.scenarios.synthetic import cars3_instance
+
+        system = MappingSystem(figure1_problem(), trace=True)
+        source = cars3_instance(n_persons=10, n_cars=20, ownership=0.6, seed=3)
+        system.run(source, engine="batch")
+        tracer = system.tracer
+        families = {
+            family["name"]: family
+            for family in system.metrics_snapshot()["metrics"]
+            if family["type"] == "counter"
+        }
+        assert {"chase.steps", "eval.rows", "eval.strata"} <= set(families)
+        assert set(families) == set(tracer.counters)
+        for name, family in families.items():
+            total = sum(sample["value"] for sample in family["samples"])
+            assert tracer.counters[name] == total, name
+
+
 class TestNoopPath:
     def test_disabled_records_nothing(self):
         # No tracer installed: the module helpers hit the shared no-op.

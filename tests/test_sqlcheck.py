@@ -251,7 +251,7 @@ class TestMappingSystemIntegration:
         assert "IS NOT DISTINCT FROM" in duckdb_sql
 
     def test_metrics_family_emitted(self):
-        system = MappingSystem(bundled_problems()["figure-1"], metrics=True)
+        system = MappingSystem(bundled_problems()["figure-1"], trace=True)
         system.sql_report()
         snapshot = system.metrics_snapshot()
         families = {m["name"] for m in snapshot["metrics"]}
