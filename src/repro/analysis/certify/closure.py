@@ -1,4 +1,4 @@
-"""Equality-generating (egd-style) reasoning over combined rule bodies.
+"""Rule bodies in the egd closure, and freezing for homomorphism searches.
 
 The key certifier asks: can two firings of target rules agree on a target
 key but disagree elsewhere?  The classical way to answer is to *chase* the
@@ -7,315 +7,68 @@ key → row functional dependencies of §3.1 — after asserting the key
 equalities, and look for either a contradiction (the firings can never
 collide) or full row agreement (collisions always coincide).
 
-:class:`EgdClosure` implements that chase as a congruence closure over the
-variables of one or two rule bodies:
-
-* rule equalities, asserted key equalities and Skolem-argument unifications
-  (Skolem functors are injective, §6) merge variable classes;
-* each class carries its pinned constant and null / non-null marks; a class
-  bound at a non-nullable *source* position is marked non-null, because the
-  certifier reasons over valid source instances only;
-* :meth:`saturate` closes the atom set under the source FDs: two atoms of
-  one relation whose key positions are provably equal denote the same row,
-  so every remaining position unifies;
-* contradictory constraints — null vs. non-null, two distinct constants, a
-  ground (source-bound) value vs. an invented Skolem value, two Skolem
-  terms with distinct functors, a violated disequality — mark the closure
-  :attr:`contradiction`; for the pair analysis that *is* the proof that the
-  two firings can never share a key.
-
-The closure assumes every variable ranges over *ground* source values
-(constants or the unlabeled null): bodies of generated target rules are
-source atoms, and source instances never contain invented values.
+The chase is :class:`repro.logic.satisfiability.EgdClosure`, the same
+closure the functionality and key-conflict checks of Algorithm 4 use.  This
+module loads Datalog rules into it (:func:`add_rule`), freezes its classes
+for homomorphism searches (:func:`frozen`), and refutes negated premises
+over the frozen combined body (:func:`negation_refutation`).  For the pair
+analysis a :attr:`~repro.logic.satisfiability.EgdClosure.contradiction`
+*is* the proof that the two firings can never share a key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ...datalog.program import DatalogProgram, Rule
 from ...logic.atoms import RelationalAtom
 from ...logic.homomorphism import iter_homomorphisms
-from ...logic.terms import (
-    Constant,
-    NullTerm,
-    SkolemTerm,
-    Term,
-    Variable,
-)
-from ..semantic.containment import (
+from ...logic.satisfiability import (
+    EgdClosure,
     FrozenValue,
     _is_nonnull_like,
     _is_null_like,
     _terms_agree,
 )
+from ...logic.terms import Constant, SkolemTerm, Term, Variable
 
 
-@dataclass
-class _ClassInfo:
-    """Constraints accumulated on one equivalence class of variables."""
+def add_rule(closure: EgdClosure, rule: Rule) -> None:
+    """Load one rule's body atoms and conditions into the closure."""
+    closure.load(
+        rule.body,
+        rule.null_vars,
+        rule.nonnull_vars,
+        rule.equalities,
+        rule.disequalities,
+    )
 
-    pin: Constant | None = None
-    null: bool = False
-    nonnull: bool = False
 
+def frozen(closure: EgdClosure) -> tuple[list[RelationalAtom], dict[Variable, Term]]:
+    """The closure's atoms with every class frozen to one canonical term.
 
-@dataclass
-class EgdClosure:
-    """A congruence closure over rule-body variables under source FDs."""
-
-    schema: "object"  # the source Schema (FDs + NOT NULL), or None
-    atoms: list[RelationalAtom] = field(default_factory=list)
-    #: why the constraint set is unsatisfiable, or None while it still is
-    contradiction: str | None = None
-
-    def __post_init__(self) -> None:
-        self._parent: dict[Variable, Variable] = {}
-        self._info: dict[Variable, _ClassInfo] = {}
-        self._diseqs: list[tuple[Term, Term]] = []
-
-    # -- union-find --------------------------------------------------------
-
-    def _find(self, var: Variable) -> Variable:
-        parent = self._parent
-        if var not in parent:
-            parent[var] = var
-            self._info[var] = _ClassInfo()
-            return var
-        while parent[var] is not var:
-            parent[var] = parent[parent[var]]
-            var = parent[var]
-        return var
-
-    def info(self, var: Variable) -> _ClassInfo:
-        return self._info[self._find(var)]
-
-    def mark_nonnull(self, var: Variable) -> None:
-        """Assert that ``var`` holds a non-null value."""
-        self._mark_nonnull_root(self._find(var))
-
-    def _fail(self, reason: str) -> None:
-        if self.contradiction is None:
-            self.contradiction = reason
-
-    def _merge(self, a: Variable, b: Variable) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra is rb:
-            return
-        self._parent[ra] = rb
-        merged = self._info.pop(ra)
-        into = self._info[rb]
-        if merged.pin is not None:
-            self._pin_root(rb, merged.pin)
-        if merged.null:
-            self._mark_null_root(rb)
-        if merged.nonnull:
-            self._mark_nonnull_root(rb)
-        del into  # constraints folded via the *_root helpers above
-
-    def _pin_root(self, root: Variable, constant: Constant) -> None:
-        info = self._info[root]
-        if info.pin is not None and info.pin != constant:
-            self._fail(
-                f"variable pinned to two distinct constants "
-                f"({info.pin!r} and {constant!r})"
-            )
-            return
-        info.pin = constant
-        if info.null:
-            self._fail(f"null-constrained variable pinned to constant {constant!r}")
-        info.nonnull = True
-
-    def _mark_null_root(self, root: Variable) -> None:
-        info = self._info[root]
-        if info.nonnull or info.pin is not None:
-            self._fail("a value is required to be both null and non-null")
-        info.null = True
-
-    def _mark_nonnull_root(self, root: Variable) -> None:
-        info = self._info[root]
-        if info.null:
-            self._fail("a value is required to be both null and non-null")
-        info.nonnull = True
-
-    # -- loading rules -----------------------------------------------------
-
-    def add_rule(self, rule: Rule) -> None:
-        """Load one rule's body atoms and conditions into the closure."""
-        self.add_atoms(rule.body)
-        for var in rule.null_vars:
-            self._mark_null_root(self._find(var))
-        for var in rule.nonnull_vars:
-            self._mark_nonnull_root(self._find(var))
-        for eq in rule.equalities:
-            self.equate(eq.left, eq.right)
-        for diseq in rule.disequalities:
-            self._diseqs.append((diseq.left, diseq.right))
-
-    def add_atoms(self, atoms: "tuple[RelationalAtom, ...] | list") -> None:
-        for atom in atoms:
-            self.atoms.append(atom)
-            rel = self._source_relation(atom.relation)
-            for position, term in enumerate(atom.terms):
-                if not isinstance(term, Variable):
-                    continue
-                self._find(term)
-                if rel is not None and position < rel.arity:
-                    if not rel.attributes[position].nullable:
-                        # Valid source instances keep mandatory attributes
-                        # non-null; the certifier only reasons over those.
-                        self._mark_nonnull_root(self._find(term))
-
-    def _source_relation(self, name: str):
-        if self.schema is None or name not in self.schema:
-            return None
-        return self.schema.relation(name)
-
-    # -- equating terms ----------------------------------------------------
-
-    def equate(self, left: Term, right: Term) -> None:
-        """Assert ``left = right``; records a contradiction when impossible."""
-        if self.contradiction is not None:
-            return
-        if isinstance(left, Variable) and isinstance(right, Variable):
-            self._merge(left, right)
-            return
-        if isinstance(left, Variable) or isinstance(right, Variable):
-            var, other = (
-                (left, right) if isinstance(left, Variable) else (right, left)
-            )
-            assert isinstance(var, Variable)
-            if isinstance(other, Constant):
-                self._pin_root(self._find(var), other)
-            elif isinstance(other, NullTerm):
-                self._mark_null_root(self._find(var))
-            elif isinstance(other, SkolemTerm):
-                # Source-bound variables hold ground values; Skolem terms
-                # denote invented (labeled-null) values — disjoint domains.
-                self._fail("a ground source value cannot equal an invented value")
-            return
-        if isinstance(left, SkolemTerm) and isinstance(right, SkolemTerm):
-            if left.functor != right.functor or len(left.args) != len(right.args):
-                self._fail(
-                    f"Skolem functors {left.functor} and {right.functor} "
-                    "have disjoint ranges"
-                )
-                return
-            for a, b in zip(left.args, right.args):
-                self.equate(a, b)  # functors are injective (§6)
-            return
-        if isinstance(left, SkolemTerm) or isinstance(right, SkolemTerm):
-            self._fail("an invented value cannot equal a constant or null")
-            return
-        if not _terms_agree(left, right):
-            self._fail(f"distinct fixed values {left!r} and {right!r}")
-
-    # -- the FD chase ------------------------------------------------------
-
-    def saturate(self, max_rounds: int = 100) -> None:
-        """Close under source key → row FDs, then re-check disequalities."""
-        for _ in range(max_rounds):
-            if self.contradiction is not None:
-                return
-            if not self._saturate_once():
-                break
-        for left, right in self._diseqs:
-            if self.terms_equal(left, right):
-                self._fail(f"disequality {left!r} != {right!r} is violated")
-                return
-
-    def _saturate_once(self) -> bool:
-        changed = False
-        by_relation: dict[str, list[RelationalAtom]] = {}
-        for atom in self.atoms:
-            by_relation.setdefault(atom.relation, []).append(atom)
-        for name, atoms in by_relation.items():
-            rel = self._source_relation(name)
-            if rel is None or not rel.key:
-                continue
-            key_positions = rel.key_positions()
-            for i, first in enumerate(atoms):
-                for second in atoms[i + 1:]:
-                    if any(p >= len(first.terms) for p in key_positions):
-                        continue  # pragma: no cover - malformed atom
-                    if all(
-                        self.terms_equal(first.terms[p], second.terms[p])
-                        for p in key_positions
-                    ):
-                        for a, b in zip(first.terms, second.terms):
-                            if not self.terms_equal(a, b):
-                                self.equate(a, b)
-                                changed = True
-                            if self.contradiction is not None:
-                                return False
-        return changed
-
-    # -- queries -----------------------------------------------------------
-
-    def normalize(self, term: Term) -> tuple:
-        """A hashable normal form deciding guaranteed equality of terms."""
-        if isinstance(term, Variable):
-            root = self._find(term)
-            info = self._info[root]
+    Pinned classes freeze to their constant; every other class becomes a
+    :class:`FrozenValue` carrying its null / non-null mark, so condition
+    checks during homomorphism searches stay local.
+    """
+    substitution: dict[Variable, Term] = {}
+    frozen_roots: dict[Variable, Term] = {}
+    for var in closure.variables():
+        root = closure.find(var)
+        if root not in frozen_roots:
+            info = closure.info(root)
             if info.pin is not None:
-                return ("const", info.pin.value)
-            if info.null:
-                return ("null",)
-            return ("class", id(root))
-        if isinstance(term, NullTerm):
-            return ("null",)
-        if isinstance(term, Constant):
-            return ("const", term.value)
-        if isinstance(term, SkolemTerm):
-            return ("skolem", term.functor, tuple(self.normalize(a) for a in term.args))
-        return ("term", repr(term))  # pragma: no cover - defensive
-
-    def terms_equal(self, left: Term, right: Term) -> bool:
-        """True iff the closure proves the terms denote the same value."""
-        return self.normalize(left) == self.normalize(right)
-
-    def entails_nonnull(self, term: Term) -> bool:
-        if isinstance(term, (Constant, SkolemTerm)):
-            return True
-        if isinstance(term, Variable):
-            info = self.info(term)
-            return info.nonnull or info.pin is not None
-        return False
-
-    def entails_null(self, term: Term) -> bool:
-        if isinstance(term, NullTerm):
-            return True
-        return isinstance(term, Variable) and self.info(term).null
-
-    # -- freezing (for homomorphism searches) ------------------------------
-
-    def frozen(self) -> tuple[list[RelationalAtom], dict[Variable, Term]]:
-        """The atoms with every class frozen to one canonical term.
-
-        Pinned classes freeze to their constant; every other class becomes a
-        :class:`FrozenValue` carrying its null / non-null mark, so condition
-        checks during homomorphism searches stay local.
-        """
-        substitution: dict[Variable, Term] = {}
-        frozen_roots: dict[Variable, Term] = {}
-        for index, var in enumerate(self._parent):
-            root = self._find(var)
-            if root not in frozen_roots:
-                info = self._info[root]
-                if info.pin is not None:
-                    frozen_roots[root] = info.pin
-                else:
-                    frozen_roots[root] = FrozenValue(
-                        len(frozen_roots),
-                        root.name,
-                        null=info.null,
-                        nonnull=info.nonnull,
-                    )
-            substitution[var] = frozen_roots[root]
-        return (
-            [atom.substitute(substitution) for atom in self.atoms],
-            substitution,
-        )
+                frozen_roots[root] = info.pin
+            else:
+                frozen_roots[root] = FrozenValue(
+                    len(frozen_roots),
+                    root.name,
+                    null=info.null,
+                    nonnull=info.nonnull,
+                )
+        substitution[var] = frozen_roots[root]
+    return (
+        [atom.substitute(substitution) for atom in closure.atoms],
+        substitution,
+    )
 
 
 def rename_rule(rule: Rule) -> Rule:
@@ -357,7 +110,7 @@ def negation_refutation(
     """
     if closure.contradiction is not None:
         return None
-    frozen_atoms, substitution = closure.frozen()
+    frozen_atoms, substitution = frozen(closure)
     for rule in rules:
         for negated in rule.negated:
             frozen_args = [t.substitute(substitution) for t in negated.terms]

@@ -1,7 +1,7 @@
 """Concrete counterexamples: build, replay on both engines, minimize.
 
 A REFUTED verdict is only as good as its evidence.  This module turns an
-:class:`~repro.analysis.certify.closure.EgdClosure` describing a suspected
+:class:`~repro.logic.satisfiability.EgdClosure` describing a suspected
 violation into a *valid* source instance, replays it through **both**
 evaluation engines (the tuple-at-a-time reference interpreter and the
 compiled batch runtime), and accepts the refutation only when
@@ -30,12 +30,12 @@ from typing import Callable
 from ...datalog.engine import evaluate
 from ...datalog.exec import evaluate_batch
 from ...datalog.program import DatalogProgram
+from ...logic.satisfiability import EgdClosure
 from ...logic.terms import Term
 from ...model.instance import Instance
 from ...model.validation import validate_instance
 from ...model.values import NULL
 from ...obs import count
-from .closure import EgdClosure
 
 #: FK-repair chase rounds before giving up (weakly acyclic schemas need
 #: at most the schema's dependency depth; this guards hand-built inputs).

@@ -25,6 +25,7 @@ replayed through both engines); confirmation refutes, otherwise UNKNOWN.
 from __future__ import annotations
 
 from ...datalog.program import DatalogProgram, Rule
+from ...logic.satisfiability import EgdClosure
 from ...logic.terms import NullTerm, Variable
 from ...obs import count
 from ..semantic.containment import (
@@ -32,7 +33,7 @@ from ..semantic.containment import (
     ContainmentEngine,
     Witness,
 )
-from .closure import EgdClosure, negation_refutation
+from .closure import add_rule, negation_refutation
 from .counterexample import confirmed_counterexample, fk_violation_check
 from .report import PROVED, REFUTED, UNKNOWN, ConstraintVerdict
 
@@ -204,7 +205,7 @@ def _containment_proof(
 def _fk_counterexample(program: DatalogProgram, rule: Rule, term, fk):
     """A valid source instance making ``rule`` emit a dangling FK value."""
     closure = EgdClosure(schema=program.source_schema)
-    closure.add_rule(rule)
+    add_rule(closure, rule)
     if isinstance(term, Variable):
         # The FK constraint only bites for non-null values.
         if closure.info(term).null:

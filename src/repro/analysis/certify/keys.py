@@ -12,7 +12,7 @@ proof obligation accordingly:
   renamed copy of the rule.
 
 * *across two rules* — the combined bodies are loaded into an
-  :class:`~repro.analysis.certify.closure.EgdClosure`, the key head terms
+  :class:`~repro.logic.satisfiability.EgdClosure`, the key head terms
   are equated, and the closure is saturated under the source FDs.  The pair
   is then harmless when one of these holds, each yielding a one-line proof:
 
@@ -36,9 +36,10 @@ counterexample refutes the key, otherwise the verdict is UNKNOWN.
 from __future__ import annotations
 
 from ...datalog.program import DatalogProgram, Rule
+from ...logic.satisfiability import EgdClosure
 from ...obs import count
 from ..flow.keyorigin import FunctionalityRecord, functionality_records
-from .closure import EgdClosure, negation_refutation, rename_rule
+from .closure import add_rule, negation_refutation, rename_rule
 from .counterexample import confirmed_counterexample, key_violation_check
 from .report import PROVED, REFUTED, UNKNOWN, ConstraintVerdict
 
@@ -170,8 +171,8 @@ def _analyze_pair(
     ``second`` must already be variable-disjoint from ``first`` (renamed).
     """
     closure = EgdClosure(schema=program.source_schema)
-    closure.add_rule(first)
-    closure.add_rule(second)
+    add_rule(closure, first)
+    add_rule(closure, second)
     for position in key_positions:
         closure.equate(first.head.terms[position], second.head.terms[position])
     closure.saturate()

@@ -14,13 +14,14 @@ UNKNOWN — the fixpoint over-approximates, so ``MAYBE`` alone never refutes.
 from __future__ import annotations
 
 from ...datalog.program import DatalogProgram, Rule
+from ...logic.satisfiability import EgdClosure
 from ...logic.terms import NullTerm, Variable
 from ...model.instance import Instance
 from ...obs import count
 from ..flow.lattice import BOTTOM, NO
 from ..flow.nullability import NullabilityAnalysis
 from ..flow.solver import FlowResult, solve
-from .closure import EgdClosure, negation_refutation
+from .closure import add_rule, negation_refutation
 from .counterexample import confirmed_counterexample, null_violation_check
 from .report import PROVED, REFUTED, UNKNOWN, ConstraintVerdict
 
@@ -118,7 +119,7 @@ def _null_counterexample(
     """A valid source instance making this rule emit null at ``position``."""
     term = rule.head.terms[position]
     closure = EgdClosure(schema=program.source_schema)
-    closure.add_rule(rule)
+    add_rule(closure, rule)
     if isinstance(term, Variable):
         closure.equate(term, NullTerm())
     elif not isinstance(term, NullTerm):

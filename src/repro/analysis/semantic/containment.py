@@ -42,6 +42,12 @@ from ...datalog.program import Rule
 from ...logic.atoms import Disequality, Equality, NegatedPremise, RelationalAtom
 from ...logic.homomorphism import iter_homomorphisms
 from ...logic.mappings import LogicalMapping, UnitaryMapping
+from ...logic.satisfiability import (
+    FrozenValue,
+    _is_nonnull_like,
+    _is_null_like,
+    _terms_agree,
+)
 from ...logic.tableau import PartialTableau
 from ...logic.terms import (
     Constant,
@@ -62,44 +68,6 @@ MAX_WITNESS_CANDIDATES = 10_000
 ConsequentConditions = tuple[frozenset[Variable], frozenset[Variable]]
 
 _NO_CONDITIONS: ConsequentConditions = (frozenset(), frozenset())
-
-
-@dataclass(frozen=True)
-class FrozenValue(Term):
-    """A canonical-instance constant: one per equivalence class of variables.
-
-    Carries the class's null / non-null mark so condition compatibility can
-    be decided locally during the homomorphism search.  Equality is by value,
-    so two freezes of structurally equal queries agree.
-    """
-
-    index: int
-    name: str
-    null: bool = False
-    nonnull: bool = False
-
-    def __repr__(self) -> str:
-        mark = "=null" if self.null else ("!=null" if self.nonnull else "")
-        return f"<{self.name}#{self.index}{mark}>"
-
-
-def _is_null_like(term: Term) -> bool:
-    """Guaranteed to denote the null value in every instantiation."""
-    return isinstance(term, NullTerm) or (isinstance(term, FrozenValue) and term.null)
-
-
-def _is_nonnull_like(term: Term) -> bool:
-    """Guaranteed to denote a non-null value in every instantiation."""
-    if isinstance(term, (Constant, SkolemTerm)):
-        return True
-    return isinstance(term, FrozenValue) and term.nonnull
-
-
-def _terms_agree(left: Term, right: Term) -> bool:
-    """Equality of frozen terms, identifying all guaranteed-null terms."""
-    if left == right:
-        return True
-    return _is_null_like(left) and _is_null_like(right)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ from ...datalog.optimize import remove_subsumed_rules
 from ...datalog.program import DatalogProgram, Rule
 from ...errors import ReproError
 from ...logic.mappings import SchemaMapping, UnitaryMapping
+from ...logic.satisfiability import EgdClosure
 from ...logic.terms import Constant, NullTerm, Variable
 from ...model.instance import Instance
 from ...model.validation import validate_instance
@@ -139,103 +140,31 @@ def _frozen_values(
     """One fresh value per variable class of the rule's body.
 
     Classes follow the rule's equalities *closed under the source key
-    dependencies*: two body atoms over the same relation with equal key
-    classes must agree on every other position (a valid instance cannot
-    distinguish them — the instance-level analogue of the chase's fd rule,
-    which the fused premises of Example 6.6 rely on).  Returns ``None`` when
-    the closure pins one class to two distinct constants: the body is
-    unsatisfiable on valid instances.
+    dependencies* (:class:`~repro.logic.satisfiability.EgdClosure`): two
+    body atoms over the same relation with equal key classes must agree on
+    every other position (a valid instance cannot distinguish them — the
+    instance-level analogue of the chase's fd rule, which the fused premises
+    of Example 6.6 rely on).  Returns ``None`` when the closure is
+    contradictory: the body is unsatisfiable on valid instances.
     """
-    variables = rule.body_variables()
-    parent = {v: v for v in variables}
-
-    def find(v: Variable) -> Variable:
-        while parent[v] is not v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    pinned: dict[Variable, object] = {}
-    unsatisfiable = False
-
-    def resolved(term: object) -> tuple:
-        if isinstance(term, Variable) and term in parent:
-            root = find(term)
-            if root in pinned:
-                return ("val", pinned[root])
-            return ("class", id(root))
-        return ("val", _ground(term))
-
-    def unify(left: object, right: object) -> bool:
-        """Merge two body positions' values; True if anything changed."""
-        nonlocal unsatisfiable
-        lv = isinstance(left, Variable) and left in parent
-        rv = isinstance(right, Variable) and right in parent
-        if lv and rv:
-            ra, rb = find(left), find(right)
-            if ra is rb:
-                return False
-            pa, pb = pinned.get(ra), pinned.get(rb)
-            if pa is not None and pb is not None and pa != pb:
-                unsatisfiable = True
-            parent[ra] = rb
-            if pa is not None:
-                pinned[rb] = pa
-            return True
-        if lv or rv:
-            var, ground = (left, right) if lv else (right, left)
-            value = _ground(ground)
-            root = find(var)
-            if root in pinned:
-                if pinned[root] != value:
-                    unsatisfiable = True
-                return False
-            pinned[root] = value
-            return True
-        if _ground(left) != _ground(right):
-            unsatisfiable = True
-        return False
-
+    closure = EgdClosure(schema)
+    closure.add_atoms(rule.body)
     for eq in rule.equalities:
-        if isinstance(eq.left, Variable) or isinstance(eq.right, Variable):
-            unify(eq.left, eq.right)
-        elif _ground(eq.left) != _ground(eq.right):
-            unsatisfiable = True
-
-    # Close under the source fds: same relation + equal keys => equal rows.
-    source_relations = set(schema.relation_names())
-    body = [a for a in rule.body if a.relation in source_relations]
-    changed = True
-    while changed and not unsatisfiable:
-        changed = False
-        for x in range(len(body)):
-            for y in range(x + 1, len(body)):
-                one, two = body[x], body[y]
-                if one.relation != two.relation:
-                    continue
-                key_positions = schema.relation(one.relation).key_positions()
-                if any(
-                    resolved(one.terms[p]) != resolved(two.terms[p])
-                    for p in key_positions
-                ):
-                    continue
-                for p in range(len(one.terms)):
-                    if p in key_positions:
-                        continue
-                    if unify(one.terms[p], two.terms[p]):
-                        changed = True
-    if unsatisfiable:
+        closure.equate(eq.left, eq.right)
+    closure.saturate()
+    if closure.contradiction is not None:
         return None
 
-    null_roots = {find(v) for v in rule.null_vars if v in parent}
+    null_roots = {closure.find(v) for v in rule.null_vars}
     class_values: dict[Variable, object] = {}
     values: dict[object, object] = {}
-    for v in variables:
-        root = find(v)
+    for v in rule.body_variables():
+        root = closure.find(v)
         if root not in class_values:
-            if root in pinned:
-                class_values[root] = pinned[root]
-            elif root in null_roots:
+            info = closure.info(root)
+            if info.pin is not None:
+                class_values[root] = info.pin.value
+            elif info.null or root in null_roots:
                 class_values[root] = NULL
             else:
                 class_values[root] = f"{prefix}.{root.name}#{len(class_values)}"

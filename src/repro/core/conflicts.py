@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..logic.mappings import UnitaryMapping
-from ..logic.satisfiability import check_equal_and_differ
 from ..logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
 from ..model.schema import Schema
 from ..obs import count
-from .functionality import rename_unitary
+from .functionality import differing_positions
 
 COPY = "c"
 NULL_KIND = "n"
@@ -86,52 +85,23 @@ def find_key_conflicts(
 
     The right-hand mapping is renamed apart first (the paper assumes
     pairwise-disjoint variable sets), which also covers siblings sharing a
-    premise.
+    premise.  The pair is closed once; every non-key attribute is a probe.
     """
     if left.consequent.relation != right.consequent.relation:
         return []
-    renamed = rename_unitary(right)
-    relation = target_schema.relation(left.consequent.relation)
-    key_positions = relation.key_positions()
-
-    atoms = list(left.premise.atoms) + list(renamed.premise.atoms)
-    equalities: list[tuple[Term, Term]] = [
-        (left.consequent.terms[p], renamed.consequent.terms[p]) for p in key_positions
-    ]
-    for source in (left.premise, renamed.premise):
-        equalities.extend((e.left, e.right) for e in source.equalities)
-    null_terms = list(left.premise.null_vars) + list(renamed.premise.null_vars)
-    nonnull_terms = list(left.premise.nonnull_vars) + list(renamed.premise.nonnull_vars)
-    disequalities = [
-        (d.left, d.right)
-        for source in (left.premise, renamed.premise)
-        for d in source.disequalities
-    ]
-
     conflicts: list[KeyConflict] = []
-    for position in range(relation.arity):
-        if position in key_positions:
-            continue
-        left_term = left.consequent.terms[position]
-        right_term = renamed.consequent.terms[position]
-        if check_equal_and_differ(
-            atoms,
-            source_schema,
-            equalities,
-            (left_term, right_term),
-            null_terms,
-            nonnull_terms,
-            disequalities=disequalities,
-        ):
-            conflict = KeyConflict(
-                left=left,
-                right=right,
-                attribute=relation.attributes[position].name,
-                left_kind=term_kind(left_term),
-                right_kind=term_kind(right_term),
-            )
-            count("conflicts.hard" if conflict.is_hard else "conflicts.soft")
-            conflicts.append(conflict)
+    for attribute, left_term, right_term in differing_positions(
+        left, right, source_schema, target_schema
+    ):
+        conflict = KeyConflict(
+            left=left,
+            right=right,
+            attribute=attribute,
+            left_kind=term_kind(left_term),
+            right_kind=term_kind(right_term),
+        )
+        count("conflicts.hard" if conflict.is_hard else "conflicts.soft")
+        conflicts.append(conflict)
     return conflicts
 
 

@@ -6,17 +6,20 @@ non-key position ``v`` the query ``φ(k, v) ∧ φ(k', v') ∧ k = k' ∧ v ≠ 
 must be unsatisfiable over instances satisfying the source constraints.
 
 The check doubles the premise with fresh variables, equates the two copies'
-key terms (decomposing Skolem terms via injectivity) and asks the
-congruence-closure engine whether the non-key terms can still differ.
+key terms (decomposing Skolem terms via injectivity), closes the pair once
+under the source key dependencies, and probes each non-key position against
+that closure.  The key-conflict check of :mod:`repro.core.conflicts` probes
+two different mappings the same way (:func:`differing_positions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..errors import NonFunctionalMappingError
 from ..logic.mappings import Premise, UnitaryMapping
-from ..logic.satisfiability import check_equal_and_differ
+from ..logic.satisfiability import EgdClosure
 from ..logic.terms import Term, Variable
 from ..model.schema import Schema
 from ..obs import count, span
@@ -60,6 +63,45 @@ class FunctionalityViolation:
         )
 
 
+def differing_positions(
+    left: UnitaryMapping,
+    right: UnitaryMapping,
+    source_schema: Schema,
+    target_schema: Schema,
+) -> Iterator[tuple[str, Term, Term]]:
+    """The non-key attributes where two key-equal consequents can differ.
+
+    ``right`` is renamed apart first (the paper assumes pairwise-disjoint
+    variable sets).  Both premises with their conditions and the key
+    equalities of the two consequents are closed once under the source key
+    dependencies; each non-key position is then one probe of that closure,
+    yielding ``(attribute, left term, renamed right term)`` iff the closure
+    has no contradiction and does not force the two terms equal.
+    """
+    renamed = rename_unitary(right)
+    relation = target_schema.relation(left.consequent.relation)
+    key_positions = relation.key_positions()
+    closure = EgdClosure(source_schema)
+    for premise in (left.premise, renamed.premise):
+        closure.load(
+            premise.atoms,
+            premise.null_vars,
+            premise.nonnull_vars,
+            premise.equalities,
+            premise.disequalities,
+        )
+    pairs = list(zip(left.consequent.terms, renamed.consequent.terms))
+    for position in key_positions:
+        closure.equate(*pairs[position])
+    closure.saturate()
+    for position, attribute in enumerate(relation.attributes):
+        if position in key_positions:
+            continue
+        count("satisfiability.checks")
+        if closure.contradiction is None and not closure.terms_equal(*pairs[position]):
+            yield (attribute.name, *pairs[position])
+
+
 def check_functionality(
     mapping: UnitaryMapping,
     source_schema: Schema,
@@ -67,38 +109,10 @@ def check_functionality(
 ) -> FunctionalityViolation | None:
     """Return a violation witness, or ``None`` when the mapping is functional."""
     count("functionality.checks")
-    copy = rename_unitary(mapping)
-    relation = target_schema.relation(mapping.consequent.relation)
-    key_positions = relation.key_positions()
-
-    atoms = list(mapping.premise.atoms) + list(copy.premise.atoms)
-    equalities: list[tuple[Term, Term]] = [
-        (mapping.consequent.terms[p], copy.consequent.terms[p]) for p in key_positions
-    ]
-    for source in (mapping.premise, copy.premise):
-        equalities.extend((e.left, e.right) for e in source.equalities)
-    null_terms = list(mapping.premise.null_vars) + list(copy.premise.null_vars)
-    nonnull_terms = list(mapping.premise.nonnull_vars) + list(copy.premise.nonnull_vars)
-    disequalities = [
-        (d.left, d.right)
-        for source in (mapping.premise, copy.premise)
-        for d in source.disequalities
-    ]
-
-    for position in range(relation.arity):
-        if position in key_positions:
-            continue
-        differ = (mapping.consequent.terms[position], copy.consequent.terms[position])
-        if check_equal_and_differ(
-            atoms,
-            source_schema,
-            equalities,
-            differ,
-            null_terms,
-            nonnull_terms,
-            disequalities=disequalities,
-        ):
-            return FunctionalityViolation(mapping, relation.attributes[position].name)
+    for attribute, _, _ in differing_positions(
+        mapping, mapping, source_schema, target_schema
+    ):
+        return FunctionalityViolation(mapping, attribute)
     return None
 
 

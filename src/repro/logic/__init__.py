@@ -3,7 +3,7 @@
 from .atoms import Equality, NegatedPremise, RelationalAtom, atoms_variables, iter_positions
 from .homomorphism import embeds, find_homomorphism
 from .mappings import LogicalMapping, Premise, SchemaMapping, UnitaryMapping
-from .satisfiability import SAT, UNSAT, TermSolver, check_equal_and_differ
+from .satisfiability import EgdClosure
 from .tableau import MAND, NONE, NONNULL, NULL, PartialTableau
 from .terms import (
     NULL_TERM,
@@ -21,6 +21,7 @@ from .terms import (
 
 __all__ = [
     "Constant",
+    "EgdClosure",
     "Equality",
     "LogicalMapping",
     "MAND",
@@ -33,17 +34,13 @@ __all__ = [
     "PartialTableau",
     "Premise",
     "RelationalAtom",
-    "SAT",
     "SchemaMapping",
     "SkolemTerm",
     "Term",
-    "TermSolver",
-    "UNSAT",
     "UnitaryMapping",
     "Variable",
     "VariableFactory",
     "atoms_variables",
-    "check_equal_and_differ",
     "embeds",
     "find_homomorphism",
     "is_null_term",

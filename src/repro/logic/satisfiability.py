@@ -1,272 +1,328 @@
-"""Congruence-closure satisfiability engine for the paper's decision checks.
+"""Congruence closure under the source key dependencies.
 
-The functionality check and the key-conflict check of Algorithm 4 both reduce
-to deciding satisfiability of a conjunctive query with equalities, one
-disequality and null / non-null conditions, under the source key constraints
-(paper section 6: "the functionality check can be reduced to an emptiness
-test for a conjunctive query with inequalities, under functional and
-inclusion dependencies").
+Three checks ask whether a conjunctive query with equalities, null /
+non-null conditions and one disequality is satisfiable under the source key
+constraints: the functionality check and the key-conflict check of
+Algorithm 4 (paper section 6: "the functionality check can be reduced to an
+emptiness test for a conjunctive query with inequalities, under functional
+and inclusion dependencies"), and the certifier's key proof, which asks
+whether two firings of target rules can agree on a target key but disagree
+elsewhere.  All three load the query into one :class:`EgdClosure`, saturate
+it under the source key → row functional dependencies of §3.1, and read the
+answer off the closure:
 
-The theory implemented here:
-
-* source variables range over source-database values;
-* ``null`` is an ordinary value, distinct from every other constant;
+* rule equalities, asserted key equalities and Skolem-argument unifications
+  (Skolem functors are injective, §6) merge variable classes;
+* each class carries its pinned constant and null / non-null marks; a class
+  bound at a non-nullable *source* position is marked non-null, because
+  only valid source instances are considered;
+* :meth:`EgdClosure.saturate` closes the atom set under the source FDs: two
+  atoms of one relation whose key positions are provably equal denote the
+  same row, so every remaining position unifies (inclusion dependencies
+  never equate terms, so they play no part);
 * Skolem terms denote *invented* values — distinct from every source value,
   every constant and ``null``; two Skolem terms are equal iff they have the
-  same functor and pairwise-equal arguments (functors are injective, and
-  different functors have disjoint ranges), matching the paper's equality
+  same functor and pairwise-equal arguments, matching the paper's equality
   conditions for functor terms;
-* key functional dependencies are applied as egds to fixpoint (the chase);
-  inclusion dependencies never equate terms, so they are irrelevant to these
-  checks (premises are already FK-closed by logical-relation generation).
+* contradictory constraints — null vs. non-null, two distinct constants, a
+  ground (source-bound) value vs. an invented Skolem value, two Skolem
+  terms with distinct functors, a violated disequality — mark the closure
+  :attr:`~EgdClosure.contradiction`.
 
-After :meth:`TermSolver.close` the query-so-far is unsatisfiable iff
-``solver.clashed``; a disequality ``t1 ≠ t2`` is additionally satisfiable iff
-the two terms were not forced into the same congruence class.
+After :meth:`EgdClosure.saturate` the query is unsatisfiable iff
+``closure.contradiction`` is set; a disequality ``t1 ≠ t2`` is additionally
+satisfiable iff :meth:`EgdClosure.terms_equal` does not force the two terms
+equal.
+
+The closure assumes every variable ranges over *ground* source values
+(constants or the unlabeled null): premises and bodies of generated target
+rules are source atoms, and source instances never contain invented values.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..model.schema import Schema
-from ..obs import count
-from .atoms import RelationalAtom
-from .terms import NULL_TERM, Constant, NullTerm, SkolemTerm, Term, Variable
+from .atoms import Disequality, Equality, RelationalAtom
+from .terms import Constant, NullTerm, SkolemTerm, Term, Variable
 
 
+@dataclass(frozen=True)
+class FrozenValue(Term):
+    """A canonical-instance constant: one per equivalence class of variables.
+
+    Carries the class's null / non-null mark so condition compatibility can
+    be decided locally during the homomorphism search.  Equality is by value,
+    so two freezes of structurally equal queries agree.
+    """
+
+    index: int
+    name: str
+    null: bool = False
+    nonnull: bool = False
+
+    def __repr__(self) -> str:
+        mark = "=null" if self.null else ("!=null" if self.nonnull else "")
+        return f"<{self.name}#{self.index}{mark}>"
+
+
+def _is_null_like(term: Term) -> bool:
+    """Guaranteed to denote the null value in every instantiation."""
+    return isinstance(term, NullTerm) or (isinstance(term, FrozenValue) and term.null)
+
+
+def _is_nonnull_like(term: Term) -> bool:
+    """Guaranteed to denote a non-null value in every instantiation."""
+    if isinstance(term, (Constant, SkolemTerm)):
+        return True
+    return isinstance(term, FrozenValue) and term.nonnull
+
+
+def _terms_agree(left: Term, right: Term) -> bool:
+    """Equality of frozen terms, identifying all guaranteed-null terms."""
+    if left == right:
+        return True
+    return _is_null_like(left) and _is_null_like(right)
+
+
+@dataclass
 class _ClassInfo:
-    """Per-congruence-class facts: representative constant/skolem/null/non-null."""
+    """Constraints accumulated on one equivalence class of variables."""
 
-    __slots__ = ("constant", "skolem", "is_null", "nonnull", "has_var")
-
-    def __init__(self) -> None:
-        self.constant: Constant | None = None
-        self.skolem: SkolemTerm | None = None
-        self.is_null = False
-        self.nonnull = False
-        self.has_var = False  # class contains a (source) variable
+    pin: Constant | None = None
+    null: bool = False
+    nonnull: bool = False
 
 
-class TermSolver:
-    """Union-find with congruence closure over variables, constants, Skolem terms."""
+@dataclass
+class EgdClosure:
+    """A congruence closure over query variables under source FDs."""
 
-    def __init__(self) -> None:
-        self._parent: dict[Term, Term] = {}
-        self._info: dict[Term, _ClassInfo] = {}
-        self._skolems: list[SkolemTerm] = []
-        self.clashed = False
+    schema: Schema | None  # the source Schema (FDs + NOT NULL)
+    atoms: list[RelationalAtom] = field(default_factory=list)
+    #: why the constraint set is unsatisfiable, or None while it still is
+    contradiction: str | None = None
+
+    def __post_init__(self) -> None:
+        self._parent: dict[Variable, Variable] = {}
+        self._info: dict[Variable, _ClassInfo] = {}
+        self._diseqs: list[tuple[Term, Term]] = []
 
     # -- union-find --------------------------------------------------------
 
-    def _register(self, term: Term) -> None:
-        if term in self._parent:
+    def find(self, var: Variable) -> Variable:
+        """The representative of ``var``'s class (registering ``var``)."""
+        parent = self._parent
+        if var not in parent:
+            parent[var] = var
+            self._info[var] = _ClassInfo()
+            return var
+        while parent[var] is not var:
+            parent[var] = parent[parent[var]]
+            var = parent[var]
+        return var
+
+    def variables(self) -> list[Variable]:
+        """Every registered variable, in registration order."""
+        return list(self._parent)
+
+    def info(self, var: Variable) -> _ClassInfo:
+        return self._info[self.find(var)]
+
+    def mark_null(self, var: Variable) -> None:
+        """Assert that ``var`` holds the null value."""
+        self._mark_null_root(self.find(var))
+
+    def mark_nonnull(self, var: Variable) -> None:
+        """Assert that ``var`` holds a non-null value."""
+        self._mark_nonnull_root(self.find(var))
+
+    def _fail(self, reason: str) -> None:
+        if self.contradiction is None:
+            self.contradiction = reason
+
+    def _merge(self, a: Variable, b: Variable) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra is rb:
             return
-        self._parent[term] = term
-        info = _ClassInfo()
-        if isinstance(term, Constant):
-            info.constant = term
-            info.nonnull = True
-        elif isinstance(term, SkolemTerm):
-            info.skolem = term
-            info.nonnull = True
-            self._skolems.append(term)
-            for arg in term.args:
-                self._register(arg)
-        elif isinstance(term, NullTerm):
-            info.is_null = True
-        elif isinstance(term, Variable):
-            info.has_var = True
-        self._info[term] = info
+        self._parent[ra] = rb
+        merged = self._info.pop(ra)
+        if merged.pin is not None:
+            self._pin_root(rb, merged.pin)
+        if merged.null:
+            self._mark_null_root(rb)
+        if merged.nonnull:
+            self._mark_nonnull_root(rb)
 
-    def find(self, term: Term) -> Term:
-        self._register(term)
-        root = term
-        while self._parent[root] is not root:
-            root = self._parent[root]
-        while self._parent[term] is not root:
-            self._parent[term], term = root, self._parent[term]
-        return root
-
-    def equal(self, left: Term, right: Term) -> bool:
-        """True iff the two terms are in the same congruence class."""
-        return self.find(left) is self.find(right)
-
-    # -- assertions ---------------------------------------------------------
-
-    def assert_equal(self, left: Term, right: Term) -> None:
-        """Merge the classes of the two terms, propagating consequences."""
-        if self.clashed:
-            return
-        left_root, right_root = self.find(left), self.find(right)
-        if left_root is right_root:
-            return
-        left_info, right_info = self._info[left_root], self._info[right_root]
-
-        merged = _ClassInfo()
-        merged.is_null = left_info.is_null or right_info.is_null
-        merged.nonnull = left_info.nonnull or right_info.nonnull
-        if merged.is_null and merged.nonnull:
-            self.clashed = True
-            return
-        if left_info.constant and right_info.constant:
-            if left_info.constant != right_info.constant:
-                self.clashed = True
-                return
-        merged.constant = left_info.constant or right_info.constant
-        if left_info.skolem and right_info.skolem:
-            if left_info.skolem.functor != right_info.skolem.functor or len(
-                left_info.skolem.args
-            ) != len(right_info.skolem.args):
-                self.clashed = True
-                return
-        merged.skolem = left_info.skolem or right_info.skolem
-        merged.has_var = left_info.has_var or right_info.has_var
-        if merged.skolem is not None and (merged.constant is not None or merged.has_var):
-            # Invented values are distinct from every source constant and from
-            # every source-variable value (paper: "unsatisfiable if t is a
-            # variable or a null term, or a functor term based on a different
-            # Skolem function").
-            self.clashed = True
-            return
-
-        self._parent[right_root] = left_root
-        self._info[left_root] = merged
-
-        # Injectivity: f(a...) = f(b...) implies pairwise a = b.
-        if left_info.skolem and right_info.skolem:
-            for a, b in zip(left_info.skolem.args, right_info.skolem.args):
-                self.assert_equal(a, b)
-                if self.clashed:
-                    return
-        self._congruence_pass()
-
-    def assert_null(self, term: Term) -> None:
-        """Assert ``term = null``."""
-        self.assert_equal(term, NULL_TERM)
-
-    def assert_nonnull(self, term: Term) -> None:
-        """Assert ``term ≠ null``."""
-        if self.clashed:
-            return
-        root = self.find(term)
+    def _pin_root(self, root: Variable, constant: Constant) -> None:
         info = self._info[root]
-        if info.is_null:
-            self.clashed = True
+        if info.pin is not None and info.pin != constant:
+            self._fail(
+                f"variable pinned to two distinct constants "
+                f"({info.pin!r} and {constant!r})"
+            )
             return
+        info.pin = constant
+        if info.null:
+            self._fail(f"null-constrained variable pinned to constant {constant!r}")
         info.nonnull = True
 
-    # -- congruence closure ---------------------------------------------------
+    def _mark_null_root(self, root: Variable) -> None:
+        info = self._info[root]
+        if info.nonnull or info.pin is not None:
+            self._fail("a value is required to be both null and non-null")
+        info.null = True
 
-    def _congruence_pass(self) -> None:
-        """Merge f(a...) with f(b...) whenever all argument classes coincide."""
-        changed = True
-        while changed and not self.clashed:
-            changed = False
-            n = len(self._skolems)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    s, t = self._skolems[i], self._skolems[j]
-                    if s.functor != t.functor or len(s.args) != len(t.args):
-                        continue
-                    if self.find(s) is self.find(t):
-                        continue
-                    if all(self.find(a) is self.find(b) for a, b in zip(s.args, t.args)):
-                        self.assert_equal(s, t)
-                        changed = True
-                        if self.clashed:
-                            return
+    def _mark_nonnull_root(self, root: Variable) -> None:
+        info = self._info[root]
+        if info.null:
+            self._fail("a value is required to be both null and non-null")
+        info.nonnull = True
 
-    # -- key-fd chase ---------------------------------------------------------
+    # -- loading a query ---------------------------------------------------
 
-    def chase_keys(self, atoms: Sequence[RelationalAtom], schema: Schema) -> None:
-        """Apply key functional dependencies as egds to fixpoint.
+    def load(
+        self,
+        atoms: Iterable[RelationalAtom],
+        null_vars: Iterable[Variable] = (),
+        nonnull_vars: Iterable[Variable] = (),
+        equalities: Iterable[Equality] = (),
+        disequalities: Iterable[Disequality] = (),
+    ) -> None:
+        """Load one conjunction: its atoms, then its conditions, in order."""
+        self.add_atoms(atoms)
+        for var in null_vars:
+            self.mark_null(var)
+        for var in nonnull_vars:
+            self.mark_nonnull(var)
+        for eq in equalities:
+            self.equate(eq.left, eq.right)
+        for diseq in disequalities:
+            self._diseqs.append((diseq.left, diseq.right))
 
-        For any two atoms over the same relation whose key positions are
-        pairwise equal, every other position is equated.
-        """
-        if self.clashed:
-            return
-        by_relation: dict[str, list[RelationalAtom]] = {}
+    def add_atoms(self, atoms: Iterable[RelationalAtom]) -> None:
         for atom in atoms:
-            by_relation.setdefault(atom.relation, []).append(atom)
-        changed = True
-        while changed and not self.clashed:
-            changed = False
-            for relation, group in by_relation.items():
-                if len(group) < 2 or relation not in schema:
-                    continue
-                key_positions = schema.relation(relation).key_positions()
-                for i in range(len(group)):
-                    for j in range(i + 1, len(group)):
-                        a, b = group[i], group[j]
-                        if not all(
-                            self.equal(a.terms[p], b.terms[p]) for p in key_positions
-                        ):
-                            continue
-                        for p in range(len(a.terms)):
-                            if not self.equal(a.terms[p], b.terms[p]):
-                                self.assert_equal(a.terms[p], b.terms[p])
-                                changed = True
-                                if self.clashed:
-                                    return
-
-
-SAT = True
-UNSAT = False
-
-
-def check_equal_and_differ(
-    atoms: Sequence[RelationalAtom],
-    schema: Schema,
-    equalities: Iterable[tuple[Term, Term]],
-    differ: tuple[Term, Term],
-    null_terms: Iterable[Term] = (),
-    nonnull_terms: Iterable[Term] = (),
-    disequalities: Iterable[tuple[Term, Term]] = (),
-) -> bool:
-    """Decide satisfiability of ``atoms ∧ equalities ∧ differ[0] ≠ differ[1]``.
-
-    ``atoms`` are source atoms (their variables are source variables and their
-    mandatory positions are implicitly non-null); key fds of ``schema`` are
-    chased.  Returns :data:`SAT` (True) iff satisfiable.
-    """
-    count("satisfiability.checks")
-    solver = TermSolver()
-    for atom in atoms:
-        if atom.relation in schema:
-            relation = schema.relation(atom.relation)
+            self.atoms.append(atom)
+            rel = self._source_relation(atom.relation)
             for position, term in enumerate(atom.terms):
-                solver._register(term)
-                attr = relation.attributes[position]
-                if not attr.nullable:
-                    solver.assert_nonnull(term)
-                if solver.clashed:
-                    return UNSAT
-    for term in null_terms:
-        solver.assert_null(term)
-        if solver.clashed:
-            return UNSAT
-    for term in nonnull_terms:
-        solver.assert_nonnull(term)
-        if solver.clashed:
-            return UNSAT
-    for left, right in equalities:
-        solver.assert_equal(left, right)
-        if solver.clashed:
-            return UNSAT
-    solver.chase_keys(atoms, schema)
-    if solver.clashed:
-        return UNSAT
-    left, right = differ
-    solver._register(left)
-    solver._register(right)
-    # Re-run congruence in case the differ terms are fresh Skolem structures.
-    solver._congruence_pass()
-    if solver.clashed:
-        return UNSAT
-    # Premise disequalities (Clio filters): a pair forced equal is a clash.
-    for a, b in disequalities:
-        if solver.equal(a, b):
-            return UNSAT
-    return not solver.equal(left, right)
+                if not isinstance(term, Variable):
+                    continue
+                self.find(term)
+                if rel is not None and position < rel.arity:
+                    if not rel.attributes[position].nullable:
+                        # Valid source instances keep mandatory attributes
+                        # non-null; only those are reasoned about.
+                        self.mark_nonnull(term)
+
+    def _source_relation(self, name: str):
+        if self.schema is None or name not in self.schema:
+            return None
+        return self.schema.relation(name)
+
+    # -- equating terms ----------------------------------------------------
+
+    def equate(self, left: Term, right: Term) -> None:
+        """Assert ``left = right``; records a contradiction when impossible."""
+        if self.contradiction is not None:
+            return
+        if isinstance(left, Variable) and isinstance(right, Variable):
+            self._merge(left, right)
+            return
+        if isinstance(left, Variable) or isinstance(right, Variable):
+            var, other = (
+                (left, right) if isinstance(left, Variable) else (right, left)
+            )
+            assert isinstance(var, Variable)
+            if isinstance(other, Constant):
+                self._pin_root(self.find(var), other)
+            elif isinstance(other, NullTerm):
+                self.mark_null(var)
+            elif isinstance(other, SkolemTerm):
+                # Source-bound variables hold ground values; Skolem terms
+                # denote invented (labeled-null) values — disjoint domains.
+                self._fail("a ground source value cannot equal an invented value")
+            return
+        if isinstance(left, SkolemTerm) and isinstance(right, SkolemTerm):
+            if left.functor != right.functor or len(left.args) != len(right.args):
+                self._fail(
+                    f"Skolem functors {left.functor} and {right.functor} "
+                    "have disjoint ranges"
+                )
+                return
+            for a, b in zip(left.args, right.args):
+                self.equate(a, b)  # functors are injective (§6)
+            return
+        if isinstance(left, SkolemTerm) or isinstance(right, SkolemTerm):
+            self._fail("an invented value cannot equal a constant or null")
+            return
+        if not _terms_agree(left, right):
+            self._fail(f"distinct fixed values {left!r} and {right!r}")
+
+    # -- the FD chase ------------------------------------------------------
+
+    def saturate(self) -> None:
+        """Close under source key → row FDs, then re-check disequalities.
+
+        Runs to fixpoint: every round that changes anything merges two
+        classes, or pins or null-marks one, so the chase terminates.
+        """
+        while self.contradiction is None and self._saturate_once():
+            pass
+        if self.contradiction is not None:
+            return
+        for left, right in self._diseqs:
+            if self.terms_equal(left, right):
+                self._fail(f"disequality {left!r} != {right!r} is violated")
+                return
+
+    def _saturate_once(self) -> bool:
+        changed = False
+        by_relation: dict[str, list[RelationalAtom]] = {}
+        for atom in self.atoms:
+            by_relation.setdefault(atom.relation, []).append(atom)
+        for name, atoms in by_relation.items():
+            rel = self._source_relation(name)
+            if rel is None or not rel.key:
+                continue
+            key_positions = rel.key_positions()
+            for i, first in enumerate(atoms):
+                for second in atoms[i + 1:]:
+                    if any(p >= len(first.terms) for p in key_positions):
+                        continue  # pragma: no cover - malformed atom
+                    if all(
+                        self.terms_equal(first.terms[p], second.terms[p])
+                        for p in key_positions
+                    ):
+                        for a, b in zip(first.terms, second.terms):
+                            if not self.terms_equal(a, b):
+                                self.equate(a, b)
+                                changed = True
+                            if self.contradiction is not None:
+                                return False
+        return changed
+
+    # -- queries -----------------------------------------------------------
+
+    def normalize(self, term: Term) -> tuple:
+        """A hashable normal form deciding guaranteed equality of terms."""
+        if isinstance(term, Variable):
+            root = self.find(term)
+            info = self._info[root]
+            if info.pin is not None:
+                return ("const", info.pin.value)
+            if info.null:
+                return ("null",)
+            return ("class", id(root))
+        if isinstance(term, NullTerm):
+            return ("null",)
+        if isinstance(term, Constant):
+            return ("const", term.value)
+        if isinstance(term, SkolemTerm):
+            return ("skolem", term.functor, tuple(self.normalize(a) for a in term.args))
+        return ("term", repr(term))  # pragma: no cover - defensive
+
+    def terms_equal(self, left: Term, right: Term) -> bool:
+        """True iff the closure proves the terms denote the same value."""
+        return self.normalize(left) == self.normalize(right)

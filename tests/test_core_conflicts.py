@@ -1,5 +1,8 @@
 """Tests for key-conflict identification (Example 6.3 and friends)."""
 
+import json
+import os
+
 from repro.core.conflicts import (
     COPY,
     INVENT,
@@ -9,11 +12,14 @@ from repro.core.conflicts import (
     conflicting_sets,
     term_kind,
 )
+from repro.core.pipeline import MappingSystem
 from repro.core.query_generation import rewrite_to_unitary
 from repro.core.schema_mapping import generate_schema_mapping
 from repro.core.skolem import skolemize_schema_mapping
 from repro.logic.terms import NULL_TERM, Constant, SkolemTerm, Variable
-from repro.scenarios import cars
+from repro.scenarios import bundled_problems, cars
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "conflicts.json")
 
 
 def _unitary(problem):
@@ -148,3 +154,28 @@ class TestHardConflicts:
         )
         assert any(c.is_hard for c in conflicts)
         assert "T.v" in str(conflicts[0]) or "v" in str(conflicts[0])
+
+
+class TestBundledConflicts:
+    def test_conflicts_match_fixture(self):
+        """Every bundled scenario's (relation, attribute, kinds) conflict list.
+
+        The fixture pins what Algorithm 4 identifies on the unitary mappings
+        query generation resolves, in order; a change to the closure or the
+        probes that moves a verdict shows up as a fixture diff.
+        """
+        with open(FIXTURE) as handle:
+            expected = json.load(handle)
+        actual = {}
+        for name, problem in bundled_problems().items():
+            system = MappingSystem(problem)
+            schema_mapping = system.schema_mapping
+            actual[name] = [
+                [c.left.consequent.relation, c.attribute, c.left_kind, c.right_kind]
+                for c in find_all_conflicts(
+                    system.query_result().unitary,
+                    schema_mapping.source_schema,
+                    schema_mapping.target_schema,
+                )
+            ]
+        assert actual == expected

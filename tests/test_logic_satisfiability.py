@@ -1,13 +1,13 @@
-"""Tests for the congruence-closure satisfiability engine.
+"""Tests for the congruence closure under source key dependencies.
 
 These checks back the functionality test and the key-conflict test of
-Algorithm 4, so the axioms (Skolem injectivity, disjoint functor ranges,
-invented values distinct from source values, null semantics, key fds) are
-each exercised.
+Algorithm 4 and the certifier's key proofs, so the axioms (Skolem
+injectivity, disjoint functor ranges, invented values distinct from source
+values, null semantics, key fds) are each exercised.
 """
 
-from repro.logic.atoms import RelationalAtom
-from repro.logic.satisfiability import SAT, UNSAT, TermSolver, check_equal_and_differ
+from repro.logic.atoms import Disequality, RelationalAtom
+from repro.logic.satisfiability import EgdClosure
 from repro.logic.terms import NULL_TERM, Constant, SkolemTerm, Variable
 from repro.model.builder import SchemaBuilder
 
@@ -16,116 +16,134 @@ def V(name):
     return Variable(name)
 
 
+def can_differ(atoms, schema, equalities, differ, null_terms=(), nonnull_terms=()):
+    """Is ``atoms ∧ equalities ∧ differ[0] ≠ differ[1]`` satisfiable?"""
+    closure = EgdClosure(schema)
+    closure.add_atoms(atoms)
+    for term in null_terms:
+        closure.mark_null(term)
+    for term in nonnull_terms:
+        closure.mark_nonnull(term)
+    for left, right in equalities:
+        closure.equate(left, right)
+    closure.saturate()
+    return closure.contradiction is None and not closure.terms_equal(*differ)
+
+
 class TestTermSolver:
+    """Union, constant, null and Skolem axioms of the closure."""
+
     def test_basic_union(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x, y, z = V("x"), V("y"), V("z")
-        solver.assert_equal(x, y)
-        solver.assert_equal(y, z)
-        assert solver.equal(x, z)
-        assert not solver.clashed
+        closure.equate(x, y)
+        closure.equate(y, z)
+        assert closure.terms_equal(x, z)
+        assert closure.contradiction is None
 
     def test_distinct_constants_clash(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x = V("x")
-        solver.assert_equal(x, Constant("a"))
-        solver.assert_equal(x, Constant("b"))
-        assert solver.clashed
+        closure.equate(x, Constant("a"))
+        closure.equate(x, Constant("b"))
+        assert closure.contradiction is not None
 
     def test_same_constant_no_clash(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x = V("x")
-        solver.assert_equal(x, Constant("a"))
-        solver.assert_equal(x, Constant("a"))
-        assert not solver.clashed
+        closure.equate(x, Constant("a"))
+        closure.equate(x, Constant("a"))
+        assert closure.contradiction is None
 
     def test_null_vs_constant_clash(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x = V("x")
-        solver.assert_null(x)
-        solver.assert_equal(x, Constant("a"))
-        assert solver.clashed
+        closure.mark_null(x)
+        closure.equate(x, Constant("a"))
+        assert closure.contradiction is not None
 
     def test_null_vs_nonnull_clash(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x = V("x")
-        solver.assert_nonnull(x)
-        solver.assert_null(x)
-        assert solver.clashed
+        closure.mark_nonnull(x)
+        closure.mark_null(x)
+        assert closure.contradiction is not None
 
     def test_skolem_vs_variable_clash(self):
         # Invented values are distinct from every source value (paper sec. 6).
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x, y = V("x"), V("y")
-        solver.assert_equal(x, SkolemTerm("f", [y]))
-        assert solver.clashed
+        closure.equate(x, SkolemTerm("f", [y]))
+        assert closure.contradiction is not None
 
     def test_skolem_vs_constant_clash(self):
-        solver = TermSolver()
-        solver.assert_equal(SkolemTerm("f", []), Constant("a"))
-        assert solver.clashed
+        closure = EgdClosure(None)
+        closure.equate(SkolemTerm("f", []), Constant("a"))
+        assert closure.contradiction is not None
 
     def test_skolem_vs_null_clash(self):
-        solver = TermSolver()
-        solver.assert_equal(SkolemTerm("f", []), NULL_TERM)
-        assert solver.clashed
+        closure = EgdClosure(None)
+        closure.equate(SkolemTerm("f", []), NULL_TERM)
+        assert closure.contradiction is not None
 
     def test_different_functors_clash(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x = V("x")
-        solver.assert_equal(SkolemTerm("f", [x]), SkolemTerm("g", [x]))
-        assert solver.clashed
+        closure.equate(SkolemTerm("f", [x]), SkolemTerm("g", [x]))
+        assert closure.contradiction is not None
 
     def test_injectivity_decomposes_args(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x, y = V("x"), V("y")
-        solver.assert_equal(SkolemTerm("f", [x]), SkolemTerm("f", [y]))
-        assert not solver.clashed
-        assert solver.equal(x, y)
+        closure.equate(SkolemTerm("f", [x]), SkolemTerm("f", [y]))
+        assert closure.contradiction is None
+        assert closure.terms_equal(x, y)
 
     def test_congruence_merges_applications(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x, y = V("x"), V("y")
         fx, fy = SkolemTerm("f", [x]), SkolemTerm("f", [y])
-        solver.find(fx)
-        solver.find(fy)
-        solver.assert_equal(x, y)
-        assert solver.equal(fx, fy)
+        assert not closure.terms_equal(fx, fy)
+        closure.equate(x, y)
+        assert closure.terms_equal(fx, fy)
 
     def test_nested_congruence(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x, y = V("x"), V("y")
         gfx = SkolemTerm("g", [SkolemTerm("f", [x])])
         gfy = SkolemTerm("g", [SkolemTerm("f", [y])])
-        solver.find(gfx)
-        solver.find(gfy)
-        solver.assert_equal(x, y)
-        assert solver.equal(gfx, gfy)
+        assert not closure.terms_equal(gfx, gfy)
+        closure.equate(x, y)
+        assert closure.terms_equal(gfx, gfy)
 
     def test_key_fd_chase(self):
         schema = SchemaBuilder("s").relation("R", "k", "v").build()
-        solver = TermSolver()
+        closure = EgdClosure(schema)
         k1, v1, k2, v2 = V("k1"), V("v1"), V("k2"), V("v2")
-        atoms = [RelationalAtom("R", (k1, v1)), RelationalAtom("R", (k2, v2))]
-        solver.assert_equal(k1, k2)
-        solver.chase_keys(atoms, schema)
-        assert solver.equal(v1, v2)
+        closure.add_atoms([RelationalAtom("R", (k1, v1)), RelationalAtom("R", (k2, v2))])
+        closure.equate(k1, k2)
+        closure.saturate()
+        assert closure.terms_equal(v1, v2)
 
     def test_key_fd_chase_composite(self):
         schema = SchemaBuilder("s").relation("R", "a", "b", "v", key=["a", "b"]).build()
-        solver = TermSolver()
+        closure = EgdClosure(schema)
         a1, b1, v1 = V("a1"), V("b1"), V("v1")
         a2, b2, v2 = V("a2"), V("b2"), V("v2")
-        atoms = [RelationalAtom("R", (a1, b1, v1)), RelationalAtom("R", (a2, b2, v2))]
-        solver.assert_equal(a1, a2)
-        solver.chase_keys(atoms, schema)
-        assert not solver.equal(v1, v2)  # keys agree only on a
-        solver.assert_equal(b1, b2)
-        solver.chase_keys(atoms, schema)
-        assert solver.equal(v1, v2)
+        closure.add_atoms(
+            [RelationalAtom("R", (a1, b1, v1)), RelationalAtom("R", (a2, b2, v2))]
+        )
+        closure.equate(a1, a2)
+        closure.saturate()
+        assert not closure.terms_equal(v1, v2)  # keys agree only on a
+        closure.equate(b1, b2)
+        closure.saturate()
+        assert closure.terms_equal(v1, v2)
 
 
 class TestCheckEqualAndDiffer:
+    """Key-equal premises probed for one disequality, as Algorithm 4 asks."""
+
     def _schema(self):
         return (
             SchemaBuilder("s")
@@ -139,55 +157,41 @@ class TestCheckEqualAndDiffer:
         k2, v2, w2 = V("k2"), V("v2"), V("w2")
         atoms = [RelationalAtom("R", (k1, v1, w1)), RelationalAtom("R", (k2, v2, w2))]
         # Same key forces same v by the key fd.
-        assert (
-            check_equal_and_differ(atoms, schema, [(k1, k2)], (v1, v2)) is UNSAT
-        )
+        assert not can_differ(atoms, schema, [(k1, k2)], (v1, v2))
 
     def test_unconstrained_can_differ(self):
         schema = self._schema()
         k1, v1, w1 = V("k1"), V("v1"), V("w1")
         k2, v2, w2 = V("k2"), V("v2"), V("w2")
         atoms = [RelationalAtom("R", (k1, v1, w1)), RelationalAtom("R", (k2, v2, w2))]
-        assert check_equal_and_differ(atoms, schema, [], (v1, v2)) is SAT
+        assert can_differ(atoms, schema, [], (v1, v2))
 
     def test_mandatory_position_cannot_be_null(self):
         schema = self._schema()
         k, v, w = V("k"), V("v"), V("w")
         atoms = [RelationalAtom("R", (k, v, w))]
         # v = null contradicts v being in a mandatory position.
-        assert (
-            check_equal_and_differ(atoms, schema, [(v, NULL_TERM)], (k, V("z")))
-            is UNSAT
-        )
+        assert not can_differ(atoms, schema, [(v, NULL_TERM)], (k, V("z")))
 
     def test_nullable_position_can_be_null(self):
         schema = self._schema()
         k, v, w = V("k"), V("v"), V("w")
         atoms = [RelationalAtom("R", (k, v, w))]
-        assert (
-            check_equal_and_differ(atoms, schema, [(w, NULL_TERM)], (k, V("z")))
-            is SAT
-        )
+        assert can_differ(atoms, schema, [(w, NULL_TERM)], (k, V("z")))
 
     def test_null_condition_conflicts_with_nonnull(self):
         schema = self._schema()
         k, v, w = V("k"), V("v"), V("w")
         atoms = [RelationalAtom("R", (k, v, w))]
-        assert (
-            check_equal_and_differ(
-                atoms, schema, [], (k, V("z")), null_terms=[w], nonnull_terms=[w]
-            )
-            is UNSAT
+        assert not can_differ(
+            atoms, schema, [], (k, V("z")), null_terms=[w], nonnull_terms=[w]
         )
 
     def test_null_vs_null_cannot_differ(self):
         schema = self._schema()
         k, v, w = V("k"), V("v"), V("w")
         atoms = [RelationalAtom("R", (k, v, w))]
-        assert (
-            check_equal_and_differ(atoms, schema, [], (NULL_TERM, NULL_TERM))
-            is UNSAT
-        )
+        assert not can_differ(atoms, schema, [], (NULL_TERM, NULL_TERM))
 
     def test_skolem_key_equality_unsat_with_variable(self):
         # A mapping whose key is invented never conflicts with one whose key
@@ -197,9 +201,7 @@ class TestCheckEqualAndDiffer:
         k2, v2, w2 = V("k2"), V("v2"), V("w2")
         atoms = [RelationalAtom("R", (k1, v1, w1)), RelationalAtom("R", (k2, v2, w2))]
         skolem = SkolemTerm("f", [v1])
-        assert (
-            check_equal_and_differ(atoms, schema, [(skolem, k2)], (v1, v2)) is UNSAT
-        )
+        assert not can_differ(atoms, schema, [(skolem, k2)], (v1, v2))
 
     def test_same_functor_keys_decompose(self):
         schema = self._schema()
@@ -207,12 +209,44 @@ class TestCheckEqualAndDiffer:
         k2, v2, w2 = V("k2"), V("v2"), V("w2")
         atoms = [RelationalAtom("R", (k1, v1, w1)), RelationalAtom("R", (k2, v2, w2))]
         # f(k1) = f(k2) forces k1 = k2, and the key fd then forces v1 = v2.
-        assert (
-            check_equal_and_differ(
-                atoms,
-                schema,
-                [(SkolemTerm("f", [k1]), SkolemTerm("f", [k2]))],
-                (v1, v2),
-            )
-            is UNSAT
+        assert not can_differ(
+            atoms,
+            schema,
+            [(SkolemTerm("f", [k1]), SkolemTerm("f", [k2]))],
+            (v1, v2),
         )
+
+
+class TestSaturation:
+    def test_deep_key_chain_reaches_fixpoint(self):
+        # R(x_i, x_{i+1}) and R(y_i, y_{i+1}) with x_1 = y_1: the key fd
+        # equates one more level per round when the deepest atoms come
+        # first, so 150 levels need 150 productive rounds.
+        depth = 150
+        schema = SchemaBuilder("s").relation("R", "k", "v").build()
+        xs = [V(f"x{i}") for i in range(1, depth + 2)]
+        ys = [V(f"y{i}") for i in range(1, depth + 2)]
+        closure = EgdClosure(schema)
+        for i in reversed(range(depth)):
+            closure.add_atoms(
+                [
+                    RelationalAtom("R", (xs[i], xs[i + 1])),
+                    RelationalAtom("R", (ys[i], ys[i + 1])),
+                ]
+            )
+        closure.equate(xs[0], ys[0])
+        closure.saturate()
+        assert closure.contradiction is None
+        assert all(closure.terms_equal(x, y) for x, y in zip(xs, ys))
+
+    def test_violated_disequality_is_a_contradiction(self):
+        schema = SchemaBuilder("s").relation("R", "k", "v").build()
+        k1, v1, k2, v2 = V("k1"), V("v1"), V("k2"), V("v2")
+        closure = EgdClosure(schema)
+        closure.load(
+            [RelationalAtom("R", (k1, v1)), RelationalAtom("R", (k2, v2))],
+            disequalities=[Disequality(v1, v2)],
+        )
+        closure.equate(k1, k2)
+        closure.saturate()
+        assert closure.contradiction == "disequality v1 != v2 is violated"

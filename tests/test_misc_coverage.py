@@ -6,7 +6,7 @@ from repro.core.pipeline import MappingSystem
 from repro.datalog.engine import _Store, evaluate_rule
 from repro.datalog.program import Rule
 from repro.logic.atoms import Disequality, Equality, RelationalAtom
-from repro.logic.satisfiability import TermSolver
+from repro.logic.satisfiability import EgdClosure
 from repro.logic.terms import Constant, Variable
 from repro.model.builder import SchemaBuilder
 from repro.scenarios import cars
@@ -52,36 +52,41 @@ class TestEngineDisequalities:
 class TestSolverEdges:
     def test_clash_mid_chase(self):
         schema = SchemaBuilder("s").relation("R", "k", "v").build()
-        solver = TermSolver()
+        closure = EgdClosure(schema)
         k1, k2 = V("k1"), V("k2")
-        atoms = [
-            RelationalAtom("R", (k1, Constant("a"))),
-            RelationalAtom("R", (k2, Constant("b"))),
-        ]
-        solver.assert_equal(k1, k2)
-        solver.chase_keys(atoms, schema)
-        assert solver.clashed  # the fd forces a = b
+        closure.add_atoms(
+            [
+                RelationalAtom("R", (k1, Constant("a"))),
+                RelationalAtom("R", (k2, Constant("b"))),
+            ]
+        )
+        closure.equate(k1, k2)
+        closure.saturate()
+        assert closure.contradiction is not None  # the fd forces a = b
 
     def test_assertions_after_clash_are_noops(self):
-        solver = TermSolver()
+        closure = EgdClosure(None)
         x = V("x")
-        solver.assert_equal(x, Constant("a"))
-        solver.assert_equal(x, Constant("b"))
-        assert solver.clashed
-        solver.assert_equal(x, Constant("c"))  # must not raise
-        solver.assert_null(x)
-        solver.assert_nonnull(x)
-        assert solver.clashed
+        closure.equate(x, Constant("a"))
+        closure.equate(x, Constant("b"))
+        reason = closure.contradiction
+        assert reason is not None
+        closure.equate(x, Constant("c"))  # must not raise
+        closure.mark_null(x)
+        closure.mark_nonnull(x)
+        assert closure.contradiction == reason
 
     def test_atoms_over_unknown_relations_are_skipped(self):
         schema = SchemaBuilder("s").relation("R", "k", "v").build()
-        solver = TermSolver()
-        atoms = [
-            RelationalAtom("Mystery", (V("a"), V("b"))),
-            RelationalAtom("Mystery", (V("c"), V("d"))),
-        ]
-        solver.chase_keys(atoms, schema)  # no KeyError
-        assert not solver.clashed
+        closure = EgdClosure(schema)
+        closure.add_atoms(
+            [
+                RelationalAtom("Mystery", (V("a"), V("b"))),
+                RelationalAtom("Mystery", (V("c"), V("d"))),
+            ]
+        )
+        closure.saturate()  # no KeyError
+        assert closure.contradiction is None
 
 
 class TestCliEdges:

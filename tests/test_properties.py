@@ -15,7 +15,7 @@ from repro.core.schema_mapping import BASIC
 from repro.datalog.engine import evaluate
 from repro.exchange.instance_chase import canonical_universal_solution
 from repro.exchange.solutions import is_homomorphic_to
-from repro.logic.satisfiability import TermSolver
+from repro.logic.satisfiability import EgdClosure
 from repro.logic.terms import Constant, SkolemTerm, Variable
 from repro.model.builder import SchemaBuilder
 from repro.model.instance import Instance
@@ -149,16 +149,16 @@ _term_pool = st.integers(min_value=0, max_value=5)
 @given(st.lists(st.tuples(_term_pool, _term_pool), max_size=12))
 def test_solver_union_is_equivalence_relation(pairs):
     variables = [Variable(f"v{i}") for i in range(6)]
-    solver = TermSolver()
+    closure = EgdClosure(None)
     for left, right in pairs:
-        solver.assert_equal(variables[left], variables[right])
-    assert not solver.clashed
+        closure.equate(variables[left], variables[right])
+    assert closure.contradiction is None
     # reflexive, symmetric, transitive closure check
     for i in range(6):
-        assert solver.equal(variables[i], variables[i])
+        assert closure.terms_equal(variables[i], variables[i])
     for left, right in pairs:
-        assert solver.equal(variables[left], variables[right])
-        assert solver.equal(variables[right], variables[left])
+        assert closure.terms_equal(variables[left], variables[right])
+        assert closure.terms_equal(variables[right], variables[left])
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,26 +169,24 @@ def test_solver_union_is_equivalence_relation(pairs):
 )
 def test_solver_congruence_follows_args(pairs, a, b):
     variables = [Variable(f"v{i}") for i in range(6)]
-    solver = TermSolver()
+    closure = EgdClosure(None)
     fa = SkolemTerm("f", [variables[a]])
     fb = SkolemTerm("f", [variables[b]])
-    solver.find(fa)
-    solver.find(fb)
     for left, right in pairs:
-        solver.assert_equal(variables[left], variables[right])
-    if solver.equal(variables[a], variables[b]):
-        assert solver.equal(fa, fb)
+        closure.equate(variables[left], variables[right])
+    if closure.terms_equal(variables[a], variables[b]):
+        assert closure.terms_equal(fa, fb)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=4))
 def test_solver_constant_merging(values):
-    solver = TermSolver()
+    closure = EgdClosure(None)
     x = Variable("x")
     for value in values:
-        solver.assert_equal(x, Constant(value))
+        closure.equate(x, Constant(value))
     distinct = set(values)
-    assert solver.clashed == (len(distinct) > 1)
+    assert (closure.contradiction is not None) == (len(distinct) > 1)
 
 
 # ---------------------------------------------------------------------------
