@@ -24,6 +24,8 @@ replayed through both engines); confirmation refutes, otherwise UNKNOWN.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ...datalog.program import DatalogProgram, Rule
 from ...logic.satisfiability import EgdClosure
 from ...logic.terms import NullTerm, Variable
@@ -32,6 +34,7 @@ from ..semantic.containment import (
     ConjunctiveQuery,
     ContainmentEngine,
     Witness,
+    cq_from_rule,
 )
 from .closure import add_rule, negation_refutation
 from .counterexample import confirmed_counterexample, fk_violation_check
@@ -150,34 +153,21 @@ def _fk_query(
     rule: Rule, term, program: DatalogProgram
 ) -> ConjunctiveQuery:
     """The FK-projection query of one delivering rule, restricted non-null."""
-    nonnull = set(rule.nonnull_vars) | _schema_nonnull_vars(rule, program)
+    query = cq_from_rule(rule)
+    nonnull = set(query.nonnull_vars) | _schema_nonnull_vars(rule, program)
     if isinstance(term, Variable):
         nonnull.add(term)
-    return ConjunctiveQuery(
-        head_label=_HEAD_LABEL,
-        head=(term,),
-        atoms=tuple(rule.body),
-        null_vars=frozenset(rule.null_vars),
-        nonnull_vars=frozenset(nonnull),
-        equalities=tuple(rule.equalities),
-        disequalities=tuple(rule.disequalities),
-        negated=tuple(rule.negated),
+    return replace(
+        query, head_label=_HEAD_LABEL, head=(term,), nonnull_vars=frozenset(nonnull)
     )
 
 
-def _key_query(
-    rule: Rule, key_position: int, program: DatalogProgram
-) -> ConjunctiveQuery:
+def _key_query(rule: Rule, key_position: int) -> ConjunctiveQuery:
     """The referenced-key projection query of one referenced-relation rule."""
-    return ConjunctiveQuery(
+    return replace(
+        cq_from_rule(rule),
         head_label=_HEAD_LABEL,
         head=(rule.head.terms[key_position],),
-        atoms=tuple(rule.body),
-        null_vars=frozenset(rule.null_vars),
-        nonnull_vars=frozenset(rule.nonnull_vars),
-        equalities=tuple(rule.equalities),
-        disequalities=tuple(rule.disequalities),
-        negated=tuple(rule.negated),
     )
 
 
@@ -192,7 +182,7 @@ def _containment_proof(
     fk_query = _fk_query(rule, term, program)
     for ref_index, referenced in enumerate(referenced_rules):
         witness: Witness | None = engine.contained_in(
-            fk_query, _key_query(referenced, key_position, program)
+            fk_query, _key_query(referenced, key_position)
         )
         if witness is not None:
             return (

@@ -16,8 +16,12 @@ positive answer is a sound certificate:
 * null / non-null conditions freeze into marks on the canonical constants;
   a condition of the candidate container must map onto a compatibly marked
   value (cf. the condition-aware embeddings of :mod:`repro.core.pruning`);
-* equalities are internalized by union-find before freezing; the container's
-  residual equalities are verified per homomorphism;
+* equalities are internalized by the congruence closure of
+  :class:`~repro.logic.satisfiability.EgdClosure` before freezing (no source
+  FDs: the query is read on its own); equalities involving a Skolem term
+  stay residual, because lowered SQL can equate a column with an invented
+  value, which the closure would read as a contradiction.  The container's
+  equalities are verified per homomorphism;
 * disequalities of the container must be *entailed* by the frozen instance
   (distinct ground constants, an explicit disequality of the contained
   query, a null vs. non-null split, or distinct Skolem functors — invented
@@ -36,32 +40,23 @@ same shapes (the minimizer, the verifier, property tests) are near-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ...datalog.program import Rule
 from ...logic.atoms import Disequality, Equality, NegatedPremise, RelationalAtom
-from ...logic.homomorphism import iter_homomorphisms
 from ...logic.mappings import LogicalMapping, UnitaryMapping
 from ...logic.satisfiability import (
+    EgdClosure,
     FrozenValue,
-    _is_nonnull_like,
-    _is_null_like,
     _terms_agree,
+    bind_structurally,
+    conditioned_homomorphisms,
+    conditions_hold,
+    diseq_key,
 )
 from ...logic.tableau import PartialTableau
-from ...logic.terms import (
-    Constant,
-    NullTerm,
-    SkolemTerm,
-    Term,
-    Variable,
-    term_variables,
-)
+from ...logic.terms import SkolemTerm, Term, Variable, term_variables
 from ...obs import count
-
-#: Upper bound on homomorphisms examined per containment check; beyond it the
-#: answer degrades to the conservative "not provably contained".
-MAX_WITNESS_CANDIDATES = 10_000
 
 #: ``(null_vars, nonnull_vars)`` conditions on a mapping's consequent
 #: variables (see :meth:`ContainmentEngine.mapping_implies`).
@@ -82,6 +77,17 @@ class Witness:
 
     kind: str
     mapping: tuple[tuple[str, str], ...] = ()
+
+    @classmethod
+    def of(cls, kind: str, theta: Mapping[Variable, Term]) -> "Witness":
+        """The witness of one match, its bindings in variable order."""
+        return cls(
+            kind,
+            tuple(
+                (repr(var), repr(image))
+                for var, image in sorted(theta.items(), key=lambda item: item[0].index)
+            ),
+        )
 
     def render(self) -> str:
         if self.kind == "vacuous":
@@ -111,10 +117,12 @@ class ConjunctiveQuery:
     disequalities: tuple[Disequality, ...] = ()
     negated: tuple[RelationalAtom, ...] = ()
 
-    _frozen: "CanonicalInstance | None" = field(
-        default=None, repr=False, compare=False
+    _canonical: "CanonicalInstance | None" = field(
+        default=None, init=False, repr=False, compare=False
     )
-    _signature: tuple | None = field(default=None, repr=False, compare=False)
+    _signature: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def variables(self) -> list[Variable]:
         terms: list[Term] = [t for atom in self.atoms for t in atom.terms]
@@ -169,11 +177,47 @@ class ConjunctiveQuery:
 
     # -- canonical (frozen) instance --------------------------------------
 
-    def frozen(self) -> "CanonicalInstance":
-        """The memoized canonical instance of this query."""
-        if self._frozen is None:
-            self._frozen = _freeze(self)
-        return self._frozen
+    def freeze(self) -> "CanonicalInstance":
+        """The memoized canonical instance of this query.
+
+        The query's variables, atoms and conditions are loaded into an
+        :class:`EgdClosure` without a schema, so no source FDs apply; the
+        closure's classes become the canonical constants.  Equalities with a
+        Skolem term stay residual (see the module docstring).
+        """
+        if self._canonical is None:
+            closure = EgdClosure(schema=None)
+            for var in self.variables():
+                closure.find(var)
+            closure.load(
+                self.atoms,
+                self.null_vars,
+                self.nonnull_vars,
+                (
+                    eq
+                    for eq in self.equalities
+                    if not isinstance(eq.left, SkolemTerm)
+                    and not isinstance(eq.right, SkolemTerm)
+                ),
+                self.disequalities,
+            )
+            closure.saturate()
+            atoms, substitution = closure.freeze()
+            self._canonical = CanonicalInstance(
+                atoms=tuple(atoms),
+                head=tuple(t.substitute(substitution) for t in self.head),
+                diseq_pairs=frozenset(
+                    diseq_key(
+                        d.left.substitute(substitution),
+                        d.right.substitute(substitution),
+                    )
+                    for d in self.disequalities
+                ),
+                negated=frozenset(a.substitute(substitution) for a in self.negated),
+                substitution=substitution,
+                unsatisfiable=closure.contradiction is not None,
+            )
+        return self._canonical
 
 
 @dataclass
@@ -181,8 +225,8 @@ class CanonicalInstance:
     """The frozen body of a query: its canonical database.
 
     ``substitution`` maps each query variable to its frozen term;
-    ``diseq_pairs`` is the symmetric closure of the frozen disequalities
-    (as sorted repr pairs) used for entailment checks.
+    ``diseq_pairs`` holds the frozen disequalities (as sorted repr pairs)
+    used for entailment checks.
     """
 
     atoms: tuple[RelationalAtom, ...]
@@ -191,102 +235,6 @@ class CanonicalInstance:
     diseq_pairs: frozenset[tuple[str, str]]
     negated: frozenset[RelationalAtom]
     unsatisfiable: bool = False
-
-
-def _freeze(query: ConjunctiveQuery) -> CanonicalInstance:
-    """Freeze a query into its canonical instance.
-
-    Variables are partitioned into classes by the query's equalities
-    (union-find); each class becomes one :class:`FrozenValue` carrying the
-    class's null / non-null mark, or collapses to a shared constant when an
-    equality pins it.  Contradictory constraints (null and non-null, null
-    and a constant, two distinct constants) make the query unsatisfiable.
-    """
-    variables = query.variables()
-    parent: dict[Variable, Variable] = {v: v for v in variables}
-
-    def find(v: Variable) -> Variable:
-        while parent[v] is not v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: Variable, b: Variable) -> None:
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[ra] = rb
-
-    pinned: dict[Variable, Term] = {}
-    unsatisfiable = False
-    for eq in query.equalities:
-        left, right = eq.left, eq.right
-        if isinstance(left, Variable) and isinstance(right, Variable):
-            if left in parent and right in parent:
-                union(left, right)
-        elif isinstance(left, Variable) and isinstance(right, (Constant, NullTerm)):
-            if left in parent:
-                pinned[left] = right
-        elif isinstance(right, Variable) and isinstance(left, (Constant, NullTerm)):
-            if right in parent:
-                pinned[right] = left
-        elif not isinstance(left, Variable) and not isinstance(right, Variable):
-            if not _terms_agree(left, right):
-                unsatisfiable = True
-        # Equalities involving Skolem terms are left residual: they constrain
-        # the query further, which is sound to ignore on the contained side.
-
-    classes: dict[Variable, list[Variable]] = {}
-    for v in variables:
-        classes.setdefault(find(v), []).append(v)
-
-    substitution: dict[Variable, Term] = {}
-    for index, (root, members) in enumerate(
-        sorted(classes.items(), key=lambda item: item[0].index)
-    ):
-        null_mark = any(m in query.null_vars for m in members)
-        nonnull_mark = any(m in query.nonnull_vars for m in members)
-        constants = {repr(pinned[m]) for m in members if m in pinned}
-        pin: Term | None = next(
-            (pinned[m] for m in members if m in pinned), None
-        )
-        if len(constants) > 1:
-            unsatisfiable = True
-        if pin is not None:
-            if isinstance(pin, NullTerm):
-                null_mark = True
-            else:
-                nonnull_mark = True
-        if null_mark and nonnull_mark:
-            unsatisfiable = True
-        if pin is not None and not unsatisfiable:
-            frozen_term: Term = pin
-        else:
-            representative = min(members, key=lambda m: m.index)
-            frozen_term = FrozenValue(
-                index, representative.name, null=null_mark, nonnull=nonnull_mark
-            )
-        for member in members:
-            substitution[member] = frozen_term
-
-    atoms = tuple(a.substitute(substitution) for a in query.atoms)
-    head = tuple(t.substitute(substitution) for t in query.head)
-    pairs: set[tuple[str, str]] = set()
-    for d in query.disequalities:
-        left = d.left.substitute(substitution)
-        right = d.right.substitute(substitution)
-        if _terms_agree(left, right):
-            unsatisfiable = True
-        key = tuple(sorted((repr(left), repr(right))))
-        pairs.add(key)  # type: ignore[arg-type]
-    negated = frozenset(a.substitute(substitution) for a in query.negated)
-    return CanonicalInstance(
-        atoms=atoms,
-        head=head,
-        substitution=substitution,
-        diseq_pairs=frozenset(pairs),
-        negated=negated,
-        unsatisfiable=unsatisfiable,
-    )
 
 
 # -- constructors ---------------------------------------------------------
@@ -354,50 +302,6 @@ def cq_from_unitary(mapping: UnitaryMapping) -> ConjunctiveQuery:
 # -- the engine -----------------------------------------------------------
 
 
-def _diseq_entailed(left: Term, right: Term, frozen: CanonicalInstance) -> bool:
-    """Is ``left ≠ right`` guaranteed by the frozen instance?"""
-    if isinstance(left, Constant) and isinstance(right, Constant):
-        return left != right
-    if (_is_null_like(left) and _is_nonnull_like(right)) or (
-        _is_null_like(right) and _is_nonnull_like(left)
-    ):
-        return True
-    if isinstance(left, SkolemTerm) and isinstance(right, SkolemTerm):
-        if left.functor != right.functor:
-            return True  # distinct functors have disjoint ranges (§6)
-    if isinstance(left, SkolemTerm) != isinstance(right, SkolemTerm):
-        if isinstance(left, (Constant, SkolemTerm)) and isinstance(
-            right, (Constant, SkolemTerm)
-        ):
-            return True  # invented values never equal source constants (§5)
-    key = tuple(sorted((repr(left), repr(right))))
-    return key in frozen.diseq_pairs
-
-
-def _seed_head(
-    fixed: dict[Variable, Term], pattern_term: Term, frozen_term: Term
-) -> bool:
-    """Pre-bind container head variables to the frozen head, structurally."""
-    if isinstance(pattern_term, Variable):
-        bound = fixed.get(pattern_term)
-        if bound is not None:
-            return _terms_agree(bound, frozen_term)
-        fixed[pattern_term] = frozen_term
-        return True
-    if isinstance(pattern_term, SkolemTerm):
-        if not isinstance(frozen_term, SkolemTerm):
-            return False
-        if pattern_term.functor != frozen_term.functor or len(
-            pattern_term.args
-        ) != len(frozen_term.args):
-            return False
-        return all(
-            _seed_head(fixed, p, f)
-            for p, f in zip(pattern_term.args, frozen_term.args)
-        )
-    return _terms_agree(pattern_term, frozen_term)
-
-
 class ContainmentEngine:
     """Containment / equivalence checks with a frozen-signature cache."""
 
@@ -446,68 +350,45 @@ class ContainmentEngine:
             return None
         if len(contained.head) != len(container.head):
             return None
-        frozen = contained.frozen()
+        frozen = contained.freeze()
         if frozen.unsatisfiable:
             count("semantic.vacuous")
             return Witness(kind="vacuous")
-
         fixed: dict[Variable, Term] = {}
-        for pattern_term, frozen_term in zip(container.head, frozen.head):
-            if not _seed_head(fixed, pattern_term, frozen_term):
-                return None
-        # Seeded bindings bypass the search's var_check: re-check conditions.
-        for var, image in fixed.items():
-            if var in container.null_vars and not _is_null_like(image):
-                return None
-            if var in container.nonnull_vars and not _is_nonnull_like(image):
-                return None
-
-        def var_check(var: Variable, image: Term) -> bool:
-            if var in container.null_vars:
-                return _is_null_like(image)
-            if var in container.nonnull_vars:
-                return _is_nonnull_like(image)
-            return True
-
-        examined = 0
-        for theta in iter_homomorphisms(
-            container.atoms, frozen.atoms, fixed=fixed, var_check=var_check
+        if not bind_structurally(container.head, frozen.head, fixed):
+            return None
+        for theta in conditioned_homomorphisms(
+            container.atoms,
+            frozen.atoms,
+            container.null_vars,
+            container.nonnull_vars,
+            fixed,
         ):
-            examined += 1
-            if examined > MAX_WITNESS_CANDIDATES:
-                break
             if self._verify(container, frozen, theta):
-                rendered = tuple(
-                    (repr(var), repr(image))
-                    for var, image in sorted(
-                        theta.items(), key=lambda item: item[0].index
-                    )
-                )
-                return Witness(kind="homomorphism", mapping=rendered)
+                return Witness.of("homomorphism", theta)
         return None
 
     @staticmethod
     def _verify(
-        container: ConjunctiveQuery,
+        query: ConjunctiveQuery,
         frozen: CanonicalInstance,
         theta: Mapping[Variable, Term],
     ) -> bool:
-        """Side conditions the raw homomorphism search does not cover."""
-        for eq in container.equalities:
-            if not _terms_agree(eq.left.substitute(theta), eq.right.substitute(theta)):
-                return False
-        for d in container.disequalities:
-            if not _diseq_entailed(
-                d.left.substitute(theta), d.right.substitute(theta), frozen
-            ):
-                return False
-        for atom in container.negated:
-            if atom.substitute(theta) not in frozen.negated:
-                return False
-        for pattern_term, frozen_term in zip(container.head, frozen.head):
-            if not _terms_agree(pattern_term.substitute(theta), frozen_term):
-                return False
-        return True
+        """Side conditions the raw homomorphism search does not cover.
+
+        A premise query has no head, so for a tgd firing only its
+        (dis)equalities and negations are checked.
+        """
+        return (
+            conditions_hold(
+                theta, query.equalities, query.disequalities, frozen.diseq_pairs
+            )
+            and all(atom.substitute(theta) in frozen.negated for atom in query.negated)
+            and all(
+                _terms_agree(pattern.substitute(theta), image)
+                for pattern, image in zip(query.head, frozen.head)
+            )
+        )
 
     # -- mapping implication (the chase over tgds) -------------------------
 
@@ -574,35 +455,30 @@ class ContainmentEngine:
         strong_conditions: ConsequentConditions,
         weak_conditions: ConsequentConditions,
     ) -> Witness | None:
-        frozen = weak_cq.frozen()
+        frozen = weak_cq.freeze()
         if frozen.unsatisfiable:
             count("semantic.vacuous")
             return Witness(kind="vacuous")
 
-        def var_check(var: Variable, image: Term) -> bool:
-            if var in strong_cq.null_vars:
-                return _is_null_like(image)
-            if var in strong_cq.nonnull_vars:
-                return _is_nonnull_like(image)
-            return True
-
         strong_source = set(
             term_variables(t for atom in strong_cq.atoms for t in atom.terms)
         )
+        strong_null, _strong_nonnull = strong_conditions
         produced: list[RelationalAtom] = []
-        firings = 0
-        for theta in iter_homomorphisms(
-            strong_cq.atoms, frozen.atoms, var_check=var_check
+        for firing, theta in enumerate(
+            conditioned_homomorphisms(
+                strong_cq.atoms,
+                frozen.atoms,
+                strong_cq.null_vars,
+                strong_cq.nonnull_vars,
+            ),
+            start=1,
         ):
-            firings += 1
-            if firings > MAX_WITNESS_CANDIDATES:
-                break
-            if not self._verify_premise(strong_cq, frozen, theta):
+            if not self._verify(strong_cq, frozen, theta):
                 continue
             # Invent one fresh value per existential variable per firing.
             # A null-conditioned existential freezes to a null-like value;
             # everything else is a labeled (non-null) invented value.
-            strong_null, _strong_nonnull = strong_conditions
             full = dict(theta)
             for atom in strong_consequent:
                 for var in atom.variables():
@@ -610,7 +486,7 @@ class ContainmentEngine:
                         # (var.index, firing) is unique: no accidental fusion.
                         full[var] = FrozenValue(
                             var.index,
-                            f"invent@{firings}:{var.name}",
+                            f"invent@{firing}:{var.name}",
                             null=var in strong_null,
                             nonnull=var not in strong_null,
                         )
@@ -628,49 +504,15 @@ class ContainmentEngine:
             if var in weak_source
         }
         weak_null, weak_nonnull = weak_conditions
-
-        def weak_check(var: Variable, image: Term) -> bool:
-            if var in weak_null:
-                return _is_null_like(image)
-            if var in weak_nonnull:
-                return _is_nonnull_like(image)
-            return True
-
-        if any(not weak_check(var, image) for var, image in fixed.items()):
-            return None
         theta = next(
-            iter_homomorphisms(
-                weak_consequent, tuple(produced), fixed=fixed, var_check=weak_check
+            conditioned_homomorphisms(
+                weak_consequent, produced, weak_null, weak_nonnull, fixed
             ),
             None,
         )
         if theta is None:
             return None
-        rendered = tuple(
-            (repr(var), repr(image))
-            for var, image in sorted(theta.items(), key=lambda item: item[0].index)
-        )
-        return Witness(kind="chase", mapping=rendered)
-
-    @staticmethod
-    def _verify_premise(
-        premise_cq: ConjunctiveQuery,
-        frozen: CanonicalInstance,
-        theta: Mapping[Variable, Term],
-    ) -> bool:
-        """Conditions for one tgd firing on the canonical database."""
-        for eq in premise_cq.equalities:
-            if not _terms_agree(eq.left.substitute(theta), eq.right.substitute(theta)):
-                return False
-        for d in premise_cq.disequalities:
-            if not _diseq_entailed(
-                d.left.substitute(theta), d.right.substitute(theta), frozen
-            ):
-                return False
-        for atom in premise_cq.negated:
-            if atom.substitute(theta) not in frozen.negated:
-                return False
-        return True
+        return Witness.of("chase", theta)
 
 
 def _consequent_atoms(

@@ -267,8 +267,9 @@ def _resolve_key_conflicts(
                 bucket.append(_negation_of(better, keys, target_schema))
 
         # -- fusion ----------------------------------------------------------
-        for size in range(2, len(group) + 1):
-            for indices in itertools.combinations(range(len(group)), size):
+        fusible = _fusion_core(len(group), preferred_over)
+        for size in range(2, len(fusible) + 1):
+            for indices in itertools.combinations(fusible, size):
                 if not _qualifies_for_fusion(indices, preferred_over):
                     continue
                 members = [group[i] for i in indices]
@@ -319,6 +320,25 @@ def _dedup_negations(items: list[NegatedPremise]) -> list[NegatedPremise]:
             seen.add(key)
             unique.append(item)
     return unique
+
+
+def _fusion_core(
+    size: int, preferred_over: dict[tuple[int, int], set[str]]
+) -> list[int]:
+    """The sorted members of the largest set that could qualify for fusion.
+
+    A member of a qualifying set needs a preference out-edge to another
+    member, and that property survives unions of sets, so every qualifying
+    set lies inside the largest one: repeatedly delete the members with no
+    out-edge into the rest.
+    """
+    edges = [pair for pair, attributes in preferred_over.items() if attributes]
+    core = set(range(size))
+    while True:
+        keep = {i for i, j in edges if i in core and j in core}
+        if keep == core:
+            return sorted(core)
+        core = keep
 
 
 def _qualifies_for_fusion(

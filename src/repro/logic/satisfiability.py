@@ -37,16 +37,28 @@ equal.
 The closure assumes every variable ranges over *ground* source values
 (constants or the unlabeled null): premises and bodies of generated target
 rules are source atoms, and source instances never contain invented values.
+
+The same closure freezes queries for homomorphism searches (the containment
+engine's canonical instances, the certifier's negation refutations):
+:meth:`EgdClosure.freeze` turns every class into one canonical term, and
+:func:`conditioned_homomorphisms` matches a pattern into the frozen atoms
+under null / non-null conditions, within :data:`MAX_WITNESS_CANDIDATES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import islice
+from typing import Collection, Iterable, Iterator, Mapping
 
 from ..model.schema import Schema
 from .atoms import Disequality, Equality, RelationalAtom
+from .homomorphism import Assignment, iter_homomorphisms
 from .terms import Constant, NullTerm, SkolemTerm, Term, Variable
+
+#: Upper bound on homomorphisms examined per conditioned search; beyond it
+#: the answer degrades to the conservative "not found".
+MAX_WITNESS_CANDIDATES = 10_000
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,110 @@ def _terms_agree(left: Term, right: Term) -> bool:
     if left == right:
         return True
     return _is_null_like(left) and _is_null_like(right)
+
+
+def diseq_key(left: Term, right: Term) -> tuple[str, str]:
+    """A frozen disequality as an order-free key (sorted repr pair)."""
+    first, second = sorted((repr(left), repr(right)))
+    return first, second
+
+
+def diseq_entailed(
+    left: Term, right: Term, known: Collection[tuple[str, str]] = ()
+) -> bool:
+    """Is ``left ≠ right`` guaranteed for every instantiation of a freeze?
+
+    ``known`` holds the :func:`diseq_key` of every frozen disequality the
+    frozen query itself asserts.
+    """
+    if isinstance(left, Constant) and isinstance(right, Constant):
+        return left != right
+    if (_is_null_like(left) and _is_nonnull_like(right)) or (
+        _is_null_like(right) and _is_nonnull_like(left)
+    ):
+        return True
+    if isinstance(left, SkolemTerm) and isinstance(right, SkolemTerm):
+        if left.functor != right.functor:
+            return True  # distinct functors have disjoint ranges (§6)
+    elif isinstance(left, (Constant, SkolemTerm)) and isinstance(
+        right, (Constant, SkolemTerm)
+    ):
+        return True  # invented values never equal source constants (§5)
+    return diseq_key(left, right) in known
+
+
+def conditions_hold(
+    theta: Mapping[Variable, Term],
+    equalities: Iterable[Equality],
+    disequalities: Iterable[Disequality],
+    known: Collection[tuple[str, str]] = (),
+) -> bool:
+    """Does a match into a freeze satisfy the pattern's (dis)equalities?"""
+    return all(
+        _terms_agree(eq.left.substitute(theta), eq.right.substitute(theta))
+        for eq in equalities
+    ) and all(
+        diseq_entailed(d.left.substitute(theta), d.right.substitute(theta), known)
+        for d in disequalities
+    )
+
+
+def bind_structurally(
+    patterns: Iterable[Term], images: Iterable[Term], fixed: dict[Variable, Term]
+) -> bool:
+    """Bind pattern terms onto frozen terms position-wise, into ``fixed``.
+
+    Skolem terms bind argument-wise under the same functor; every other
+    pattern term must agree with its image.
+    """
+    patterns, images = tuple(patterns), tuple(images)
+    if len(patterns) != len(images):
+        return False
+    for pattern, image in zip(patterns, images):
+        if isinstance(pattern, Variable):
+            if not _terms_agree(fixed.setdefault(pattern, image), image):
+                return False
+        elif isinstance(pattern, SkolemTerm):
+            if not (
+                isinstance(image, SkolemTerm)
+                and pattern.functor == image.functor
+                and bind_structurally(pattern.args, image.args, fixed)
+            ):
+                return False
+        elif not _terms_agree(pattern, image):
+            return False
+    return True
+
+
+def conditioned_homomorphisms(
+    pattern: Iterable[RelationalAtom],
+    target: Iterable[RelationalAtom],
+    null_vars: Collection[Variable],
+    nonnull_vars: Collection[Variable],
+    fixed: Mapping[Variable, Term] | None = None,
+) -> Iterator[Assignment]:
+    """Homomorphisms from ``pattern`` into a freeze that respect conditions.
+
+    A null-conditioned pattern variable may only map onto a guaranteed-null
+    term and a non-null-conditioned one onto a guaranteed-non-null term;
+    the pre-bound ``fixed`` images are held to the same rule.  At most
+    :data:`MAX_WITNESS_CANDIDATES` homomorphisms are produced.
+    """
+
+    def var_check(var: Variable, image: Term) -> bool:
+        if var in null_vars:
+            return _is_null_like(image)
+        if var in nonnull_vars:
+            return _is_nonnull_like(image)
+        return True
+
+    fixed = fixed or {}
+    if not all(var_check(var, image) for var, image in fixed.items()):
+        return iter(())
+    return islice(
+        iter_homomorphisms(tuple(pattern), tuple(target), fixed, var_check),
+        MAX_WITNESS_CANDIDATES,
+    )
 
 
 @dataclass
@@ -326,3 +442,31 @@ class EgdClosure:
     def terms_equal(self, left: Term, right: Term) -> bool:
         """True iff the closure proves the terms denote the same value."""
         return self.normalize(left) == self.normalize(right)
+
+    # -- the canonical instance ----------------------------------------------
+
+    def freeze(self) -> tuple[list[RelationalAtom], dict[Variable, Term]]:
+        """The atoms with every class frozen to one canonical term.
+
+        A pinned class freezes to its constant; every other class becomes
+        a :class:`FrozenValue` carrying its null / non-null mark, so
+        condition checks during homomorphism searches stay local.  Classes
+        are numbered in the order of their root variables' creation index
+        and named after their earliest-created member.
+        """
+        classes: dict[Variable, list[Variable]] = {}
+        for var in self._parent:
+            classes.setdefault(self.find(var), []).append(var)
+        substitution: dict[Variable, Term] = {}
+        for number, root in enumerate(sorted(classes, key=lambda v: v.index)):
+            info = self._info[root]
+            members = classes[root]
+            frozen: Term = info.pin if info.pin is not None else FrozenValue(
+                number,
+                min(members, key=lambda v: v.index).name,
+                null=info.null,
+                nonnull=info.nonnull,
+            )
+            for member in members:
+                substitution[member] = frozen
+        return [atom.substitute(substitution) for atom in self.atoms], substitution

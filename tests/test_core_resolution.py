@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.conflicts import COPY, INVENT, NULL_KIND, term_kind
 from repro.core.query_generation import rewrite_to_unitary
-from repro.core.resolution import FunctorUnifier, resolve_key_conflicts
+from repro.core.resolution import FunctorUnifier, _fusion_core, resolve_key_conflicts
 from repro.core.schema_mapping import generate_schema_mapping
 from repro.core.skolem import skolemize_schema_mapping
 from repro.errors import HardKeyConflictError
@@ -216,3 +216,20 @@ class TestFunctorUnifier:
         unifier.unify("f_a@m1", "f_a@m2")
         renaming = unifier.renaming()
         assert "f_b@m9" not in renaming
+
+
+class TestFusionCore:
+    """Fusion only enumerates subsets of the members that keep an out-edge."""
+
+    def test_no_edges_gives_the_empty_set(self):
+        assert _fusion_core(16, {}) == []
+        assert _fusion_core(3, {(0, 1): set()}) == []
+
+    def test_two_cycle_plus_a_member_without_out_edge(self):
+        preferred_over = {(0, 2): {"a"}, (2, 0): {"b"}, (0, 1): {"a"}}
+        # Member 1 is preferred against but never preferred over anyone.
+        assert _fusion_core(3, preferred_over) == [0, 2]
+
+    def test_chain_peels_to_nothing(self):
+        # 0 -> 1 -> 2: deleting 2 strands 1, then 0.
+        assert _fusion_core(3, {(0, 1): {"a"}, (1, 2): {"a"}}) == []

@@ -250,3 +250,74 @@ class TestSaturation:
         closure.equate(k1, k2)
         closure.saturate()
         assert closure.contradiction == "disequality v1 != v2 is violated"
+
+
+class TestFreeze:
+    """The canonical instance the closure hands to homomorphism searches."""
+
+    def test_classes_numbered_by_root_and_named_by_earliest_member(self):
+        a, b, c, d, e, f = V("a"), V("b"), V("c"), V("d"), V("e"), V("f")
+        closure = EgdClosure(None)
+        closure.add_atoms(
+            [RelationalAtom("R", (c, a, e)), RelationalAtom("S", (d, b, f))]
+        )
+        closure.equate(a, d)  # root d
+        closure.equate(b, c)  # root c: numbered before d's class
+        closure.equate(e, Constant(1))
+        closure.mark_null(f)
+        atoms, substitution = closure.freeze()
+        assert [repr(atom) for atom in atoms] == [
+            "R(<b#0>,<a#1>,1)",
+            "S(<a#1>,<b#0>,<f#3=null>)",
+        ]
+        assert substitution[e] == Constant(1)  # a pinned class still takes #2
+        assert substitution[a] is substitution[d]
+
+    def test_skolem_equality_stays_residual(self):
+        from repro.analysis.semantic.containment import (
+            ConjunctiveQuery,
+            ContainmentEngine,
+        )
+        from repro.logic.atoms import Equality
+
+        x, y = V("x"), V("y")
+        skolem = SkolemTerm("f", (y,))
+        closure = EgdClosure(None)
+        closure.equate(x, skolem)
+        assert closure.contradiction is not None  # variables are read as ground
+        # Lowered SQL can equate a column with an invented value, so the
+        # query freezes with the equality left residual, not as vacuous.
+        query = ConjunctiveQuery(
+            head_label="Q",
+            head=(x,),
+            atoms=(RelationalAtom("T", (x, y)),),
+            equalities=(Equality(x, skolem),),
+        )
+        assert not query.freeze().unsatisfiable
+        unconstrained = ConjunctiveQuery(
+            head_label="Q", head=(x,), atoms=(RelationalAtom("T", (x, y)),)
+        )
+        witness = ContainmentEngine().contained_in(query, unconstrained)
+        assert witness is not None and witness.kind == "homomorphism"
+
+    def test_contradictory_pin_is_unsatisfiable(self):
+        from repro.analysis.semantic.containment import ConjunctiveQuery
+        from repro.logic.atoms import Equality
+
+        x = V("x")
+        atoms = (RelationalAtom("R", (x,)),)
+        two_constants = ConjunctiveQuery(
+            head_label="Q",
+            head=(x,),
+            atoms=atoms,
+            equalities=(Equality(x, Constant("a")), Equality(x, Constant("b"))),
+        )
+        assert two_constants.freeze().unsatisfiable
+        pinned_null = ConjunctiveQuery(
+            head_label="Q",
+            head=(x,),
+            atoms=atoms,
+            null_vars=frozenset([x]),
+            equalities=(Equality(Constant("a"), x),),
+        )
+        assert pinned_null.freeze().unsatisfiable
