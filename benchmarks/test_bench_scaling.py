@@ -171,7 +171,7 @@ def test_metrics_overhead_under_five_percent():
     """Acceptance: telemetry collection costs <5% of batch wall time.
 
     Profile timing is batch-granular (two ``perf_counter`` reads per
-    operator per batch — see ``_run_plan_profiled``), so collecting the
+    operator per batch — see ``run_plan``), so collecting the
     full EXPLAIN ANALYZE profile plus the spans and metric families of an
     active tracer must be nearly free on the largest figure1 workload.  Best-of-N, interleaved, with a
     1ms absolute slack so CI timer noise cannot flake the gate.

@@ -208,7 +208,6 @@ def solve(
                 if reader not in queued:
                     pending.append(reader)
                     queued.add(reader)
-    count(f"flow.{analysis.name}.updates", stats.updates)
     count("flow.iterations", stats.iterations, analysis=analysis.name)
     count("flow.updates", stats.updates, analysis=analysis.name)
     count("flow.widenings", stats.widenings, analysis=analysis.name)

@@ -241,7 +241,7 @@ def cmd_explain(args) -> int:
     system = _system(args, force_trace=True)
     if args.instance:
         # Evaluate before rendering so the telemetry section carries the
-        # engine's counters (the batch engine's eval.batches /
+        # engine's counters (the batch engine's exec.batches /
         # eval.index_reuse included) — without an instance there is no
         # evaluation to report on.
         system.run(_load_instance(args.instance, system), engine=args.engine)
@@ -950,8 +950,9 @@ def build_parser() -> argparse.ArgumentParser:
              "the telemetry section includes the evaluation counters",
     )
     explain_parser.add_argument(
-        "--engine", choices=["reference", "batch"], default="batch",
-        help="engine for the --instance evaluation (default: batch)",
+        "--engine", choices=["reference", "batch"],
+        default=MappingSystem.DEFAULT_ENGINE,
+        help="engine for the --instance evaluation (default: %(default)s)",
     )
     explain_parser.set_defaults(func=cmd_explain)
 

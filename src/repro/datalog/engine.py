@@ -1,18 +1,20 @@
 """Evaluation of non-recursive skolemized Datalog programs.
 
-The engine materializes every defined relation in stratification order.
-Rules are evaluated with an index-nested-loop join: at each step the most
-tightly bound remaining body atom is joined next, using hash indexes built
-per (relation, bound-positions) on demand.  Skolem terms in heads become
-:class:`repro.model.values.LabeledNull` invented values; ``null`` becomes
-:data:`repro.model.values.NULL`.
+:func:`run_strata` is the evaluation loop both engines share: it
+materializes every defined relation in stratification order, asking the
+engine only for each rule's derived rows.  The reference interpreter
+(:func:`evaluate`) derives them with an index-nested-loop join: at each
+step the most tightly bound remaining body atom is joined next, using hash
+indexes built per (relation, bound-positions) on demand.  Skolem terms in
+heads become :class:`repro.model.values.LabeledNull` invented values;
+``null`` becomes :data:`repro.model.values.NULL`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..errors import EvaluationError
 from ..logic.atoms import RelationalAtom
@@ -41,6 +43,9 @@ class _Store:
         # keeping them would serve stale entries to later joins.
         for key in [k for k in self._indexes if k[0] == name]:
             del self._indexes[key]
+
+    #: materialized relations load like source ones
+    add_derived = add_relation
 
     def has_relation(self, name: str) -> bool:
         return name in self._rows
@@ -235,6 +240,39 @@ def evaluate(
     carry empty operator lists; the rollups stay comparable with the batch
     engine's (same metric families, same rule/stratum totals).
     """
+    store = _Store()
+    return run_strata(
+        program,
+        source,
+        "reference",
+        store,
+        lambda rule, profile: evaluate_rule(rule, store),
+        analyze,
+    )
+
+
+def run_strata(
+    program: DatalogProgram,
+    source: Instance,
+    engine: str,
+    store: Any,
+    derive: Callable[[Rule, Any], list[Row]],
+    analyze: bool = False,
+    workers: int | None = None,
+) -> EvaluationResult:
+    """The evaluation loop both engines share: one stratum at a time.
+
+    ``store`` is the engine's empty row store (``add_relation`` for source
+    rows, ``add_derived`` for materialized relations, ``size``).  For each
+    defined relation in stratification order, ``derive(rule, rule_profile)``
+    returns the head rows of one rule — the only per-engine step; it may
+    fill in the :class:`~repro.datalog.exec.profile.RuleProfile`'s operator
+    pipeline when one is passed.  ``run_strata`` owns everything else: the
+    ``stage.evaluate``/``eval.stratum`` spans, the ``eval.*`` counters,
+    cross-rule deduplication, the store append, the rule/stratum/run
+    rollups of the profile (collected under ``analyze=True`` or an active
+    tracer) and the assembled :class:`EvaluationResult`.
+    """
     if program.target_schema is None:
         raise EvaluationError("program has no target schema")
     order = program.validate()
@@ -249,22 +287,20 @@ def evaluate(
             emit_profile_metrics,
         )
 
-        profile = ExecutionProfile(engine="reference")
+        profile = ExecutionProfile(engine=engine, workers=workers)
     run_started = time.perf_counter()
-    with span("stage.evaluate", rules=len(program.rules)) as trace:
-        store = _Store()
+    with span("stage.evaluate", rules=len(program.rules), engine=engine) as trace:
         source_rows = 0
         for name, relation in source.relations.items():
-            store.add_relation(name, list(relation.rows))
+            store.add_relation(name, relation.rows)
             source_rows += store.size(name)
         count("eval.source_tuples", source_rows)
 
         computed: dict[str, list[Row]] = {}
-        rule_counts: dict[int, int] = {}
-        rule_index = {id(rule): i for i, rule in enumerate(program.rules)}
-        by_head: dict[str, list[Rule]] = {}
-        for rule in program.rules:
-            by_head.setdefault(rule.head_relation, []).append(rule)
+        rule_counts = [0] * len(program.rules)
+        by_head: dict[str, list[tuple[int, Rule]]] = {}
+        for index, rule in enumerate(program.rules):
+            by_head.setdefault(rule.head_relation, []).append((index, rule))
         for stratum, relation in enumerate(order):
             with span("eval.stratum", stratum=stratum, relation=relation) as stratum_trace:
                 stratum_profile = None
@@ -275,24 +311,22 @@ def evaluate(
                     )
                     profile.strata.append(stratum_profile)
                 rows: dict[Row, None] = {}
-                for rule in by_head.get(relation, ()):
-                    rule_started = time.perf_counter()
-                    derived = evaluate_rule(rule, store)
+                for index, rule in by_head.get(relation, ()):
+                    rule_profile = None
                     if stratum_profile is not None:
-                        stratum_profile.rules.append(
-                            RuleProfile(
-                                relation=relation,
-                                rule_index=rule_index[id(rule)],
-                                rows_unique=len(derived),
-                                seconds=time.perf_counter() - rule_started,
-                            )
-                        )
-                    rule_counts[rule_index[id(rule)]] = len(derived)
+                        rule_started = time.perf_counter()
+                        rule_profile = RuleProfile(relation=relation, rule_index=index)
+                        stratum_profile.rules.append(rule_profile)
+                    derived = derive(rule, rule_profile)
+                    if rule_profile is not None:
+                        rule_profile.rows_unique = len(derived)
+                        rule_profile.seconds = time.perf_counter() - rule_started
+                    rule_counts[index] = len(derived)
                     count("eval.rules_evaluated")
                     count("eval.derived_tuples", len(derived))
                     for row in derived:
                         rows.setdefault(row, None)
-                count("eval.strata", engine="reference")
+                count("eval.strata", engine=engine)
                 count("eval.tuples", len(rows))
                 stratum_trace.set(tuples=len(rows))
                 if stratum_profile is not None:
@@ -301,7 +335,7 @@ def evaluate(
                         time.perf_counter() - stratum_started
                     )
                 computed[relation] = list(rows)
-                store.add_relation(relation, list(rows))
+                store.add_derived(relation, computed[relation])
 
         target = Instance(program.target_schema)
         for relation in program.target_schema.relation_names():
@@ -310,15 +344,15 @@ def evaluate(
         intermediates = {
             name: computed.get(name, []) for name in program.intermediates
         }
-    if profile is not None:
-        profile.source_rows = source_rows
-        profile.target_rows = target.total_size()
-        profile.seconds = time.perf_counter() - run_started
-        emit_profile_metrics(profile)
+        if profile is not None:
+            profile.source_rows = source_rows
+            profile.target_rows = target.total_size()
+            profile.seconds = time.perf_counter() - run_started
+            emit_profile_metrics(profile)
     return EvaluationResult(
         target=target,
         intermediates=intermediates,
-        rule_counts=[rule_counts.get(i, 0) for i in range(len(program.rules))],
+        rule_counts=rule_counts,
         run_report=stage_report(trace, "evaluation"),
         profile=profile,
     )

@@ -19,40 +19,33 @@ Three ingredients carry the speedup:
   and shared across all rules of a stratum and across strata until the
   indexed relation changes; cache hits are counted as ``eval.index_reuse``.
 
-Observability: ``eval.batches`` counts processed scan batches,
-``eval.index_reuse`` counts index cache hits, and the counters the reference
-engine emits (``eval.source_tuples``, ``eval.rules_evaluated``,
-``eval.derived_tuples``, ``eval.strata``, ``eval.tuples``) keep their
-meaning, so run reports are comparable across engines.  With
-``analyze=True`` — or whenever a tracer is active (see :mod:`repro.obs`) —
-every operator additionally records rows in/out, batches, wall seconds and
-index build-vs-probe splits into an
+Observability: ``eval.index_reuse`` counts index cache hits, and the
+evaluation loop both engines share (:func:`repro.datalog.engine.run_strata`)
+owns the spans, the ``eval.*`` counters and the rule/stratum rollups, so run
+reports are comparable across engines.  With ``analyze=True`` — or whenever
+a tracer is active (see :mod:`repro.obs`) — :func:`run_plan` wraps the scan
+and every compiled stage of its one loop in measuring callables that record
+rows in/out, batches, wall seconds and index build-vs-probe splits into an
 :class:`~repro.datalog.exec.profile.ExecutionProfile` (the data behind
-``repro run --explain-analyze``), and the profile is folded into the
-tracer's ``exec.*`` / ``eval.*`` metric families on completion.
+``repro run --explain-analyze``); the profile is folded into the tracer's
+``exec.*`` / ``eval.*`` metric families on completion (scan batches become
+``exec.batches``).
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 from time import perf_counter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ...errors import EvaluationError
 from ...model.instance import Instance, Row
 from ...model.values import NULL, LabeledNull
-from ...obs import count, current_tracer, span, stage_report
-from ..engine import EvaluationResult
+from ...obs import count
+from ..engine import EvaluationResult, run_strata
 from ..program import DatalogProgram
 from .plan import RulePlan, ValueExpr, plan_rule
-from .profile import (
-    ExecutionProfile,
-    OperatorStats,
-    RuleProfile,
-    StratumProfile,
-    emit_profile_metrics,
-    operators_for_plan,
-)
+from .profile import OperatorStats, RuleProfile, operators_for_plan
 
 #: Rows per scan batch.  Large enough to amortize per-batch overhead, small
 #: enough to keep intermediate buffers cache-friendly.
@@ -87,13 +80,13 @@ class BatchStore:
         self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
         self.interner = Interner()
 
-    def add_relation(
-        self, name: str, rows, intern: bool = True
-    ) -> None:
-        interned = self.interner.intern_row if intern else tuple
-        unique: dict[Row, None] = {}
-        for row in rows:
-            unique.setdefault(interned(row), None)
+    def add_relation(self, name: str, rows) -> None:
+        self.add_derived(name, map(self.interner.intern_row, rows))
+
+    def add_derived(self, name: str, rows) -> None:
+        # Derived rows are built from already-interned slot values (plus
+        # fresh LabeledNulls), so they are stored without re-interning.
+        unique = dict.fromkeys(rows)
         self._rows[name] = list(unique)
         self._sets[name] = set(unique)
         # Replacing a relation invalidates every index built over it.
@@ -161,9 +154,7 @@ def _capture_extractor(capture: tuple[tuple[int, int], ...]):
     return itemgetter(*positions)
 
 
-def _scan_batches(
-    scan, rows: list[Row], batch_size: int
-) -> Iterator[list[Row]]:
+def _scan_batches(scan, rows: list[Row]) -> Iterator[list[Row]]:
     """Filtered, captured slot tuples of the scanned relation, in batches."""
     plain = not (scan.const_eq or scan.null_eq or scan.same)
     identity = plain and [p for p, _ in scan.capture] == list(
@@ -172,8 +163,8 @@ def _scan_batches(
     if identity and scan.capture:
         # Common case: first atom binds all-new distinct variables over the
         # full row — the stored rows *are* the slot tuples, zero copies.
-        for start in range(0, len(rows), batch_size):
-            yield rows[start:start + batch_size]
+        for start in range(0, len(rows), BATCH_SIZE):
+            yield rows[start:start + BATCH_SIZE]
         return
     extract = _capture_extractor(scan.capture)
     const_eq = scan.const_eq
@@ -200,7 +191,7 @@ def _scan_batches(
         if not ok:
             continue
         append(extract(row) if extract is not None else ())
-        if len(batch) >= batch_size:
+        if len(batch) >= BATCH_SIZE:
             yield batch
             batch = []
             append = batch.append
@@ -300,12 +291,43 @@ def _antijoin_stage(antijoin, store: BatchStore) -> Callable[[list[Row]], list[R
     return lambda batch: [s for s in batch if build(s) not in negated]
 
 
+def _measured_scan(
+    batches: Iterator[list[Row]], stats: OperatorStats
+) -> Iterator[list[Row]]:
+    """``batches``, timing each fetch and counting batches and rows out."""
+    while True:
+        started = perf_counter()
+        batch = next(batches, None)
+        stats.seconds += perf_counter() - started
+        if batch is None:
+            return
+        stats.batches += 1
+        stats.rows_out += len(batch)
+        yield batch
+
+
+def _measured_stage(
+    stage: Callable[[list[Row]], list[Row]], stats: OperatorStats
+) -> Callable[[list[Row]], list[Row]]:
+    """``stage``, adding each call's rows in/out, batch and seconds to stats."""
+
+    def measured(batch: list[Row]) -> list[Row]:
+        stats.rows_in += len(batch)
+        stats.batches += 1
+        started = perf_counter()
+        out = stage(batch)
+        stats.seconds += perf_counter() - started
+        stats.rows_out += len(out)
+        return out
+
+    return measured
+
+
 def run_plan(
     plan: RulePlan,
     store: BatchStore,
-    batch_size: int = BATCH_SIZE,
     scan_rows: list[Row] | None = None,
-    profile: RuleProfile | None = None,
+    operators: list[OperatorStats] | None = None,
 ) -> list[Row]:
     """All head rows derived by one compiled rule against the store.
 
@@ -313,118 +335,54 @@ def run_plan(
     workers mode feeds each worker its slice of the outer scan while every
     joined or negated relation stays complete.
 
-    ``profile`` switches on per-operator measurement: its
+    ``operators`` switches on per-operator measurement: these
     :class:`~repro.datalog.exec.profile.OperatorStats` (created with
     :func:`~repro.datalog.exec.profile.operators_for_plan`, so they mirror
     this plan's pipeline) accumulate rows in/out, batches and wall seconds.
-    When ``profile`` is None the original uninstrumented loop runs.
+    The loop is the same either way: measuring wraps the scan iterator and
+    each compiled stage, the projection included.  Timing is batch-granular
+    (two ``perf_counter`` reads per operator per batch), and each operator's
+    ``rows_in`` equals the previous operator's ``rows_out`` (a batch that
+    empties out early contributes zero to both sides downstream).
     """
-    if profile is not None:
-        return _run_plan_profiled(plan, store, batch_size, scan_rows, profile)
+    measure = operators is not None
+    pending = list(operators) if measure else []
     derived: dict[Row, None] = {}
+    setdefault = derived.setdefault
+    project = _row_builder(plan.project.exprs)
+
+    def emit(batch: list[Row]) -> list[Row]:
+        for slots in batch:
+            setdefault(project(slots), None)
+        return batch
+
+    batches: Iterable[list[Row]]
     if plan.scan is None:
-        batches: Iterator[list[Row]] = iter([[()]])
+        batches = ([()],)
     else:
         rows = scan_rows if scan_rows is not None else store.rows(plan.scan.relation)
-        batches = _scan_batches(plan.scan, rows, batch_size)
+        batches = _scan_batches(plan.scan, rows)
+        if measure:
+            scan_stats = pending.pop(0)
+            scan_stats.rows_in += len(rows)
+            batches = _measured_scan(batches, scan_stats)
     # Compile every stage once per rule: joins build (or reuse) their index
     # here, filters/antijoins/projection become batch -> batch closures.
     stages: list[Callable[[list[Row]], list[Row]]] = []
-    for join in plan.joins:
-        stages.append(_join_stage(join, store))
+    for i, join in enumerate(plan.joins):
+        stages.append(_join_stage(join, store, pending[i] if measure else None))
     for filter_op in plan.filters:
         stages.append(_filter_stage(filter_op))
     for antijoin in plan.antijoins:
         stages.append(_antijoin_stage(antijoin, store))
-    project = _row_builder(plan.project.exprs)
-    setdefault = derived.setdefault
+    stages.append(emit)
+    if measure:
+        stages = [_measured_stage(s, stats) for s, stats in zip(stages, pending)]
     for batch in batches:
-        count("eval.batches")
         for stage in stages:
             batch = stage(batch)
             if not batch:
                 break
-        else:
-            for slots in batch:
-                setdefault(project(slots), None)
-    return list(derived)
-
-
-_DONE = object()  # sentinel: the profiled loop times each batch fetch
-
-
-def _run_plan_profiled(
-    plan: RulePlan,
-    store: BatchStore,
-    batch_size: int,
-    scan_rows: list[Row] | None,
-    profile: RuleProfile,
-) -> list[Row]:
-    """The measured twin of :func:`run_plan`.
-
-    Timing is batch-granular (two ``perf_counter`` reads per operator per
-    batch), which keeps the overhead well under the 5% budget pinned by
-    ``benchmarks/test_bench_scaling.py`` while preserving the invariant the
-    EXPLAIN ANALYZE tests rely on: each operator's ``rows_in`` equals the
-    previous operator's ``rows_out`` (a batch that empties out early simply
-    contributes zero to both sides downstream).
-    """
-    started = perf_counter()
-    ops = profile.operators
-    scan_stats = ops[0] if plan.scan is not None else None
-    pipeline_stats = ops[1:-1] if scan_stats is not None else ops[:-1]
-    project_stats = ops[-1]
-    derived: dict[Row, None] = {}
-    if plan.scan is None:
-        batches: Iterator[list[Row]] = iter([[()]])
-    else:
-        rows = scan_rows if scan_rows is not None else store.rows(plan.scan.relation)
-        scan_stats.rows_in += len(rows)
-        batches = _scan_batches(plan.scan, rows, batch_size)
-    stages: list[tuple[Callable[[list[Row]], list[Row]], OperatorStats]] = []
-    cursor = iter(pipeline_stats)
-    for join in plan.joins:
-        stats = next(cursor)
-        stages.append((_join_stage(join, store, stats), stats))
-    for filter_op in plan.filters:
-        stages.append((_filter_stage(filter_op), next(cursor)))
-    for antijoin in plan.antijoins:
-        stages.append((_antijoin_stage(antijoin, store), next(cursor)))
-    project = _row_builder(plan.project.exprs)
-    setdefault = derived.setdefault
-    while True:
-        fetch_started = perf_counter()
-        batch = next(batches, _DONE)
-        if scan_stats is not None:
-            scan_stats.seconds += perf_counter() - fetch_started
-        if batch is _DONE:
-            break
-        count("eval.batches")
-        if scan_stats is not None:
-            scan_stats.batches += 1
-            scan_stats.rows_out += len(batch)
-        emptied = False
-        for stage, stats in stages:
-            stats.rows_in += len(batch)
-            stats.batches += 1
-            stage_started = perf_counter()
-            batch = stage(batch)
-            stats.seconds += perf_counter() - stage_started
-            stats.rows_out += len(batch)
-            if not batch:
-                emptied = True
-                break
-        if emptied:
-            continue
-        project_stats.rows_in += len(batch)
-        project_stats.batches += 1
-        project_started = perf_counter()
-        for slots in batch:
-            setdefault(project(slots), None)
-        project_stats.seconds += perf_counter() - project_started
-        project_stats.rows_out += len(batch)
-    profile.rows_unique += len(derived)
-    profile.seconds += perf_counter() - started
     return list(derived)
 
 
@@ -432,18 +390,18 @@ def evaluate_batch(
     program: DatalogProgram,
     source: Instance,
     workers: int | None = None,
-    batch_size: int = BATCH_SIZE,
     min_partition_rows: int | None = None,
     analyze: bool = False,
 ) -> EvaluationResult:
     """Run the transformation on the batch runtime.
 
-    Drop-in equivalent of :func:`repro.datalog.engine.evaluate` — same
-    :class:`EvaluationResult`, same counters plus ``eval.batches`` and
-    ``eval.index_reuse`` — but each stratum is compiled to operator plans
-    (with exact statistics) before it runs.  With ``workers=N > 1`` the
-    outer scan of sufficiently large rules is partitioned across a process
-    pool (see :mod:`repro.datalog.exec.workers`).
+    Drop-in equivalent of :func:`repro.datalog.engine.evaluate` — the same
+    loop, :class:`EvaluationResult` and counters, plus
+    ``eval.index_reuse`` — but each rule is compiled to an operator plan
+    (with the exact statistics of the relations materialized so far) right
+    before it runs.  With ``workers=N > 1`` the outer scan of sufficiently
+    large rules is partitioned across a process pool (see
+    :mod:`repro.datalog.exec.workers`).
 
     ``analyze=True`` — or an active tracer — collects an
     :class:`~repro.datalog.exec.profile.ExecutionProfile` (per-operator
@@ -451,97 +409,24 @@ def evaluate_batch(
     ``EvaluationResult.profile`` and records its totals into the tracer's
     metrics.
     """
-    if program.target_schema is None:
-        raise EvaluationError("program has no target schema")
-    order = program.validate()
-    if workers is not None and workers > 1:
-        from .workers import run_plan_partitioned
-    collect = analyze or current_tracer().enabled
-    profile = (
-        ExecutionProfile(engine="batch", workers=workers) if collect else None
-    )
-    run_started = perf_counter()
-    with span("stage.evaluate", rules=len(program.rules), engine="batch") as trace:
-        store = BatchStore()
-        source_rows = 0
-        for name, relation in source.relations.items():
-            store.add_relation(name, relation.rows)
-            source_rows += store.size(name)
-        count("eval.source_tuples", source_rows)
+    store = BatchStore()
+    partitioned = workers is not None and workers > 1
+    if partitioned:
+        from .workers import MIN_PARTITION_ROWS, run_plan_partitioned
 
-        computed: dict[str, list[Row]] = {}
-        rule_counts: dict[int, int] = {}
-        rule_index = {id(rule): i for i, rule in enumerate(program.rules)}
-        for stratum, relation in enumerate(order):
-            with span(
-                "eval.stratum", stratum=stratum, relation=relation
-            ) as stratum_trace:
-                stratum_profile: StratumProfile | None = None
-                if profile is not None:
-                    stratum_started = perf_counter()
-                    stratum_profile = StratumProfile(
-                        stratum=stratum, relation=relation
-                    )
-                    profile.strata.append(stratum_profile)
-                stats = store.sizes()
-                rows: dict[Row, None] = {}
-                for rule in program.rules_for(relation):
-                    plan = plan_rule(rule, stats)
-                    rule_profile: RuleProfile | None = None
-                    if stratum_profile is not None:
-                        rule_profile = RuleProfile(
-                            relation=relation,
-                            rule_index=rule_index[id(rule)],
-                            n_slots=plan.n_slots,
-                            operators=operators_for_plan(plan),
-                        )
-                        stratum_profile.rules.append(rule_profile)
-                    if workers is not None and workers > 1:
-                        kwargs = {"batch_size": batch_size}
-                        if min_partition_rows is not None:
-                            kwargs["min_partition_rows"] = min_partition_rows
-                        derived = run_plan_partitioned(
-                            plan, store, workers, profile=rule_profile, **kwargs
-                        )
-                    else:
-                        derived = run_plan(
-                            plan,
-                            store,
-                            batch_size=batch_size,
-                            profile=rule_profile,
-                        )
-                    rule_counts[rule_index[id(rule)]] = len(derived)
-                    count("eval.rules_evaluated")
-                    count("eval.derived_tuples", len(derived))
-                    for row in derived:
-                        rows.setdefault(row, None)
-                count("eval.strata", engine="batch")
-                count("eval.tuples", len(rows))
-                stratum_trace.set(tuples=len(rows))
-                if stratum_profile is not None:
-                    stratum_profile.rows = len(rows)
-                    stratum_profile.seconds = perf_counter() - stratum_started
-                computed[relation] = list(rows)
-                # Derived rows are built from already-interned slot values
-                # (plus fresh LabeledNulls), so re-interning buys nothing.
-                store.add_relation(relation, list(rows), intern=False)
+        if min_partition_rows is None:
+            min_partition_rows = MIN_PARTITION_ROWS
 
-        target = Instance(program.target_schema)
-        for relation in program.target_schema.relation_names():
-            if relation in computed:
-                target.add_all(relation, computed[relation])
-        intermediates = {
-            name: computed.get(name, []) for name in program.intermediates
-        }
-    if profile is not None:
-        profile.source_rows = source_rows
-        profile.target_rows = target.total_size()
-        profile.seconds = perf_counter() - run_started
-        emit_profile_metrics(profile)
-    return EvaluationResult(
-        target=target,
-        intermediates=intermediates,
-        rule_counts=[rule_counts.get(i, 0) for i in range(len(program.rules))],
-        run_report=stage_report(trace, "evaluation"),
-        profile=profile,
-    )
+    def derive(rule, profile: RuleProfile | None) -> list[Row]:
+        plan = plan_rule(rule, store.sizes())
+        operators = None
+        if profile is not None:
+            profile.n_slots = plan.n_slots
+            profile.operators = operators = operators_for_plan(plan)
+        if partitioned:
+            return run_plan_partitioned(
+                plan, store, workers, min_partition_rows, operators
+            )
+        return run_plan(plan, store, operators=operators)
+
+    return run_strata(program, source, "batch", store, derive, analyze, workers)

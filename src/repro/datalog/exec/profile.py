@@ -1,13 +1,16 @@
 """Execution profiles: the data behind EXPLAIN ANALYZE.
 
-A profile is the *measured* twin of a compiled plan: one
+A profile holds the measurements of a compiled plan: one
 :class:`OperatorStats` per operator of every :class:`RulePlan` (rows in and
 out, batches, wall seconds, index build-vs-probe split), rolled up into
 :class:`RuleProfile`, :class:`StratumProfile` and :class:`ExecutionProfile`.
-The batch runtime fills these in when ``evaluate_batch(..., analyze=True)``
-or an active tracer asks for collection; the reference
-interpreter produces the rule-level rollups (it has no static operator
-pipeline to annotate).
+They are collected when ``analyze=True`` or an active tracer asks for it.
+The evaluation loop both engines share
+(:func:`repro.datalog.engine.run_strata`) fills in the rule, stratum and
+run rollups; the batch runtime's :func:`~repro.datalog.exec.batch.run_plan`
+fills in the operator stats by wrapping each stage of its loop in a
+measuring callable.  The reference interpreter has no static operator
+pipeline, so its rule profiles carry no operators.
 
 Invariants the differential tests pin down (``tests/test_explain_analyze.py``):
 
@@ -20,8 +23,8 @@ Invariants the differential tests pin down (``tests/test_explain_analyze.py``):
   cross-rule deduplication.
 
 Profiles are plain picklable dataclasses, so ``workers=N`` subprocesses
-ship their per-slice profiles back to the parent, which folds them with
-:meth:`RuleProfile.merge` (all fields are additive).  Rendering
+ship their per-slice operator stats back to the parent, which folds them
+with :meth:`OperatorStats.merge` (all fields are additive).  Rendering
 (:meth:`ExecutionProfile.render`) produces the annotated operator trees of
 ``repro run --explain-analyze`` / ``repro plan --analyze``;
 :meth:`ExecutionProfile.to_dict` is the JSON form.
@@ -154,18 +157,6 @@ class RuleProfile:
     rows_unique: int = 0
     seconds: float = 0.0
 
-    def merge(self, other: "RuleProfile") -> None:
-        """Fold a partitioned slice's profile into this one (additive)."""
-        if len(other.operators) != len(self.operators):
-            raise ValueError(
-                f"cannot merge rule profiles with {len(other.operators)} vs "
-                f"{len(self.operators)} operators"
-            )
-        for mine, theirs in zip(self.operators, other.operators):
-            mine.merge(theirs)
-        self.rows_unique += other.rows_unique
-        self.seconds += other.seconds
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "relation": self.relation,
@@ -267,13 +258,13 @@ class ExecutionProfile:
 def emit_profile_metrics(profile: ExecutionProfile) -> None:
     """Record a finished profile into the active tracer's metrics.
 
-    Both engines call this once per evaluation, so the metric families are
-    engine-comparable: ``eval.rows{kind,engine}``, ``eval.run.seconds``,
-    ``eval.rule.seconds{relation}``, and — batch engine only, since only it
-    has an operator pipeline — ``exec.operator.rows_in/rows_out/seconds{op}``,
-    ``exec.batches`` and ``exec.index.lookups{result}``.  (``eval.strata``
-    is counted per stratum while the engine runs.)  A no-op when tracing is
-    off.
+    The evaluation loop calls this once per evaluation, for both engines,
+    so the metric families are engine-comparable: ``eval.rows{kind,engine}``,
+    ``eval.run.seconds``, ``eval.rule.seconds{relation}``, and — batch
+    engine only, since only it has an operator pipeline —
+    ``exec.operator.rows_in/rows_out/seconds{op}``, ``exec.batches`` and
+    ``exec.index.lookups{result}``.  (``eval.strata`` is counted per
+    stratum while the loop runs.)  A no-op when tracing is off.
     """
     if not current_tracer().enabled:
         return

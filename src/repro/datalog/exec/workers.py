@@ -9,21 +9,22 @@ see every row), and the parent merges the per-slice results in slice order,
 deduplicating across slice boundaries.
 
 The payload shipped to a worker is ``(plan, scan slice, {relation: rows},
-collect_profile)``.  Plans are picklable by construction (tagged tuples, no
+measure)``.  Plans are picklable by construction (tagged tuples, no
 closures) and evaluation results (constants, ``NULL``, ``LabeledNull``)
 round-trip through pickle by value, so merging preserves set semantics.
 
 Worker processes start without the parent's contextvars, so each worker
 runs its slice under a private :class:`~repro.obs.tracer.Tracer` and ships
-its metrics registry (``eval.batches``, ``eval.index_reuse``) back with the
-rows; the parent folds it into its active tracer with
-:meth:`~repro.obs.tracer.Tracer.merge` (a :meth:`MetricsRegistry.merge`).
-Per-operator profiles (when EXPLAIN ANALYZE or a tracer is collecting) come
-back the same way and are folded with :meth:`RuleProfile.merge` — rows and seconds
-add across disjoint slices, while the parent's post-merge deduplication
-count overwrites ``rows_unique``.  Note that ``eval.batches`` and index
-hit/miss splits are *not* comparable with a serial run: each worker batches
-its own slice and builds its own indexes.
+its metrics registry (``eval.index_reuse``) back with the rows; the parent
+folds it into its active tracer with :meth:`~repro.obs.tracer.Tracer.merge`
+(a :meth:`MetricsRegistry.merge`).  Per-operator profiles (when EXPLAIN
+ANALYZE or a tracer is collecting) come back the same way and are folded
+with :meth:`OperatorStats.merge` — operator rows, batches and seconds add
+across disjoint slices, while the shared evaluation loop records the
+rule's post-merge ``rows_unique`` and parent wall time.  Note that scan
+batches (``exec.batches``) and index hit/miss splits are *not* comparable
+with a serial run: each worker batches its own slice and builds its own
+indexes.
 
 Partitioning only pays off when the scan is large; rules whose outer
 relation has fewer than :data:`MIN_PARTITION_ROWS` rows run inline in the
@@ -33,13 +34,12 @@ parent.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from time import perf_counter
 
 from ...model.instance import Row
 from ...obs import MetricsRegistry, Tracer, current_tracer, use_tracer
-from .batch import BATCH_SIZE, BatchStore, run_plan
+from .batch import BatchStore, run_plan
 from .plan import RulePlan
-from .profile import RuleProfile, operators_for_plan
+from .profile import OperatorStats, operators_for_plan
 
 #: Below this many outer-scan rows the pool overhead dominates: run inline.
 MIN_PARTITION_ROWS = 2048
@@ -57,74 +57,60 @@ def _relations_read(plan: RulePlan) -> list[str]:
 
 def _run_slice(
     payload,
-) -> tuple[list[Row], MetricsRegistry, RuleProfile | None]:
+) -> tuple[list[Row], MetricsRegistry, list[OperatorStats] | None]:
     """Worker entry point: evaluate one plan over one scan slice.
 
-    Returns ``(rows, tracer metrics, slice profile or None)`` so nothing
-    measured inside the pool is lost: the parent merges the metrics and the
-    profile.
+    Returns ``(rows, tracer metrics, slice operator stats or None)`` so
+    nothing measured inside the pool is lost: the parent merges the metrics
+    and the operator stats.
     """
-    plan, scan_rows, relations, collect_profile = payload
+    plan, scan_rows, relations, measure = payload
     store = BatchStore()
     for name, rows in relations.items():
         store.add_relation(name, rows)
     if plan.scan is not None and plan.scan.relation not in relations:
         store.add_relation(plan.scan.relation, scan_rows)
-    profile = None
-    if collect_profile:
-        profile = RuleProfile(
-            relation=plan.project.relation,
-            rule_index=-1,  # a slice: the parent's profile has the real index
-            n_slots=plan.n_slots,
-            operators=operators_for_plan(plan),
-        )
+    operators = operators_for_plan(plan) if measure else None
     tracer = Tracer()
     with use_tracer(tracer):
-        derived = run_plan(plan, store, scan_rows=scan_rows, profile=profile)
-    return derived, tracer.metrics, profile
+        derived = run_plan(plan, store, scan_rows=scan_rows, operators=operators)
+    return derived, tracer.metrics, operators
 
 
 def run_plan_partitioned(
     plan: RulePlan,
     store: BatchStore,
     workers: int,
-    batch_size: int = BATCH_SIZE,
     min_partition_rows: int = MIN_PARTITION_ROWS,
-    profile: RuleProfile | None = None,
+    operators: list[OperatorStats] | None = None,
 ) -> list[Row]:
     """Derive one rule's head rows, partitioning the outer scan over a pool.
 
     Falls back to the inline :func:`run_plan` when the rule has no scan,
     the pool would have one slice, or the scan is too small to amortize
-    process startup and payload pickling.  With ``profile`` set, the
-    per-slice profiles are merged into it (see module docstring).
+    process startup and payload pickling.  With ``operators`` set, each
+    slice's operator stats are added into them (see module docstring).
     """
     if plan.scan is None or workers <= 1:
-        return run_plan(plan, store, batch_size=batch_size, profile=profile)
+        return run_plan(plan, store, operators=operators)
     scan_rows = store.rows(plan.scan.relation)
     if len(scan_rows) < min_partition_rows:
-        return run_plan(plan, store, batch_size=batch_size, profile=profile)
-    started = perf_counter()
+        return run_plan(plan, store, operators=operators)
     relations = {name: store.rows(name) for name in _relations_read(plan)}
     slices = [scan_rows[i::workers] for i in range(workers)]
     payloads = [
-        (plan, part, relations, profile is not None)
+        (plan, part, relations, operators is not None)
         for part in slices
         if part
     ]
     derived: dict[Row, None] = {}
     tracer = current_tracer()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for rows, metrics, slice_profile in pool.map(_run_slice, payloads):
+        for rows, metrics, slice_operators in pool.map(_run_slice, payloads):
             tracer.merge(metrics)
-            if profile is not None and slice_profile is not None:
-                profile.merge(slice_profile)
+            if operators is not None:
+                for mine, theirs in zip(operators, slice_operators):
+                    mine.merge(theirs)
             for row in rows:
                 derived.setdefault(row, None)
-    if profile is not None:
-        # Slice-local uniques overcount rows shared across slices; the
-        # merged dict here is the rule's real post-dedup row count.  The
-        # rule's wall time is the parent's, not the sum of worker CPU.
-        profile.rows_unique = len(derived)
-        profile.seconds = perf_counter() - started
     return list(derived)

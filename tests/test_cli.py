@@ -637,10 +637,11 @@ class TestExplainWithInstance:
         nothing was evaluated — --instance runs the engine first."""
         assert main([
             "explain", problem_file, "--instance", instance_file,
+            "--engine", "batch",
         ]) == 0
         out = capsys.readouterr().out
         assert "--- telemetry ---" in out
-        assert "eval.batches" in out
+        assert "exec.batches" in out
         assert "eval.index_reuse" in out
 
     def test_explain_reference_engine_instance(
@@ -652,10 +653,10 @@ class TestExplainWithInstance:
         ]) == 0
         out = capsys.readouterr().out
         assert "eval.tuples" in out
-        assert "eval.batches" not in out  # no batching in the interpreter
+        assert "exec.batches" not in out  # no batching in the interpreter
 
     def test_explain_without_instance_has_no_eval_counters(
         self, problem_file, capsys
     ):
         assert main(["explain", problem_file]) == 0
-        assert "eval.batches" not in capsys.readouterr().out
+        assert "exec.batches" not in capsys.readouterr().out

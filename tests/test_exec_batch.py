@@ -127,7 +127,7 @@ class TestCounters:
         tracer = Tracer()
         with use_tracer(tracer):
             evaluate_batch(program, self._source())
-        assert tracer.counters.get("eval.batches", 0) > 0
+        assert tracer.counters.get("exec.batches", 0) > 0
         # Figure 1 reads C3/P3 from two rules on the same key positions:
         # the second rule must hit the cached index.
         assert tracer.counters.get("eval.index_reuse", 0) > 0

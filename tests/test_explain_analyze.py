@@ -9,7 +9,7 @@ The differential invariants pinned here (see
 * a stratum's ``rows`` equals the materialized relation's size after
   cross-rule deduplication;
 * ``workers=2`` and serial runs agree on every *rows* metric family
-  (``eval.batches`` and index hit/miss counts legitimately differ — each
+  (``exec.batches`` and index hit/miss counts legitimately differ — each
   worker batches and indexes its own slice).
 """
 
@@ -210,9 +210,9 @@ class TestWorkersProfile:
         """Regression: pool workers' tracer counters used to be dropped.
 
         ``_run_slice`` now runs under a private tracer and ships its counters
-        back for the parent to replay, so ``eval.batches`` (counted once per
-        batch, inside the workers) must exceed the serial count of the
-        parent process alone.
+        and operator stats back for the parent to replay, so ``exec.batches``
+        (scan batches, counted inside the workers) must reach at least the
+        serial count of the parent process alone.
         """
         program = MappingSystem(figure1_problem()).transformation
         source = self._source()
@@ -221,8 +221,8 @@ class TestWorkersProfile:
             evaluate_batch(program, source)
         with use_tracer(worker_tracer):
             evaluate_batch(program, source, workers=2, min_partition_rows=1)
-        assert worker_tracer.counters.get("eval.batches", 0) > 0
+        assert worker_tracer.counters.get("exec.batches", 0) > 0
         # Both slices of every partitioned scan count their own batches.
-        assert worker_tracer.counters["eval.batches"] >= serial_tracer.counters[
-            "eval.batches"
+        assert worker_tracer.counters["exec.batches"] >= serial_tracer.counters[
+            "exec.batches"
         ]
