@@ -52,7 +52,6 @@ _EXPORTS = {
     "diagnostic": ".diagnostics",
     "severity_at_least": ".diagnostics",
     "lint_schema": ".schema_lint",
-    "lint_mapping": ".mapping_lint",
     "lint_program": ".datalog_lint",
     "analyze": ".analyzer",
     "quick_lint": ".analyzer",
@@ -123,7 +122,6 @@ if TYPE_CHECKING:  # pragma: no cover
         diagnostic,
         severity_at_least,
     )
-    from .mapping_lint import lint_mapping
     from .sarif import to_sarif, to_sarif_json
     from .schema_lint import lint_schema
     from .semantic import (

@@ -12,9 +12,10 @@ NOT NULL attribute — receives exactly one :class:`ConstraintVerdict`:
   validator remains the arbiter.
 
 A :class:`CertificationReport` aggregates the verdicts together with the
-program-level termination certificate and renders as text, JSON, or an
-:class:`~repro.analysis.diagnostics.AnalysisReport` (REFUTED → error,
-UNKNOWN → warning) for SARIF export and ``lint --certify``.
+program-level termination certificate and renders as text or JSON; its
+:attr:`~CertificationReport.diagnostics` (REFUTED → error, UNKNOWN →
+warning) feed SARIF export, ``lint --certify`` and the ``certify`` exit
+gate.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..diagnostics import (
-    WARNING,
-    AnalysisReport,
-    Diagnostic,
-    SourceSpan,
-    diagnostic,
-)
+from ..diagnostics import WARNING, Diagnostic, SourceSpan, diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...model.instance import Instance
@@ -156,13 +151,11 @@ class CertificationReport:
             UNKNOWN: len(self.unknown),
         }
 
-    def diagnostics(self) -> AnalysisReport:
-        report = AnalysisReport(subject=self.subject)
-        for verdict in self.verdicts:
-            item = verdict.diagnostic_item()
-            if item is not None:
-                report.add(item)
-        return report
+    @property
+    def diagnostics(self) -> list[Diagnostic]:
+        """One finding per non-PROVED verdict, in verdict order."""
+        items = (verdict.diagnostic_item() for verdict in self.verdicts)
+        return [item for item in items if item is not None]
 
     def summary(self) -> str:
         counts = self.counts()

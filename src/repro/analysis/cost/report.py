@@ -6,8 +6,8 @@ threading the symbolic size of every already-bounded relation into the
 next stratum's rule pipelines (:func:`repro.analysis.cost.bounds.
 bound_rule_plan`), and aggregates the per-rule bounds into per-relation
 and program-level bounds.  The resulting :class:`CostReport` renders for
-``repro plan --cost`` / ``MappingSystem.cost_report()`` and lowers to PLN
-diagnostics for ``repro lint --cost`` and SARIF:
+``repro plan --cost`` / ``MappingSystem.cost_report()`` and carries the PLN
+:attr:`~CostReport.diagnostics` for ``repro lint --cost`` and SARIF:
 
 ========  ========  =====================================================
 code      severity  finding
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from ...datalog.exec.plan import ProgramPlan, plan_program, plan_rule
 from ...datalog.program import DatalogProgram
 from ...obs import count, gauge
-from ..diagnostics import AnalysisReport, Diagnostic, diagnostic
+from ..diagnostics import ERROR, Diagnostic, diagnostic
 from .bounds import RuleBound, _calibrate, bound_rule_plan
 from .facts import CostFacts
 from .polynomial import UNBOUNDED, ZERO, Polynomial, Unbounded
@@ -70,7 +70,7 @@ class CostReport:
     bounded: bool = True
     depth_bound: int | None = 0
     relations: list[RelationCost] = field(default_factory=list)
-    findings: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
     # -- queries ---------------------------------------------------------
 
@@ -91,12 +91,8 @@ class CostReport:
 
     @property
     def ok(self) -> bool:
-        return self.diagnostics().ok
-
-    def diagnostics(self) -> AnalysisReport:
-        report = AnalysisReport(subject=self.subject)
-        report.extend(self.findings)
-        return report
+        """True iff no PLN diagnostic is an error."""
+        return not any(item.severity == ERROR for item in self.diagnostics)
 
     # -- rendering -------------------------------------------------------
 
@@ -108,7 +104,7 @@ class CostReport:
             "max_degree": self.max_degree(),
             "relations": [cost.to_dict() for cost in self.relations],
             "diagnostics": [
-                finding.render() for finding in self.findings
+                finding.render() for finding in self.diagnostics
             ],
         }
 
@@ -145,9 +141,9 @@ class CostReport:
                     lines.append(
                         f"      {op.description} => {op.bound.render()}{why}"
                     )
-        if self.findings:
+        if self.diagnostics:
             lines.append("diagnostics:")
-            for finding in self.findings:
+            for finding in self.diagnostics:
                 lines.append(f"  {finding.render()}")
         degree = self.max_degree()
         summary = (
@@ -158,7 +154,7 @@ class CostReport:
         summary += (
             f", {len(self.relations)} relation(s), "
             f"{len(self.rule_bounds())} rule bound(s), "
-            f"{len(self.findings)} diagnostic(s)"
+            f"{len(self.diagnostics)} diagnostic(s)"
         )
         lines.append(summary)
         return "\n".join(lines)
@@ -208,7 +204,7 @@ def analyze_cost(
                     intermediate=relation in program.intermediates,
                 )
             )
-        report.findings.append(
+        report.diagnostics.append(
             diagnostic(
                 "PLN003",
                 "no chase-depth bound exists for the program; every "
@@ -242,7 +238,7 @@ def analyze_cost(
             cost.rules.append(bound)
             total = total + bound.total
             if bound.cross_product:
-                report.findings.append(
+                report.diagnostics.append(
                     diagnostic(
                         "PLN001",
                         f"{relation}: cross-product join in the compiled "
@@ -252,7 +248,7 @@ def analyze_cost(
                     )
                 )
             if bound.degree() >= 2:
-                report.findings.append(
+                report.diagnostics.append(
                     diagnostic(
                         "PLN002",
                         f"{relation}: rule bound {bound.total.render()} "
@@ -268,7 +264,7 @@ def analyze_cost(
                 advised_cost = _pipeline_cost(bound)
                 greedy_cost = _pipeline_cost(greedy_bound)
                 if advised_cost < greedy_cost:
-                    report.findings.append(
+                    report.diagnostics.append(
                         diagnostic(
                             "PLN004",
                             f"{relation}: greedy join order costs "
@@ -300,7 +296,7 @@ def _emit_metrics(report: CostReport) -> None:
     count("cost.runs", 1, bounded=str(report.bounded).lower())
     count("cost.relations", len(report.relations))
     count("cost.rules", len(report.rule_bounds()))
-    for finding in report.findings:
+    for finding in report.diagnostics:
         count("cost.diagnostics", 1, code=finding.code)
     degree = report.max_degree()
     if degree is not None:

@@ -7,16 +7,18 @@ Two layers, by cost:
 * *deep* checks run the paper's query-generation machinery without raising —
   Algorithm 4's functionality check per unitary mapping (``MAP003``) and its
   hard key-conflict identification (``MAP002``).  A pipeline stage that fails
-  outright is reported as ``MAP005`` instead of propagating.
+  outright is reported as ``MAP005`` instead of propagating.  They read
+  stage 1 from a :class:`~repro.core.pipeline.MappingSystem`'s cache, so
+  the analyzer and every ``repro lint`` pass share one run of it.
 """
 
 from __future__ import annotations
 
 from ..core.conflicts import find_all_conflicts
 from ..core.functionality import check_functionality
-from ..core.pipeline import MappingProblem
+from ..core.pipeline import MappingProblem, MappingSystem
 from ..core.query_generation import rewrite_to_unitary
-from ..core.schema_mapping import NOVEL, generate_schema_mapping
+from ..core.schema_mapping import NOVEL
 from ..core.skolem import skolemize_schema_mapping
 from ..errors import ReproError
 from .diagnostics import Diagnostic, diagnostic
@@ -77,31 +79,30 @@ def coverage_diagnostics(problem: MappingProblem) -> list[Diagnostic]:
     return found
 
 
-def key_management_diagnostics(
-    problem: MappingProblem, algorithm: str = NOVEL
-) -> list[Diagnostic]:
+def key_management_diagnostics(system: MappingSystem) -> list[Diagnostic]:
     """``MAP002`` / ``MAP003`` / ``MAP005`` via Algorithm 4's own machinery.
 
-    Runs schema-mapping generation, skolemization and the unitary rewrite,
-    then — instead of Algorithm 4's "signal an error and stop" — reports
-    every functionality violation and every hard key conflict found.
+    Skolemizes the system's (cached) schema mapping and rewrites it to
+    unitary mappings, then — instead of Algorithm 4's "signal an error and
+    stop" — reports every functionality violation and every hard key
+    conflict found.
     """
-    source = problem.source_schema
-    target = problem.target_schema
+    source = system.problem.source_schema
+    target = system.problem.target_schema
     try:
-        mapping = generate_schema_mapping(
-            source, target, problem.correspondences, algorithm=algorithm
-        ).schema_mapping
         skolemized = skolemize_schema_mapping(
-            list(mapping), target, use_null_for_nullable=(algorithm == NOVEL)
+            list(system.schema_mapping),
+            target,
+            use_null_for_nullable=(system.algorithm == NOVEL),
         )
         unitary = rewrite_to_unitary(skolemized)
     except ReproError as error:
+        name = system.problem.name
         return [
             diagnostic(
                 "MAP005",
-                f"schema-mapping generation failed for {problem.name!r}: {error}",
-                subject=problem.name,
+                f"schema-mapping generation failed for {name!r}: {error}",
+                subject=name,
             )
         ]
 
@@ -126,18 +127,3 @@ def key_management_diagnostics(
             )
     return found
 
-
-def lint_mapping(
-    problem: MappingProblem, deep: bool = True, algorithm: str = NOVEL
-) -> list[Diagnostic]:
-    """All ``MAP*`` diagnostics of one mapping problem.
-
-    Static checks always run; the deep (Algorithm 4) checks are skipped when
-    ``deep`` is false or when the static checks already found an invalid
-    correspondence (the pipeline would only fail with the same root cause).
-    """
-    invalid = correspondence_diagnostics(problem)
-    found = invalid + coverage_diagnostics(problem)
-    if deep and not invalid and problem.correspondences:
-        found.extend(key_management_diagnostics(problem, algorithm=algorithm))
-    return found

@@ -15,8 +15,9 @@ in CI with the :mod:`repro.obs.schema` validator.
 from __future__ import annotations
 
 import json
+from typing import Iterable
 
-from .diagnostics import CODES, INFO, AnalysisReport, Diagnostic, SourceSpan
+from .diagnostics import CODES, INFO, Diagnostic, SourceSpan
 
 #: SARIF calls the lowest level "note", not "info".
 _LEVELS = {INFO: "note"}
@@ -91,8 +92,9 @@ def _result(item: Diagnostic, rule_index: dict[str, int]) -> dict:
     return result
 
 
-def to_sarif(*reports: AnalysisReport) -> dict:
-    """Serialize one or more analysis reports as a SARIF 2.1.0 log dict."""
+def to_sarif(*reports: Iterable[Diagnostic]) -> dict:
+    """Serialize one or more reports (an ``AnalysisReport`` or any pass
+    result's ``diagnostics`` list each) as a SARIF 2.1.0 log dict."""
     rules = _rules()
     rule_index = {rule["id"]: position for position, rule in enumerate(rules)}
     results = [
@@ -116,19 +118,17 @@ def to_sarif(*reports: AnalysisReport) -> dict:
     }
 
 
-def to_sarif_json(*reports: AnalysisReport, indent: int = 2) -> str:
+def to_sarif_json(*reports: Iterable[Diagnostic], indent: int = 2) -> str:
     """The SARIF log as a JSON string (stable key order)."""
     return json.dumps(to_sarif(*reports), indent=indent, sort_keys=False)
 
 
-def write_sarif(path: str, *reports: AnalysisReport) -> str:
+def write_sarif(path: str, *reports: Iterable[Diagnostic]) -> None:
     """Serialize ``reports`` and write the SARIF log to ``path``.
 
-    The single writer behind every ``--sarif-out`` CLI flag (lint, certify,
-    plan --cost): one trailing newline, stable key order.  Returns the JSON
-    text so callers printing to stdout don't serialize twice.
+    The single writer behind every ``--sarif-out`` CLI flag (``lint`` and
+    ``certify``, through their shared exit gate): one trailing newline,
+    stable key order.
     """
-    sarif = to_sarif_json(*reports)
     with open(path, "w") as handle:
-        handle.write(sarif + "\n")
-    return sarif
+        handle.write(to_sarif_json(*reports) + "\n")

@@ -59,9 +59,14 @@ class MinimizationResult:
 
     program: DatalogProgram
     removed: list[RemovedRule] = field(default_factory=list)
+    #: unitary mappings flagged by :func:`minimize_unitary_mappings`
+    #: (:meth:`repro.core.pipeline.MappingSystem.minimize` fills it in)
+    subsumed: list[SubsumedMapping] = field(default_factory=list)
 
+    @property
     def diagnostics(self) -> list[Diagnostic]:
-        """The removals as ``SEM001`` findings with their witnesses."""
+        """``SEM001`` per removed rule, then ``SEM002`` per subsumed mapping,
+        each with its witness."""
         return [
             diagnostic(
                 "SEM001",
@@ -72,7 +77,7 @@ class MinimizationResult:
                 witness=removal.witness.render(),
             )
             for removal in self.removed
-        ]
+        ] + mapping_diagnostics(self.subsumed)
 
 
 def minimize_program(

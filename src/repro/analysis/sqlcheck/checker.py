@@ -72,11 +72,9 @@ def check_pipeline(
             verdict = _statement_verdict(index, statement, pipeline.program, engine)
             report.add(verdict)
             count("sqlcheck.statements", 1, verdict=verdict.verdict.lower())
-            for finding in _structural_findings(index, statement):
-                report.findings.append(finding)
-        for finding in _ordering_findings(pipeline):
-            report.findings.append(finding)
-        for finding in report.findings:
+            report.structural.extend(_structural_findings(index, statement))
+        report.structural.extend(_ordering_findings(pipeline))
+        for finding in report.structural:
             count("sqlcheck.findings", 1, code=finding.code)
         count("sqlcheck.runs", 1, ok=str(report.ok).lower())
     return report

@@ -11,16 +11,17 @@ Every INSERT statement of a compiled pipeline receives exactly one
 
 Structural findings (dialect-unsafe constructs, ambiguous encodings,
 missing dedup, order hazards) attach to the report as plain diagnostics.
-A :class:`SqlCheckReport` aggregates everything and renders as text, JSON
-or an :class:`~repro.analysis.diagnostics.AnalysisReport` for SARIF export
-and ``lint --sql``.
+A :class:`SqlCheckReport` aggregates everything and renders as text or
+JSON; its :attr:`~SqlCheckReport.diagnostics` (SQL001 per unproved
+statement, then the structural findings) feed SARIF export, ``lint --sql``
+and the ``sql --check`` exit gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..diagnostics import AnalysisReport, Diagnostic, diagnostic
+from ..diagnostics import Diagnostic, diagnostic
 
 PROVED = "PROVED"
 UNKNOWN = "UNKNOWN"
@@ -80,7 +81,7 @@ class SqlCheckReport:
     subject: str = ""  # scenario / problem name
     verdicts: list[SqlStatementVerdict] = field(default_factory=list)
     #: structural findings (SQL002–SQL005), already built diagnostics
-    findings: list[Diagnostic] = field(default_factory=list)
+    structural: list[Diagnostic] = field(default_factory=list)
 
     def add(self, verdict: SqlStatementVerdict) -> None:
         self.verdicts.append(verdict)
@@ -97,20 +98,17 @@ class SqlCheckReport:
     def ok(self) -> bool:
         """True iff every statement is PROVED and no finding is an error."""
         return all(v.verdict == PROVED for v in self.verdicts) and not any(
-            f.severity == "error" for f in self.findings
+            f.severity == "error" for f in self.structural
         )
 
     def counts(self) -> dict[str, int]:
         return {PROVED: len(self.proved), UNKNOWN: len(self.unknown)}
 
-    def diagnostics(self) -> AnalysisReport:
-        report = AnalysisReport(subject=self.subject)
-        for verdict in self.verdicts:
-            item = verdict.diagnostic_item()
-            if item is not None:
-                report.add(item)
-        report.extend(self.findings)
-        return report
+    @property
+    def diagnostics(self) -> list[Diagnostic]:
+        """SQL001 per unproved statement, then the structural findings."""
+        items = (verdict.diagnostic_item() for verdict in self.verdicts)
+        return [item for item in items if item is not None] + self.structural
 
     def summary(self) -> str:
         counts = self.counts()
@@ -118,8 +116,8 @@ class SqlCheckReport:
             f"sqlcheck: {counts[PROVED]} proved, {counts[UNKNOWN]} unknown "
             f"of {len(self.verdicts)} statement(s)"
         )
-        if self.findings:
-            text += f", {len(self.findings)} structural finding(s)"
+        if self.structural:
+            text += f", {len(self.structural)} structural finding(s)"
         return text
 
     def render(self) -> str:
@@ -130,7 +128,7 @@ class SqlCheckReport:
         )
         lines = [header]
         lines.extend(verdict.render() for verdict in self.verdicts)
-        lines.extend(finding.render() for finding in self.findings)
+        lines.extend(finding.render() for finding in self.structural)
         lines.append(self.summary())
         return "\n".join(lines)
 
@@ -140,5 +138,5 @@ class SqlCheckReport:
             "ok": self.ok,
             "counts": self.counts(),
             "verdicts": [v.to_dict() for v in self.verdicts],
-            "findings": [f.render() for f in self.findings],
+            "findings": [f.render() for f in self.structural],
         }

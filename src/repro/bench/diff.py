@@ -28,6 +28,7 @@ a pass.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import subprocess
 import time
@@ -168,9 +169,20 @@ def diff_benchmarks(
     threshold: float = DEFAULT_THRESHOLD,
     min_seconds: float = DEFAULT_MIN_SECONDS,
 ) -> DiffReport:
-    """Compare two benchmark reports (parsed JSON, any supported shape)."""
-    if threshold <= 1.0:
-        raise ValueError(f"threshold must exceed 1.0, got {threshold}")
+    """Compare two benchmark reports (parsed JSON, any supported shape).
+
+    Raises ``ValueError`` unless ``threshold`` is finite and exceeds 1.0 and
+    ``min_seconds`` is finite and non-negative: ``nan`` or ``inf`` would
+    switch the gate off (no ratio exceeds them).
+    """
+    if not (math.isfinite(threshold) and threshold > 1.0):
+        raise ValueError(
+            f"threshold must be finite and exceed 1.0, got {threshold}"
+        )
+    if not (math.isfinite(min_seconds) and min_seconds >= 0.0):
+        raise ValueError(
+            f"min_seconds must be finite and non-negative, got {min_seconds}"
+        )
     base = extract_timings(baseline)
     cur = extract_timings(current)
     report = DiffReport(threshold=threshold, min_seconds=min_seconds)

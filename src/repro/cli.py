@@ -56,9 +56,13 @@ their subjects the same way: problem files (any number for ``lint``), then
 ``--scenario NAME`` or ``--all-scenarios`` (not on ``flow`` and
 ``minimize``); ``--json`` prints one object for one subject and a list for
 several.  ``python -m repro lint`` runs the static analyzer and folds in the
-opt-in passes ``--flow``, ``--certify``, ``--sql``, ``--cost``,
-``--semantic`` and ``--verify-optimizations``, which share one
-:class:`~repro.core.pipeline.MappingSystem` per subject.
+``diagnostics`` of the opt-in passes ``--flow``, ``--certify``, ``--sql``,
+``--cost``, ``--semantic`` and ``--verify-optimizations``; the analyzer and
+every pass read one :class:`~repro.core.pipeline.MappingSystem` per subject,
+so each pipeline stage runs once.  ``lint``, ``certify`` and ``sql --check``
+share one exit gate: exit 1 iff a diagnostic is at or above the threshold
+(``certify --fail-on refuted|unknown`` is ``error|warning``, ``sql --check``
+is ``error``).
 
 ``compile``, ``run``, ``explain`` and ``query`` all accept the telemetry
 flags ``--trace`` (print the stage-by-stage run report), ``--profile``
@@ -222,7 +226,7 @@ def cmd_run(args) -> int:
         report = validate_instance(target)
         print()
         print("validation:", report.summary())
-        for item in report.diagnostics():
+        for item in report.diagnostics:
             print(f"  {item.render()}")
         if args.fail_on_violation and not report.ok:
             _emit_telemetry(system, args, profile)
@@ -338,29 +342,25 @@ def cmd_minimize(args) -> int:
     rule provably contained in another rule (chase witnesses printed), flags
     subsumed unitary mappings, and prints the minimized program.
     """
-    from .analysis.semantic.minimize import (
-        mapping_diagnostics,
-        minimize_program,
-        minimize_unitary_mappings,
-    )
 
     def run(system: MappingSystem) -> None:
-        result = system.query_result()
-        minimized = minimize_program(result.program)
+        minimized = system.minimize()
+        # SEM001 per removed rule, then SEM002 per subsumed mapping
+        removals = len(minimized.removed)
+        findings = minimized.diagnostics
 
         print(f"# {system.problem.name}: semantic minimization "
               f"({'after' if args.syntactic_first else 'without'} the "
               f"syntactic optimizer)")
-        if minimized.removed:
-            print(f"removed {len(minimized.removed)} rule(s):")
-            for item in minimized.diagnostics():
+        if removals:
+            print(f"removed {removals} rule(s):")
+            for item in findings[:removals]:
                 print(f"  {item.render()}")
         else:
             print("no removable rules: the program is already minimal")
-        flagged = minimize_unitary_mappings(result.final)
-        if flagged:
-            print(f"subsumed unitary mapping(s): {len(flagged)}")
-            for item in mapping_diagnostics(flagged):
+        if minimized.subsumed:
+            print(f"subsumed unitary mapping(s): {len(minimized.subsumed)}")
+            for item in findings[removals:]:
                 print(f"  {item.render()}")
         print()
         print("# minimized transformation")
@@ -425,6 +425,31 @@ def _drive(args, run, to_json=lambda result: result, **options) -> list | None:
     return results
 
 
+def _gate(args, reports) -> int:
+    """The exit status of ``lint``, ``certify`` and ``sql --check``.
+
+    Writes ``reports`` (the diagnostics of each subject) as SARIF to
+    ``--sarif-out`` when given; then 1 iff some diagnostic is at or above
+    the ``--fail-on`` severity.  Certify's ``refuted``/``unknown`` are the
+    gate at ``error``/``warning`` (REFUTED verdicts are errors, UNKNOWN
+    ones warnings); ``sql --check`` fails on errors (``SQL001`` is one).
+    """
+    from .analysis.diagnostics import ERROR, WARNING, severity_at_least
+    from .analysis.sarif import write_sarif
+
+    if getattr(args, "sarif_out", None):
+        write_sarif(args.sarif_out, *reports)
+    fail_on = getattr(args, "fail_on", ERROR)
+    threshold = {"refuted": ERROR, "unknown": WARNING}.get(fail_on, fail_on)
+    if threshold == "never":
+        return 0
+    return int(any(
+        severity_at_least(item.severity, threshold)
+        for report in reports
+        for item in report
+    ))
+
+
 def cmd_flow(args) -> int:
     """Dump the flow engine's solved abstract state for one problem."""
 
@@ -462,18 +487,12 @@ def cmd_certify(args) -> int:
     minimal counterexample source instance, confirmed on both engines) or
     UNKNOWN, plus the program-level chase-termination bound.
     """
-    from .analysis.sarif import write_sarif
-
     reports = _drive(
         args, lambda system: system.certify(), lambda report: report.to_dict()
     )
     if reports is None:
         return 2
-
-    if args.sarif_out:
-        write_sarif(
-            args.sarif_out, *[report.diagnostics() for report in reports]
-        )
+    status = _gate(args, [report.diagnostics for report in reports])
     if not args.json:
         for report in reports:
             print(report.render())
@@ -485,12 +504,7 @@ def cmd_certify(args) -> int:
             f"{len(reports)} subject(s): {proved} proved, {refuted} refuted, "
             f"{unknown} unknown"
         )
-
-    if args.fail_on == "never":
-        return 0
-    if args.fail_on == "unknown":
-        return 0 if all(report.ok for report in reports) else 1
-    return 1 if any(report.refuted for report in reports) else 0
+    return status
 
 
 def cmd_sql(args) -> int:
@@ -505,6 +519,7 @@ def cmd_sql(args) -> int:
     from .sqlgen import dialect_named
 
     dialect = dialect_named(args.dialect)
+    checks: list = []
 
     def run(system: MappingSystem) -> dict:
         statements = system.sql_pipeline().sql(dialect)
@@ -517,6 +532,7 @@ def cmd_sql(args) -> int:
         }
         if report is not None:
             payload["check"] = report.to_dict()
+            checks.append(report.diagnostics)
         if not args.json:
             print(f"# {system.problem.name}: SQL pipeline ({dialect.name})")
             for statement in statements:
@@ -526,11 +542,7 @@ def cmd_sql(args) -> int:
             print()
         return payload
 
-    payloads = _drive(args, run)
-    if payloads is None:
-        return 2
-    ok = all(payload["check"]["ok"] for payload in payloads if args.check)
-    return 0 if ok else 1
+    return 2 if _drive(args, run) is None else _gate(args, checks)
 
 
 def cmd_plan(args) -> int:
@@ -594,76 +606,42 @@ def cmd_plan(args) -> int:
     return 2 if _drive(args, run) is None else 0
 
 
-def _semantic_findings(system: MappingSystem) -> list:
-    """SEM001/SEM002: chase-provable subsumed rules and unitary mappings."""
-    from .analysis.semantic.minimize import (
-        mapping_diagnostics,
-        minimize_program,
-        minimize_unitary_mappings,
-    )
-
-    result = system.query_result()
-    return minimize_program(result.program).diagnostics() + mapping_diagnostics(
-        minimize_unitary_mappings(result.final)
-    )
-
-
 #: The opt-in lint passes in output order (after analyze's findings): flag,
-#: help, and the pass's findings over the subject's shared MappingSystem.
+#: help, and the pass over the subject's MappingSystem, whose result's
+#: ``diagnostics`` lint folds in.
 LINT_PASSES = (
     ("flow",
      "also run the abstract-interpretation flow engine over the generated "
      "program (FLW001/FLW002/FLW003 findings)",
-     lambda system: system.flow_report().diagnostics),
+     MappingSystem.flow_report),
     ("certify",
      "also run the constraint certifier (CER001/CER002/CER003/TRM001 on "
      "constraints not statically PROVED)",
-     lambda system: system.certify().diagnostics().diagnostics),
+     MappingSystem.certify),
     ("sql",
      "also run the SQL translation validator (SQL001 on statements without "
      "a round-trip proof; SQL002–SQL005 structural findings)",
-     lambda system: system.sql_report().diagnostics().diagnostics),
+     MappingSystem.sql_report),
     ("cost",
      "also run the cost & cardinality certifier (PLN001–PLN004: cross "
      "products, super-linear bounds, unbounded fan-out, dominated join "
      "orders)",
-     lambda system: system.cost_report().findings),
+     MappingSystem.cost_report),
     ("semantic",
      "also run the semantic redundancy pass (SEM001/SEM002: chase-provable "
      "subsumed rules and unitary mappings)",
-     _semantic_findings),
+     MappingSystem.minimize),
     ("verify_optimizations",
      "also run the differential optimizer verifier (SEM003/SEM004 on "
      "certificate failures)",
-     lambda system: system.verify().diagnostics),
+     MappingSystem.verify),
 )
 
 
-def _pass_findings(problem: MappingProblem, algorithm: str, passes) -> list:
-    """The findings of ``passes`` over one shared :class:`MappingSystem`; a
-    failing stage adds none (the structural analyzer reported it)."""
-    findings: list = []
-    try:
-        system = MappingSystem(problem, algorithm=algorithm)
-    except ReproError:
-        return findings
-    for lint_pass in passes:
-        try:
-            findings.extend(lint_pass(system))
-        except ReproError:
-            pass
-    return findings
-
-
 def cmd_lint(args) -> int:
-    from .analysis.analyzer import analyze
-    from .analysis.diagnostics import (
-        ERROR,
-        WARNING,
-        AnalysisReport,
-        severity_at_least,
-    )
-    from .analysis.sarif import to_sarif_json, write_sarif
+    from .analysis.analyzer import analyze_problem
+    from .analysis.diagnostics import AnalysisReport
+    from .analysis.sarif import to_sarif_json
 
     subjects = _subjects(args)
     if subjects is None:
@@ -672,27 +650,33 @@ def cmd_lint(args) -> int:
 
     reports: list[AnalysisReport] = []
     for name, problem, parse_diags in subjects:
-        report = analyze(problem, deep=not args.no_deep, algorithm=args.algorithm)
-        if passes:
-            report.extend(_pass_findings(problem, args.algorithm, passes))
+        # The analyzer's deep checks and every pass read one system's cached
+        # stages.  A problem the system refuses (None) gets no pass; the
+        # deep checks report the refusal.
+        report, system = analyze_problem(
+            problem, deep=not args.no_deep, algorithm=args.algorithm
+        )
+        found = parse_diags + report.diagnostics
+        if system is not None:
+            for lint_pass in passes:
+                try:
+                    found.extend(lint_pass(system).diagnostics)
+                except ReproError:
+                    pass  # a failing stage: the analyzer reported it
         # Lenient parsing and re-linting the built schema can both see the
         # same defect (e.g. SCH010); keep one copy of each finding.
         merged = AnalysisReport(subject=name)
         seen = set()
-        for item in parse_diags + report.diagnostics:
+        for item in found:
             key = (item.code, item.message, str(item.span))
             if key not in seen:
                 seen.add(key)
                 merged.add(item)
         reports.append(merged)
 
-    sarif = None
-    if args.sarif_out:
-        sarif = write_sarif(args.sarif_out, *reports)
-    elif args.format == "sarif":
-        sarif = to_sarif_json(*reports)
+    status = _gate(args, reports)
     if args.format == "sarif":
-        print(sarif)
+        print(to_sarif_json(*reports))
     else:
         for report in reports:
             print(f"# {report.subject}")
@@ -704,16 +688,7 @@ def cmd_lint(args) -> int:
             f"{len(reports)} subject(s): {total_errors} error(s), "
             f"{total_warnings} warning(s)"
         )
-
-    if args.fail_on == "never":
-        return 0
-    threshold = ERROR if args.fail_on == "error" else WARNING
-    failing = any(
-        severity_at_least(item.severity, threshold)
-        for report in reports
-        for item in report
-    )
-    return 1 if failing else 0
+    return status
 
 
 def cmd_bench_diff(args) -> int:

@@ -212,6 +212,27 @@ class MappingSystem:
     def transformation(self) -> DatalogProgram:
         return self.query_result().program
 
+    def minimize(self):
+        """Run (and cache) the semantic minimizer over the generated program.
+
+        Returns the :class:`repro.analysis.semantic.MinimizationResult`:
+        the rules provably contained in another rule removed (``SEM001``,
+        chase witnesses attached) and the provably subsumed unitary
+        mappings flagged (``SEM002``).  Forces the pipeline stages.
+        """
+        from ..analysis.semantic.minimize import (
+            minimize_program,
+            minimize_unitary_mappings,
+        )
+
+        def compute():
+            result = self.query_result()
+            minimized = minimize_program(result.program)
+            minimized.subsumed = minimize_unitary_mappings(result.final)
+            return minimized
+
+        return self._cached("minimize", compute)
+
     def flow_report(self):
         """Run (and cache) the flow engine over the generated program.
 

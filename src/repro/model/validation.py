@@ -68,7 +68,7 @@ class ValidationReport:
     """All constraint violations found in an instance.
 
     ``schema`` is the schema the instance was validated against; it lets
-    :meth:`diagnostics` attach the DSL declaration spans of the violated
+    :attr:`diagnostics` attach the DSL declaration spans of the violated
     constraints, so runtime violations render with locations (and export to
     SARIF) like static lint findings.
     """
@@ -94,6 +94,7 @@ class ValidationReport:
     def __len__(self) -> int:
         return len(self.all_violations())
 
+    @property
     def diagnostics(self) -> list:
         """The violations as structured ``INS*`` diagnostics.
 

@@ -15,7 +15,7 @@ Layers:
 * :mod:`repro.obs.report` — :class:`RunReport`, the serializable per-stage
   summary attached to pipeline results and merged by
   :meth:`repro.core.pipeline.MappingSystem.stats`;
-* :mod:`repro.obs.export` — JSON-lines and Chrome trace-event exporters;
+* :mod:`repro.obs.export` — the Chrome trace-event exporter;
 * :mod:`repro.obs.metrics` — the typed, labeled metrics registry
   (counters, gauges, fixed-bucket histograms; cross-process merging) that
   every tracer records into, behind the exporters;
@@ -30,14 +30,7 @@ The span taxonomy and counter names are documented in
 
 from __future__ import annotations
 
-from .export import (
-    from_jsonl,
-    report_records,
-    to_chrome_trace,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .export import report_records, to_chrome_trace, write_chrome_trace
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -90,7 +83,6 @@ __all__ = [
     "Tracer",
     "count",
     "current_tracer",
-    "from_jsonl",
     "gauge",
     "metrics_snapshot_json",
     "observe",
@@ -100,11 +92,9 @@ __all__ = [
     "span_to_dict",
     "stage_report",
     "to_chrome_trace",
-    "to_jsonl",
     "to_openmetrics",
     "use_tracer",
     "write_chrome_trace",
-    "write_jsonl",
     "write_metrics_json",
     "write_openmetrics",
 ]

@@ -1,13 +1,12 @@
-"""Trace exporters: JSON-lines span dumps and Chrome trace-event files.
+"""Trace exporters: Chrome trace-event files.
 
-Two machine formats complement the human tree of
-:meth:`repro.obs.report.RunReport.render`:
-
-* **JSON lines** — one flat record per span (depth/parent indices) plus one
-  ``counter`` record per counter total; greppable, diffable, streamable;
-* **Chrome trace events** — the ``{"traceEvents": [...]}`` format understood
-  by ``chrome://tracing`` and https://ui.perfetto.dev: complete (``"X"``)
-  events with microsecond timestamps relative to the earliest span.
+The machine format complementing the human tree of
+:meth:`repro.obs.report.RunReport.render` is the **Chrome trace event**
+format — the ``{"traceEvents": [...]}`` files understood by
+``chrome://tracing`` and https://ui.perfetto.dev: complete (``"X"``) events
+with microsecond timestamps relative to the earliest span.
+:func:`report_records` flattens a report into the span and counter records
+the exporter reads.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ def _flatten(
 
 
 def report_records(report: RunReport) -> list[dict[str, Any]]:
-    """The flat JSON-lines records of a report (spans, then counter totals)."""
+    """The flat records of a report: spans (depth-first, with ``index``,
+    ``parent`` and ``depth``), then counter totals."""
     records: list[dict[str, Any]] = []
     counter = [0]
     for top in report.spans:
@@ -47,21 +47,6 @@ def report_records(report: RunReport) -> list[dict[str, Any]]:
     for name in sorted(report.counters):
         records.append({"type": "counter", "name": name, "value": report.counters[name]})
     return records
-
-
-def to_jsonl(report: RunReport) -> str:
-    """Serialize a report as JSON lines (one record per line)."""
-    return "\n".join(json.dumps(r, sort_keys=True) for r in report_records(report))
-
-
-def from_jsonl(text: str) -> list[dict[str, Any]]:
-    """Parse JSON lines back into the flat records (for tools and tests)."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def write_jsonl(report: RunReport, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(to_jsonl(report) + "\n")
 
 
 def to_chrome_trace(report: RunReport) -> dict[str, Any]:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,21 @@ class TestDiffBenchmarks:
         with pytest.raises(ValueError, match="exceed 1.0"):
             diff_benchmarks(BARE, BARE, threshold=1.0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, threshold):
+        # nan compares false against every ratio: it would switch the gate off
+        with pytest.raises(ValueError, match="finite"):
+            diff_benchmarks(BARE, BARE, threshold=threshold)
+
+    @pytest.mark.parametrize("min_seconds", [math.nan, math.inf, -0.5])
+    def test_min_seconds_must_be_finite_and_non_negative(self, min_seconds):
+        with pytest.raises(ValueError, match="min_seconds"):
+            diff_benchmarks(BARE, BARE, min_seconds=min_seconds)
+
+    def test_zero_min_seconds_compares_everything(self):
+        report = diff_benchmarks(BARE, BARE, min_seconds=0.0)
+        assert report.ok and not report.skipped
+
     def test_report_round_trips_to_json(self):
         current = copy.deepcopy(BARE)
         current["figure1-cars3"]["1600"]["batch"] = 0.5
@@ -190,3 +206,22 @@ class TestCli:
         baseline = self._write(tmp_path, "base.json", BARE)
         proc = self._run(baseline, baseline, "--threshold", "0.5")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--threshold", "nan"),
+            ("--threshold", "inf"),
+            ("--min-seconds", "nan"),
+            ("--min-seconds", "inf"),
+        ],
+    )
+    def test_gate_disabling_values_exit_two(self, tmp_path, flag, value):
+        slow = copy.deepcopy(BARE)
+        slow["figure1-cars3"]["1600"]["batch"] = 0.15  # a real 3x regression
+        baseline = self._write(tmp_path, "base.json", BARE)
+        current = self._write(tmp_path, "cur.json", slow)
+        proc = self._run(baseline, current, flag, value)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
+        assert "PASS" not in proc.stdout

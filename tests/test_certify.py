@@ -40,6 +40,7 @@ from repro.logic.terms import SkolemTerm, Variable
 from repro.model.builder import SchemaBuilder
 from repro.model.validation import validate_instance
 from repro.scenarios import bundled_problems
+from repro.scenarios.generator import generate_unbounded_program
 
 
 def _rule(head, body, **kwargs):
@@ -192,7 +193,7 @@ class TestBundledScenariosProved:
 
     def test_proved_verdicts_produce_no_diagnostics(self):
         report = MappingSystem(bundled_problems()["figure-1"]).certify()
-        assert report.diagnostics().diagnostics == []
+        assert report.diagnostics == []
 
 
 class TestGeneratedScenarios:
@@ -327,14 +328,14 @@ class TestReportSurface:
 
     def test_diagnostic_severity_mapping(self):
         refuted_report = certify_program(broken_key_program())
-        items = refuted_report.diagnostics().diagnostics
+        items = refuted_report.diagnostics
         assert any(
             item.code == "CER001" and item.severity == ERROR for item in items
         )
         unknown_report = certify_program(unbounded_program())
         severities = {
             item.code: item.severity
-            for item in unknown_report.diagnostics().diagnostics
+            for item in unknown_report.diagnostics
         }
         # UNKNOWN downgrades to warning; the registry default stays error.
         assert severities["TRM001"] == WARNING
@@ -413,6 +414,31 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "fail_on, code", [("refuted", 1), ("unknown", 1), ("never", 0)]
+    )
+    def test_fail_on_with_a_refuted_constraint(self, fail_on, code, capsys):
+        argv = ["certify", "--scenario", "figure-1", "--algorithm", "basic",
+                "--fail-on", fail_on]
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert out.endswith("1 subject(s): 8 proved, 1 refuted, 0 unknown\n")
+
+    @pytest.mark.parametrize(
+        "fail_on, code", [("refuted", 0), ("unknown", 1), ("never", 0)]
+    )
+    def test_fail_on_with_unknown_constraints_only(
+        self, fail_on, code, monkeypatch, capsys
+    ):
+        # TRM001 downgrades every verdict of the recursive-Skolem program to
+        # UNKNOWN: warnings only, nothing REFUTED.
+        report = certify_program(generate_unbounded_program(), subject="u")
+        monkeypatch.setattr(MappingSystem, "certify", lambda system: report)
+        argv = ["certify", "--scenario", "figure-1", "--fail-on", fail_on]
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert out.endswith("1 subject(s): 0 proved, 0 refuted, 3 unknown\n")
 
     def test_json_output(self, capsys):
         assert main(["certify", "--scenario", "figure-1", "--json"]) == 0

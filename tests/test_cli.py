@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import functools
+import io
 import json
 import pathlib
 
 import pytest
 
+from repro.analysis.sarif import to_sarif
 from repro.cli import main
+from repro.core.pipeline import MappingSystem
+from repro.scenarios import bundled_problems
 
 PROBLEM_TEXT = """
 source schema CARS3:
@@ -275,6 +281,44 @@ class TestSemanticLint:
         assert "<-" in capsys.readouterr().out
 
 
+#: broken_mapping.problem.txt with target T2 renamed to the source's S3
+SHARED_NAME_TEXT = """
+source schema MSRC:
+  relation S1 (k key, a)
+  relation S2 (k key, b)
+  relation S3 (s key, c)
+target schema MTGT:
+  relation T1 (k key, v, w)
+  relation S3 (t key, d)
+correspondences:
+  S1.k -> T1.k
+  S1.a -> T1.v
+  S2.k -> T1.k
+  S2.b -> T1.v
+  S3.c -> S3.t
+  S3.s -> S3.d
+"""
+
+#: every lint pass flag and the MappingSystem accessor whose result it folds in
+PASS_ACCESSORS = [
+    ("--flow", "flow_report"),
+    ("--certify", "certify"),
+    ("--sql", "sql_report"),
+    ("--cost", "cost_report"),
+    ("--semantic", "minimize"),
+    ("--verify-optimizations", "verify"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _lint_sarif_results(*argv: str) -> list:
+    """The SARIF results of ``repro lint ARGV``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["lint", *argv, "--format", "sarif"])
+    return json.loads(out.getvalue())["runs"][0]["results"]
+
+
 class TestLintPasses:
     ALL_PASSES = ["--flow", "--certify", "--sql", "--cost", "--semantic",
                   "--verify-optimizations"]
@@ -292,8 +336,67 @@ class TestLintPasses:
         monkeypatch.setattr(pipeline, "generate_queries", spy)
         assert main(["lint", "--scenario", "figure-1", *self.ALL_PASSES]) == 0
         assert "1 subject(s)" in capsys.readouterr().out
-        # analyze's deep checks, plus one system shared by every pass flag
-        assert len(calls) <= 2
+        # analyze's deep checks and every pass flag share one system
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "subjects, passes",
+        [(["--scenario", "figure-1"], []),
+         (["--scenario", "figure-1"], ALL_PASSES),
+         (["--all-scenarios"], [])],
+    )
+    def test_one_schema_mapping_per_subject(
+        self, monkeypatch, capsys, subjects, passes
+    ):
+        import repro.core.pipeline as pipeline
+        import repro.core.schema_mapping as schema_mapping
+
+        calls = []
+        real = schema_mapping.generate_schema_mapping
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("algorithm"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_schema_mapping", spy)
+        monkeypatch.setattr(schema_mapping, "generate_schema_mapping", spy)
+        assert main(["lint", *subjects, *passes]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(calls)} subject(s)" in out
+        assert set(calls) == {"novel"}
+
+    @pytest.mark.parametrize("passes", [[], ALL_PASSES])
+    def test_refused_problem_lints_without_traceback(
+        self, tmp_path, capsys, passes
+    ):
+        """Schemas sharing a relation name pass the static checks but fail
+        ``MappingProblem.validate()``: lint reports the refusal, runs no
+        pass, and fails."""
+        path = tmp_path / "shared.problem.txt"
+        path.write_text(SHARED_NAME_TEXT)
+        assert main(["lint", str(path), *passes]) == 1
+        out = capsys.readouterr().out
+        findings = [line for line in out.splitlines() if " error: " in line
+                    or " warning: " in line]
+        assert len(findings) == 2
+        assert "MAP001 warning: mandatory target attribute T1.w" in findings[0]
+        assert findings[1] == (
+            f"MAP005 error: query generation failed for {str(path)!r}: "
+            "source and target schemas must use distinct relation names "
+            "(shared: ['S3']); rename one side [§5]"
+        )
+        assert out.endswith("1 subject(s): 1 error(s), 1 warning(s)\n")
+
+    @pytest.mark.parametrize("flag, accessor", PASS_ACCESSORS)
+    @pytest.mark.parametrize("name", sorted(bundled_problems()))
+    def test_pass_flag_folds_in_the_pass_diagnostics(self, name, flag, accessor):
+        """``lint --FLAG`` adds exactly ``system.ACCESSOR().diagnostics``."""
+        system = MappingSystem(bundled_problems()[name])
+        expected = to_sarif(getattr(system, accessor)().diagnostics)
+        with_pass = _lint_sarif_results("--scenario", name, flag)
+        assert with_pass == _lint_sarif_results("--scenario", name) + (
+            expected["runs"][0]["results"]
+        )
 
 
 UNCOVERED_TEXT = """

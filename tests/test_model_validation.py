@@ -122,7 +122,7 @@ def test_diagnostics_carry_declaration_spans():
         },
     )
     report = validate_instance(instance)
-    items = {item.code: item for item in report.diagnostics()}
+    items = {item.code: item for item in report.diagnostics}
     assert set(items) == {"INS001", "INS002", "INS003"}
     for item in items.values():
         assert item.span is not None, item.code

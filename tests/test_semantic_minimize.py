@@ -65,7 +65,7 @@ class TestProgramMinimization:
 
     def test_diagnostics_carry_witnesses(self):
         program = _unoptimized(cars.figure10_problem()).query_result().program
-        diags = minimize_program(program).diagnostics()
+        diags = minimize_program(program).diagnostics
         assert [d.code for d in diags] == ["SEM001"]
         assert diags[0].witness and "->" in diags[0].witness
         assert "witness" in diags[0].render()

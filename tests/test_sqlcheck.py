@@ -56,7 +56,7 @@ class TestRoundTripProofs:
         not_proved = [v for v in report.verdicts if v.verdict != PROVED]
         assert not not_proved, "\n".join(v.render() for v in not_proved)
         assert report.ok
-        assert not report.findings
+        assert not report.structural
 
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_scenarios_all_proved(self, seed):
@@ -125,7 +125,7 @@ class TestStructuralLints:
         )
         bad = InsertSelect(first.node.table, replace(select, where=bad_where))
         report = check_pipeline(self._pipeline_with(program, bad))
-        assert "SQL002" in [f.code for f in report.findings]
+        assert "SQL002" in [f.code for f in report.structural]
         assert not report.ok
 
     def test_sql003_ambiguous_skolem_encoding(self):
@@ -144,12 +144,12 @@ class TestStructuralLints:
         items = (SelectItem(legacy, select.items[0].alias),) + select.items[1:]
         bad = InsertSelect(first.node.table, replace(select, items=items))
         report = check_pipeline(self._pipeline_with(program, bad))
-        assert "SQL003" in [f.code for f in report.findings]
+        assert "SQL003" in [f.code for f in report.structural]
 
     def test_canonical_encoding_is_not_flagged(self):
         # The compiler's own output must never trip SQL003.
         report = check_program(_program("figure-10"))
-        assert "SQL003" not in [f.code for f in report.findings]
+        assert "SQL003" not in [f.code for f in report.structural]
 
     def test_sql004_missing_dedup(self):
         program = _program("figure-1")
@@ -157,7 +157,7 @@ class TestStructuralLints:
         select = replace(first.node.select, distinct=False)
         bad = InsertSelect(first.node.table, select, dedup=None)
         report = check_pipeline(self._pipeline_with(program, bad))
-        assert "SQL004" in [f.code for f in report.findings]
+        assert "SQL004" in [f.code for f in report.structural]
 
     def test_sql005_reordered_pipeline(self):
         # figure-1 negates OCtmp: moving its inserts after the reader makes
@@ -174,13 +174,13 @@ class TestStructuralLints:
             statements=creates + tuple(readers + others + writers),
         )
         report = check_pipeline(reordered)
-        assert "SQL005" in [f.code for f in report.findings]
+        assert "SQL005" in [f.code for f in report.structural]
         assert not report.ok
 
     def test_compiled_order_has_no_sql005(self):
         for name in ("figure-1", "figure-12", "publications"):
             report = check_program(_program(name))
-            assert "SQL005" not in [f.code for f in report.findings], name
+            assert "SQL005" not in [f.code for f in report.structural], name
 
 
 class TestUnknownVerdicts:
@@ -193,7 +193,7 @@ class TestUnknownVerdicts:
             SqlPipeline(program=program, statements=(orphan,))
         )
         assert report.verdicts[0].verdict == UNKNOWN
-        assert "SQL001" in [d.code for d in report.diagnostics()]
+        assert "SQL001" in [d.code for d in report.diagnostics]
 
     def test_mismatched_rule_is_unknown(self):
         # Pair one rule's SQL with a different rule: no equivalence proof.
