@@ -39,16 +39,12 @@ from .schema_lint import lint_schema
 Analyzable = Union[MappingProblem, DatalogProgram, Schema]
 
 
-def _failed(problem: MappingProblem, error: ReproError) -> Diagnostic:
-    """The diagnostic ``error`` carries, else ``MAP005``."""
+def _failed(problem: MappingProblem, error: ReproError, what: str) -> Diagnostic:
+    """The diagnostic ``error`` carries, else ``MAP005`` saying ``what`` failed."""
     carried = getattr(error, "diagnostic", None)
     if carried is not None:
         return carried
-    return diagnostic(
-        "MAP005",
-        f"query generation failed for {problem.name!r}: {error}",
-        subject=problem.name,
-    )
+    return diagnostic("MAP005", f"{what}: {error}", subject=problem.name)
 
 
 def analyze_problem(
@@ -57,17 +53,18 @@ def analyze_problem(
     """:func:`analyze` over a problem, plus the system its deep checks read.
 
     The system is None when it refuses the problem (``validate()`` fails);
-    the deep checks then report the refusal as ``MAP005``.  Passes run
-    later on the returned system reuse its cached stages.
+    the deep checks then report the refusal as ``MAP005 problem ... refused``.
+    Passes run later on the returned system reuse its cached stages.
     """
     with span("lint.analyze", kind="MappingProblem"):
         report = quick_lint(problem)
         deep = deep and report.ok and bool(problem.correspondences)
+        name = problem.name
         try:
             system = MappingSystem(problem, algorithm=algorithm)
         except ReproError as refusal:
             if deep:
-                report.add(_failed(problem, refusal))
+                report.add(_failed(problem, refusal, f"problem {name!r} refused"))
             return report, None
         if deep:
             # The static layers are sound: run Algorithm 4's checks, then
@@ -77,7 +74,8 @@ def analyze_problem(
                 try:
                     program = system.transformation
                 except ReproError as error:
-                    report.add(_failed(problem, error))
+                    what = f"query generation failed for {name!r}"
+                    report.add(_failed(problem, error, what))
                 else:
                     report.extend(lint_program(program))
         return report, system

@@ -26,7 +26,7 @@ from ..logic.tableau import PartialTableau
 from ..logic.terms import Constant, Term, Variable
 from ..obs import count, span
 from .correspondences import Correspondence, Filter
-from .coverage import CoveredCorrespondence, analyse_correspondence
+from .coverage import CoveredCorrespondence, analyse_correspondence, coverage_mappings
 
 
 @dataclass
@@ -37,9 +37,11 @@ class CandidateMapping:
     source_tableau: PartialTableau
     target_tableau: PartialTableau
     selection: tuple[CoveredCorrespondence, ...]
+    #: the correspondences the selection covers (fixed with the selection)
+    covered: frozenset[Correspondence] = field(init=False)
 
-    def covered_set(self) -> frozenset[Correspondence]:
-        return frozenset(c.correspondence for c in self.selection)
+    def __post_init__(self) -> None:
+        self.covered = frozenset(c.correspondence for c in self.selection)
 
     def selection_by_correspondence(self) -> dict[Correspondence, CoveredCorrespondence]:
         return {c.correspondence: c for c in self.selection}
@@ -183,13 +185,33 @@ def _generate_candidates(
     apply_nullable_pruning: bool,
 ) -> CandidateGeneration:
     result = CandidateGeneration()
+
+    def coverage(side: str, tableau: PartialTableau):
+        return [coverage_mappings(getattr(c, side), tableau) for c in correspondences]
+
+    # Each side's coverage depends on its own tableau only.  The target side
+    # is kept across source tableaux only when there is more than one of
+    # them: keeping it for a single pass would hold every target tableau's
+    # coverage at once for nothing.
+    target_coverage = (
+        [coverage("target", t) for t in target_tableaux]
+        if len(source_tableaux) > 1
+        else None
+    )
     for source_tableau in source_tableaux:
-        for target_tableau in target_tableaux:
+        source_cms = coverage("source", source_tableau)
+        source_text = repr(source_tableau)
+        for target_index, target_tableau in enumerate(target_tableaux):
             result.skeleton_count += 1
             skeleton_name = f"S{result.skeleton_count}"
+            target_cms = (
+                coverage("target", target_tableau)
+                if target_coverage is None
+                else target_coverage[target_index]
+            )
             analyses = [
-                analyse_correspondence(c, source_tableau, target_tableau)
-                for c in correspondences
+                analyse_correspondence(c, source, target)
+                for c, source, target in zip(correspondences, source_cms, target_cms)
             ]
             if apply_nullable_pruning:
                 poisoned = [a for a in analyses if a.has_poison]
@@ -198,7 +220,7 @@ def _generate_candidates(
                     result.pruned.append(
                         PruneRecord(
                             skeleton_name,
-                            f"{source_tableau!r} / {target_tableau!r}",
+                            f"{source_text} / {target_tableau!r}",
                             "poison coverage degree for "
                             + ", ".join(repr(a.correspondence) for a in poisoned),
                             rule="poison",

@@ -126,12 +126,16 @@ class SkeletonCoverage:
 
 def analyse_correspondence(
     correspondence: Correspondence,
-    source_tableau: PartialTableau,
-    target_tableau: PartialTableau,
+    source_cms: list[CoverageMapping],
+    target_cms: list[CoverageMapping],
 ) -> SkeletonCoverage:
-    """Classify every coverage-mapping pair of one correspondence in a skeleton."""
-    source_cms = coverage_mappings(correspondence.source, source_tableau)
-    target_cms = coverage_mappings(correspondence.target, target_tableau)
+    """Classify every coverage-mapping pair of one correspondence in a skeleton.
+
+    ``source_cms`` and ``target_cms`` are the :func:`coverage_mappings` of the
+    correspondence's two referenced attributes in the skeleton's source and
+    target tableau; each depends on one tableau only, so candidate generation
+    computes them once per tableau and pairs them here per skeleton.
+    """
     covered: list[CoveredCorrespondence] = []
     poison = False
     for source_cm in source_cms:

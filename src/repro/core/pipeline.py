@@ -141,8 +141,10 @@ class MappingSystem:
         """The cached result ``name``, computed under the tracer on a miss.
 
         Every cached result is dropped first if the problem or an option
-        changed.  A result is stored only once ``compute`` returns, so a
-        stage that raises raises again on the next access.
+        changed.  A stage that raises a :class:`ReproError` is cached too:
+        the error is stored under the stage's name and raised again on every
+        later access, without running the stage again, until the problem or
+        an option changes.
         """
         key = self._cache_key()
         if key != self._key:
@@ -150,9 +152,14 @@ class MappingSystem:
             self._results.clear()
         if name not in self._results:
             with self._traced():
-                result = compute()
-            self._results[name] = result
-        return self._results[name]
+                try:
+                    self._results[name] = compute()
+                except ReproError as error:
+                    self._results[name] = error
+        result = self._results[name]
+        if isinstance(result, ReproError):
+            raise result
+        return result
 
     # -- stage 1: schema mapping generation --------------------------------
 

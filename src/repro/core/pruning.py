@@ -100,7 +100,7 @@ def _binding_fixed_pairs(
 
 def subsumes(small: CandidateMapping, big: CandidateMapping) -> bool:
     """True iff ``big`` is subsumed by ``small`` (paper: m' subsumed by m)."""
-    if small.covered_set() != big.covered_set():
+    if small.covered != big.covered:
         return False
     strict = len(big.source_tableau) > len(small.source_tableau) or len(
         big.target_tableau
@@ -165,7 +165,7 @@ def semantic_subsumption_witnesses(
     """
     from ..analysis.semantic.containment import ConjunctiveQuery, contained_in
 
-    if small.covered_set() != big.covered_set():
+    if small.covered != big.covered:
         return None
     strict = len(big.source_tableau) > len(small.source_tableau) or len(
         big.target_tableau
@@ -173,7 +173,7 @@ def semantic_subsumption_witnesses(
     if not strict:
         return None
 
-    shared = sorted(small.covered_set(), key=repr)
+    shared = sorted(small.covered, key=repr)
 
     def flow_query(candidate: CandidateMapping, side: str) -> ConjunctiveQuery:
         selection = candidate.selection_by_correspondence()
@@ -314,12 +314,19 @@ def _prune_candidates(
         return None
 
     # -- subsumption ------------------------------------------------------
+    # Both subsumption tests reject candidates covering different
+    # correspondences, so each candidate is compared within its bucket only;
+    # a bucket keeps the candidates' order, so the first subsumer is the one
+    # a scan of every candidate would find.
+    buckets: dict[frozenset, list[CandidateMapping]] = {}
+    for candidate in candidates:
+        buckets.setdefault(candidate.covered, []).append(candidate)
     survivors: list[CandidateMapping] = []
     for candidate in candidates:
         record = next(
             (
                 (other, how)
-                for other in candidates
+                for other in buckets[candidate.covered]
                 for how in (subsumption_test(other, candidate),)
                 if other is not candidate and how is not None
             ),
@@ -368,20 +375,22 @@ def _prune_candidates(
     after_implication = [m for i, m in enumerate(survivors) if i not in implied_away]
 
     # -- non-null extension -------------------------------------------------
+    # Only candidates over the same source tableau object are compared, so
+    # each candidate meets the others of its source tableau, in order.
+    if not use_nonnull_extension:
+        result.kept = after_implication
+        return result
+    by_source: dict[int, list[tuple[int, CandidateMapping]]] = {}
+    for j, m_prime in enumerate(after_implication):
+        by_source.setdefault(id(m_prime.source_tableau), []).append((j, m_prime))
     pruned_extension: set[int] = set()
     for i, m in enumerate(after_implication):
-        for j, m_prime in enumerate(after_implication):
+        for j, m_prime in by_source[id(m.source_tableau)]:
             if i == j or i in pruned_extension or j in pruned_extension:
-                continue
-            if not use_nonnull_extension:
-                continue
-            if m.source_tableau is not m_prime.source_tableau:
                 continue
             if not m_prime.target_tableau.is_nonnull_extension_of(m.target_tableau):
                 continue
-            covered_m = m.covered_set()
-            covered_prime = m_prime.covered_set()
-            if covered_m == covered_prime:
+            if m.covered == m_prime.covered:
                 pruned_extension.add(j)
                 count("prune.nonnull-extension")
                 result.pruned.append(
@@ -393,7 +402,7 @@ def _prune_candidates(
                         by=m.name,
                     )
                 )
-            elif covered_m < covered_prime:
+            elif m.covered < m_prime.covered:
                 pruned_extension.add(i)
                 count("prune.nonnull-extension")
                 result.pruned.append(

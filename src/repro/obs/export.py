@@ -5,8 +5,7 @@ The machine format complementing the human tree of
 format — the ``{"traceEvents": [...]}`` files understood by
 ``chrome://tracing`` and https://ui.perfetto.dev: complete (``"X"``) events
 with microsecond timestamps relative to the earliest span.
-:func:`report_records` flattens a report into the span and counter records
-the exporter reads.
+:func:`report_records` flattens a report into span and counter records.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterator
 
-from .report import RunReport
+from .report import RunReport, _walk_dicts
 
 
 def _flatten(
@@ -51,34 +50,24 @@ def report_records(report: RunReport) -> list[dict[str, Any]]:
 
 def to_chrome_trace(report: RunReport) -> dict[str, Any]:
     """The Chrome trace-event dictionary for a report's spans and counters."""
-    records = [r for r in report_records(report) if r["type"] == "span"]
-    origin = min((r["start"] for r in records), default=0.0)
-    events: list[dict[str, Any]] = []
-    for record in records:
-        args: dict[str, Any] = dict(record["attributes"])
-        args.update(record["counters"])
-        events.append(
-            {
-                "name": record["name"],
-                "ph": "X",
-                "ts": (record["start"] - origin) * 1_000_000,
-                "dur": record["duration"] * 1_000_000,
-                "pid": 0,
-                "tid": 0,
-                "args": args,
-            }
-        )
-    for name in sorted(report.counters):
-        events.append(
-            {
-                "name": name,
-                "ph": "C",
-                "ts": 0,
-                "pid": 0,
-                "tid": 0,
-                "args": {name: report.counters[name]},
-            }
-        )
+    spans = [node for top in report.spans for node in _walk_dicts(top)]
+    origin = min((node["start"] for node in spans), default=0.0)
+    events: list[dict[str, Any]] = [
+        {
+            "name": node["name"],
+            "ph": "X",
+            "ts": (node["start"] - origin) * 1_000_000,
+            "dur": node["duration"] * 1_000_000,
+            "pid": 0,
+            "tid": 0,
+            "args": {**(node.get("attributes") or {}), **(node.get("counters") or {})},
+        }
+        for node in spans
+    ]
+    events.extend(
+        {"name": name, "ph": "C", "ts": 0, "pid": 0, "tid": 0, "args": {name: value}}
+        for name, value in sorted(report.counters.items())
+    )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

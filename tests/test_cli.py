@@ -339,6 +339,32 @@ class TestLintPasses:
         # analyze's deep checks and every pass flag share one system
         assert len(calls) == 1
 
+    def test_failing_stage_runs_once(self, monkeypatch, capsys):
+        """A stage that raises is cached with its error: with every pass
+        flag on a problem whose query generation fails, the pipeline
+        generates queries once, and the verifier its unoptimized program
+        once."""
+        import repro.core.pipeline as pipeline
+        import repro.core.query_generation as query_generation
+
+        calls = {"pipeline": 0, "verifier": 0}
+
+        def spy(module, caller):
+            real = module.generate_queries
+
+            def generate_queries(*args, **kwargs):
+                calls[caller] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "generate_queries", generate_queries)
+
+        spy(pipeline, "pipeline")
+        spy(query_generation, "verifier")
+        path = pathlib.Path(__file__).parent / "fixtures" / "broken_mapping.problem.txt"
+        assert main(["lint", str(path), *self.ALL_PASSES]) == 1
+        assert "1 subject(s)" in capsys.readouterr().out
+        assert calls == {"pipeline": 1, "verifier": 1}
+
     @pytest.mark.parametrize(
         "subjects, passes",
         [(["--scenario", "figure-1"], []),
@@ -381,7 +407,7 @@ class TestLintPasses:
         assert len(findings) == 2
         assert "MAP001 warning: mandatory target attribute T1.w" in findings[0]
         assert findings[1] == (
-            f"MAP005 error: query generation failed for {str(path)!r}: "
+            f"MAP005 error: problem {str(path)!r} refused: "
             "source and target schemas must use distinct relation names "
             "(shared: ['S3']); rename one side [§5]"
         )

@@ -88,6 +88,14 @@ class TestDegreeClassification:
             assert not is_poison_degree(degree)
 
 
+def _analyse(correspondence, source_tableau, target_tableau):
+    return analyse_correspondence(
+        correspondence,
+        coverage_mappings(correspondence.source, source_tableau),
+        coverage_mappings(correspondence.target, target_tableau),
+    )
+
+
 class TestAnalyse:
     def test_covered_pair_suppresses_poison(self, cars3, cars2):
         # o2: O3.person -> C2.person is poison against the null variant but
@@ -95,14 +103,14 @@ class TestAnalyse:
         o3 = chase_relation(cars3, "O3", MODIFIED)[0]
         variants = _c2_variants(cars2)
         o2 = correspondence("O3.person", "C2.person", "o2")
-        against_null = analyse_correspondence(o2, o3, variants["null"])
+        against_null = _analyse(o2, o3, variants["null"])
         assert against_null.has_poison and not against_null.covered_pairs
-        against_nonnull = analyse_correspondence(o2, o3, variants["nonnull"])
+        against_nonnull = _analyse(o2, o3, variants["nonnull"])
         assert against_nonnull.covered_pairs and not against_nonnull.has_poison
 
     def test_neutral_analysis(self, cars3, cars2):
         c3 = chase_relation(cars3, "C3", MODIFIED)[0]
         variants = _c2_variants(cars2)
         o2 = correspondence("O3.person", "C2.person", "o2")
-        analysis = analyse_correspondence(o2, c3, variants["null"])
+        analysis = _analyse(o2, c3, variants["null"])
         assert not analysis.covered_pairs and not analysis.has_poison

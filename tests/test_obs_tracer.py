@@ -1,6 +1,7 @@
 """Unit tests for the observability subsystem (repro.obs)."""
 
 import json
+import os
 
 import pytest
 
@@ -250,3 +251,14 @@ class TestExport:
         assert spans[0]["args"]["kind"] == "test"
         assert {e["name"] for e in counters} == {"a", "b"}
         json.dumps(trace)  # must be JSON-serializable as-is
+
+    def test_chrome_trace_of_a_figure_1_compile_is_pinned(self):
+        """A traced figure-1 compile's report exports to the same JSON as
+        the trace recorded with it in ``tests/fixtures/chrome_trace.json``."""
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "chrome_trace.json")
+        with open(path) as handle:
+            recorded = json.load(handle)
+        trace = to_chrome_trace(RunReport.from_dict(recorded["report"]))
+        assert json.dumps(trace, sort_keys=True) == json.dumps(
+            recorded["trace"], sort_keys=True
+        )
