@@ -25,7 +25,6 @@ from repro.analysis.semantic.containment import (
     reset_default_engine,
 )
 from repro.analysis.semantic.minimize import minimize_program
-from repro.analysis.semantic.verifier import verify_system
 from repro.bench import stamp_metadata
 from repro.core.pipeline import MappingSystem
 from repro.obs import Tracer, use_tracer
@@ -118,7 +117,7 @@ def test_differential_verification(benchmark, name):
         reset_default_engine()
         system = MappingSystem(problem)
         with use_tracer(Tracer()) as tracer:
-            report = verify_system(system)
+            report = system.verify()
         return report, dict(tracer.counters)
 
     report, counters = benchmark(run)

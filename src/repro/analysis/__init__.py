@@ -25,7 +25,8 @@ The public surface:
   containment (:func:`contained_in`, :func:`equivalent`), mapping/program
   minimization (:func:`minimize_program`,
   :func:`minimize_unitary_mappings`) and the differential optimizer
-  verifier (:func:`verify_system`).
+  verifier (:func:`verify_result`, run on a system's own stage 2 by
+  :meth:`~repro.core.pipeline.MappingSystem.verify`).
 
 See ``docs/ANALYSIS.md`` for the code reference.
 
@@ -80,7 +81,7 @@ _EXPORTS = {
     "equivalent": ".semantic",
     "minimize_program": ".semantic",
     "minimize_unitary_mappings": ".semantic",
-    "verify_system": ".semantic",
+    "verify_result": ".semantic",
     "VerificationReport": ".semantic",
 }
 
@@ -133,7 +134,7 @@ if TYPE_CHECKING:  # pragma: no cover
         equivalent,
         minimize_program,
         minimize_unitary_mappings,
-        verify_system,
+        verify_result,
     )
 
 

@@ -29,22 +29,19 @@ from ..model.schema import Schema
 from ..obs import span
 from .datalog_lint import lint_program
 from .diagnostics import AnalysisReport, Diagnostic, diagnostic
-from .mapping_lint import (
-    correspondence_diagnostics,
-    coverage_diagnostics,
-    key_management_diagnostics,
-)
+from .mapping_lint import correspondence_diagnostics, coverage_diagnostics
 from .schema_lint import lint_schema
 
 Analyzable = Union[MappingProblem, DatalogProgram, Schema]
 
 
-def _failed(problem: MappingProblem, error: ReproError, what: str) -> Diagnostic:
-    """The diagnostic ``error`` carries, else ``MAP005`` saying ``what`` failed."""
-    carried = getattr(error, "diagnostic", None)
-    if carried is not None:
-        return carried
-    return diagnostic("MAP005", f"{what}: {error}", subject=problem.name)
+def _failed(
+    problem: MappingProblem, error: ReproError, what: str
+) -> list[Diagnostic]:
+    """The diagnostics ``error`` carries, else ``MAP005`` saying ``what`` failed."""
+    return error.diagnostics or [
+        diagnostic("MAP005", f"{what}: {error}", subject=problem.name)
+    ]
 
 
 def analyze_problem(
@@ -64,20 +61,21 @@ def analyze_problem(
             system = MappingSystem(problem, algorithm=algorithm)
         except ReproError as refusal:
             if deep:
-                report.add(_failed(problem, refusal, f"problem {name!r} refused"))
+                report.extend(_failed(problem, refusal, f"problem {name!r} refused"))
             return report, None
         if deep:
-            # The static layers are sound: run Algorithm 4's checks, then
-            # generate the transformation and lint it.
-            report.extend(key_management_diagnostics(system))
-            if report.ok:
-                try:
-                    program = system.transformation
-                except ReproError as error:
-                    what = f"query generation failed for {name!r}"
-                    report.add(_failed(problem, error, what))
-                else:
-                    report.extend(lint_program(program))
+            # The static layers are sound: run both stages and lint the
+            # program.  Algorithm 4 stops with one error carrying every
+            # MAP003, then every MAP002 finding; lint reports those.
+            stage = "schema-mapping generation"
+            try:
+                system.schema_mapping
+                stage = "query generation"
+                program = system.transformation
+            except ReproError as error:
+                report.extend(_failed(problem, error, f"{stage} failed for {name!r}"))
+            else:
+                report.extend(lint_program(program))
         return report, system
 
 

@@ -1,25 +1,19 @@
 """Mapping-level checks (the ``MAP*`` codes, §4–§6).
 
-Two layers, by cost:
-
-* *static* checks read only the problem — correspondence well-formedness
-  (``MAP004``) and coverage of mandatory target attributes (``MAP001``);
-* *deep* checks run the paper's query-generation machinery without raising —
-  Algorithm 4's functionality check per unitary mapping (``MAP003``) and its
-  hard key-conflict identification (``MAP002``).  A pipeline stage that fails
-  outright is reported as ``MAP005`` instead of propagating.  They read
-  stage 1 from a :class:`~repro.core.pipeline.MappingSystem`'s cache, so
-  the analyzer and every ``repro lint`` pass share one run of it.
+The checks here are the *static* ones: they read only the problem —
+correspondence well-formedness (``MAP004``) and coverage of mandatory target
+attributes (``MAP001``).  The *deep* checks are Algorithm 4's own: stage 2 of
+a :class:`~repro.core.pipeline.MappingSystem` stops with one error carrying
+every non-functional unitary mapping (``MAP003``), then every hard key
+conflict (``MAP002``), and :func:`repro.analysis.analyzer.analyze_problem`
+reports those findings.  So they reflect the system's algorithm (none under
+the basic one), and no check runs twice; a failing stage that carries no
+finding is ``MAP005``.
 """
 
 from __future__ import annotations
 
-from ..core.conflicts import find_all_conflicts
-from ..core.functionality import check_functionality
-from ..core.pipeline import MappingProblem, MappingSystem
-from ..core.query_generation import rewrite_to_unitary
-from ..core.schema_mapping import NOVEL
-from ..core.skolem import skolemize_schema_mapping
+from ..core.pipeline import MappingProblem
 from ..errors import ReproError
 from .diagnostics import Diagnostic, diagnostic
 
@@ -77,53 +71,3 @@ def coverage_diagnostics(problem: MappingProblem) -> list[Diagnostic]:
                 )
             )
     return found
-
-
-def key_management_diagnostics(system: MappingSystem) -> list[Diagnostic]:
-    """``MAP002`` / ``MAP003`` / ``MAP005`` via Algorithm 4's own machinery.
-
-    Skolemizes the system's (cached) schema mapping and rewrites it to
-    unitary mappings, then — instead of Algorithm 4's "signal an error and
-    stop" — reports every functionality violation and every hard key
-    conflict found.
-    """
-    source = system.problem.source_schema
-    target = system.problem.target_schema
-    try:
-        skolemized = skolemize_schema_mapping(
-            list(system.schema_mapping),
-            target,
-            use_null_for_nullable=(system.algorithm == NOVEL),
-        )
-        unitary = rewrite_to_unitary(skolemized)
-    except ReproError as error:
-        name = system.problem.name
-        return [
-            diagnostic(
-                "MAP005",
-                f"schema-mapping generation failed for {name!r}: {error}",
-                subject=name,
-            )
-        ]
-
-    found: list[Diagnostic] = []
-    for item in unitary:
-        violation = check_functionality(item, source, target)
-        if violation is not None:
-            found.append(
-                diagnostic("MAP003", str(violation), subject=item.name)
-            )
-    for conflict in find_all_conflicts(unitary, source, target):
-        if conflict.is_hard:
-            found.append(
-                diagnostic(
-                    "MAP002",
-                    f"unresolvable hard key conflict: {conflict}; both "
-                    "mappings copy source values into "
-                    f"{conflict.left.consequent.relation}.{conflict.attribute}",
-                    subject=f"{conflict.left.consequent.relation}."
-                    f"{conflict.attribute}",
-                )
-            )
-    return found
-

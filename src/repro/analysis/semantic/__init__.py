@@ -29,7 +29,7 @@ from .containment import (
     reset_default_engine,
 )
 from .minimize import MinimizationResult, minimize_program, minimize_unitary_mappings
-from .verifier import VerificationReport, verify_system
+from .verifier import VerificationReport, verify_result
 
 __all__ = [
     "ConjunctiveQuery",
@@ -46,5 +46,5 @@ __all__ = [
     "minimize_program",
     "minimize_unitary_mappings",
     "reset_default_engine",
-    "verify_system",
+    "verify_result",
 ]

@@ -5,7 +5,9 @@ the "standard query optimization" of Example 6.8
 (:func:`repro.datalog.optimize.remove_subsumed_rules`) and the soft
 key-conflict resolution of Algorithm 4 step 3
 (:func:`repro.core.resolution.resolve_key_conflicts`).  This module
-statically certifies both, per mapping problem:
+statically certifies both, per mapping problem, on the stage-2 result the
+pipeline emitted (which keeps the program as built before ``qgen.optimize``),
+so certifying runs no stage again:
 
 * **optimizer certificates** — every rule the optimizer drops must have a
   chase containment witness into a kept rule of the same relation (or be a
@@ -36,10 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ...core.query_generation import QueryGenerationResult
 from ...core.resolution import rename_functors_in_atom
-from ...core.schema_mapping import NOVEL
 from ...datalog.engine import evaluate
-from ...datalog.optimize import remove_subsumed_rules
 from ...datalog.program import DatalogProgram, Rule
 from ...errors import ReproError
 from ...logic.mappings import SchemaMapping, UnitaryMapping
@@ -187,49 +188,34 @@ def _ground(term: object) -> object:
 
 def verify_generation(
     schema_mapping: SchemaMapping,
-    algorithm: str = NOVEL,
-    skolem_strategy: str | None = None,
-    propagate_unification: bool = True,
     problem: str = "",
     engine: ContainmentEngine | None = None,
 ) -> VerificationReport:
-    """Certify the optimizer and resolution rewrites for one schema mapping.
-
-    Regenerates query generation without optimization, applies
-    ``remove_subsumed_rules`` itself, and certifies every difference.
-    """
+    """Run query generation (Algorithm 4) once and certify its result."""
     from ...core.query_generation import generate_queries
 
+    return verify_result(
+        generate_queries(schema_mapping), problem=problem, engine=engine
+    )
+
+
+def verify_result(
+    result: QueryGenerationResult,
+    problem: str = "",
+    engine: ContainmentEngine | None = None,
+) -> VerificationReport:
+    """Certify the optimizer and resolution rewrites of one stage-2 result."""
     engine = engine or default_engine()
     report = VerificationReport(problem=problem)
     with span("semantic.verify", problem=problem):
-        base = generate_queries(
-            schema_mapping,
-            algorithm=algorithm,
-            skolem_strategy=skolem_strategy,
-            optimize=False,
-            propagate_unification=propagate_unification,
-        )
-        unoptimized = base.program
-        optimized = remove_subsumed_rules(unoptimized)
+        unoptimized, optimized = result.unoptimized, result.program
         _certify_optimizer(report, engine, unoptimized, optimized)
         instances = canonical_instances(unoptimized)
         targets = _certify_differential(report, unoptimized, optimized, instances)
-        if base.resolution is not None:
-            _certify_resolution_rewrites(report, engine, base)
+        if result.resolution is not None:
+            _certify_resolution_rewrites(report, engine, result)
             _certify_resolution_keys(report, targets)
     return report
-
-
-def verify_system(system, engine: ContainmentEngine | None = None) -> VerificationReport:
-    """Certify a :class:`repro.core.pipeline.MappingSystem`'s rewrites."""
-    return verify_generation(
-        system.schema_mapping,
-        algorithm=system.algorithm,
-        skolem_strategy=system.skolem_strategy,
-        problem=system.problem.name,
-        engine=engine,
-    )
 
 
 def _certify_optimizer(
@@ -264,10 +250,10 @@ def _certify_optimizer(
         query = cq_from_rule(rule)
         witness = next(
             (
-                (other, engine.contained_in(query, other_query))
+                (other, w)
                 for other, other_query in kept_queries
                 if other.head_relation == rule.head_relation
-                and engine.contained_in(query, other_query) is not None
+                and (w := engine.contained_in(query, other_query)) is not None
             ),
             None,
         )

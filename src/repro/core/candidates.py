@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..logic.tableau import PartialTableau
 from ..logic.terms import Constant, Term, Variable
@@ -106,13 +107,35 @@ class CandidateMapping:
         return f"{self.name}: {self.source_tableau!r} / {self.target_tableau!r} / {covered}"
 
 
+class _RenderedOnRead:
+    """A text field that may be set to a callable, rendered on first read."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, record, owner=None) -> str:
+        if record is None:
+            raise AttributeError(self.slot)  # no class-level default
+        text = record.__dict__[self.slot]
+        if callable(text):
+            text = record.__dict__[self.slot] = text()
+        return text
+
+    def __set__(self, record, text) -> None:
+        record.__dict__[self.slot] = text
+
+
 @dataclass
 class PruneRecord:
-    """Why a skeleton or candidate was discarded (for reports and tests)."""
+    """Why a skeleton or candidate was discarded (for reports and tests).
+
+    ``description`` and ``reason`` also take a callable returning the text,
+    rendered when first read: few callers read a poisoned skeleton's text.
+    """
 
     name: str
-    description: str
-    reason: str
+    description: str = _RenderedOnRead()  # type: ignore[assignment]
+    reason: str = _RenderedOnRead()  # type: ignore[assignment]
     rule: str  # "poison", "unbound-nonnull", "subsumption", "implication", "nonnull-extension"
     by: str | None = None  # the name of the candidate that caused the pruning
 
@@ -151,6 +174,14 @@ def _unbound_nonnull_violation(candidate: CandidateMapping) -> str | None:
                 continue
             return f"{atom.relation}.{attribute}"
     return None
+
+
+def _skeleton_text(source: PartialTableau, target: PartialTableau) -> str:
+    return f"{source!r} / {target!r}"
+
+
+def _poison_text(poisoned: list[Correspondence]) -> str:
+    return "poison coverage degree for " + ", ".join(repr(c) for c in poisoned)
 
 
 def generate_candidates(
@@ -200,7 +231,6 @@ def _generate_candidates(
     )
     for source_tableau in source_tableaux:
         source_cms = coverage("source", source_tableau)
-        source_text = repr(source_tableau)
         for target_index, target_tableau in enumerate(target_tableaux):
             result.skeleton_count += 1
             skeleton_name = f"S{result.skeleton_count}"
@@ -220,9 +250,10 @@ def _generate_candidates(
                     result.pruned.append(
                         PruneRecord(
                             skeleton_name,
-                            f"{source_text} / {target_tableau!r}",
-                            "poison coverage degree for "
-                            + ", ".join(repr(a.correspondence) for a in poisoned),
+                            partial(_skeleton_text, source_tableau, target_tableau),
+                            partial(
+                                _poison_text, [a.correspondence for a in poisoned]
+                            ),
                             rule="poison",
                         )
                     )

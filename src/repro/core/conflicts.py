@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis.diagnostics import Diagnostic, diagnostic
 from ..logic.mappings import UnitaryMapping
 from ..logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
 from ..model.schema import Schema
@@ -74,6 +75,16 @@ class KeyConflict:
             f"on {self.left.consequent.relation}.{self.attribute}"
         )
 
+    def diagnostic(self) -> Diagnostic:
+        """This (hard) conflict as a ``MAP002`` finding."""
+        where = f"{self.left.consequent.relation}.{self.attribute}"
+        return diagnostic(
+            "MAP002",
+            f"unresolvable hard key conflict: {self}; both mappings copy "
+            f"source values into {where}",
+            subject=where,
+        )
+
 
 def find_key_conflicts(
     left: UnitaryMapping,
@@ -120,7 +131,11 @@ def find_all_conflicts(
     source_schema: Schema,
     target_schema: Schema,
 ) -> list[KeyConflict]:
-    """All pairwise key conflicts inside every conflicting set."""
+    """All pairwise key conflicts inside every conflicting set.
+
+    The one place that probes pairs of unitary mappings: conflicts come
+    grouped by conflicting set, then by pair ``(i, j)`` with ``i < j``.
+    """
     conflicts: list[KeyConflict] = []
     for group in conflicting_sets(mappings).values():
         for i in range(len(group)):

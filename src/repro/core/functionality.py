@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import NonFunctionalMappingError
+from ..analysis.diagnostics import Diagnostic, diagnostic
 from ..logic.mappings import Premise, UnitaryMapping
 from ..logic.satisfiability import EgdClosure
 from ..logic.terms import Term, Variable
@@ -60,6 +60,12 @@ class FunctionalityViolation:
             f"mapping {self.mapping.name or self.mapping.origin} can produce two "
             f"{self.mapping.consequent.relation} tuples with the same key but "
             f"different values for {self.attribute!r}"
+        )
+
+    def diagnostic(self) -> Diagnostic:
+        """This violation as a ``MAP003`` finding."""
+        return diagnostic(
+            "MAP003", str(self), subject=self.mapping.name or self.mapping.origin
         )
 
 
@@ -116,23 +122,15 @@ def check_functionality(
     return None
 
 
-def assert_all_functional(
+def functionality_violations(
     mappings: list[UnitaryMapping],
     source_schema: Schema,
     target_schema: Schema,
-) -> None:
-    """Raise :class:`NonFunctionalMappingError` on the first violation found."""
+) -> list[FunctionalityViolation]:
+    """Every functionality violation among ``mappings``, in mapping order."""
     with span("qgen.functionality", mappings=len(mappings)):
-        for mapping in mappings:
-            violation = check_functionality(mapping, source_schema, target_schema)
-            if violation is not None:
-                from ..analysis.diagnostics import diagnostic
-
-                raise NonFunctionalMappingError(
-                    str(violation),
-                    diagnostic=diagnostic(
-                        "MAP003",
-                        str(violation),
-                        subject=mapping.name or mapping.origin,
-                    ),
-                )
+        checked = (
+            check_functionality(mapping, source_schema, target_schema)
+            for mapping in mappings
+        )
+        return [violation for violation in checked if violation is not None]

@@ -192,7 +192,8 @@ class MappingSystem:
             optimize=self.optimize,
         )
         if self.verify_optimizations:
-            report = self.verify()
+            # The fresh result: query_result() would re-enter this stage.
+            report = self._verify(lambda: result)
             if not report.ok:
                 first = report.diagnostics[0]
                 raise ReproError(
@@ -207,13 +208,20 @@ class MappingSystem:
 
         Returns the :class:`repro.analysis.semantic.VerificationReport`
         certifying that ``remove_subsumed_rules`` and key-conflict
-        resolution preserved the program's semantics for this problem.
-        Never raises on failures — :attr:`verify_optimizations` adds the
-        raising behaviour to the pipeline itself.
+        resolution preserved the program's semantics in this system's own
+        stage 2, which it forces.  Never raises on certificate failures —
+        :attr:`verify_optimizations` adds the raising behaviour to the
+        pipeline itself.
         """
-        from ..analysis.semantic.verifier import verify_system
+        return self._verify(self.query_result)
 
-        return self._cached("verify", lambda: verify_system(self))
+    def _verify(self, stage2):
+        """The cached verifier report of the result ``stage2()`` returns."""
+        from ..analysis.semantic.verifier import verify_result
+
+        return self._cached(
+            "verify", lambda: verify_result(stage2(), problem=self.problem.name)
+        )
 
     @property
     def transformation(self) -> DatalogProgram:

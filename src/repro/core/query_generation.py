@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import QueryGenerationError
+from ..errors import NonFunctionalMappingError, QueryGenerationError
 from ..logic.atoms import NegatedPremise, RelationalAtom
 from ..logic.mappings import LogicalMapping, SchemaMapping, UnitaryMapping
 from ..logic.terms import Variable
@@ -22,7 +22,8 @@ from ..model.schema import Schema
 from ..obs import RunReport, count, span, stage_report
 from ..datalog.optimize import remove_subsumed_rules
 from ..datalog.program import DatalogProgram, Rule
-from .functionality import assert_all_functional
+from .conflicts import find_all_conflicts
+from .functionality import functionality_violations
 from .resolution import ResolutionReport, resolve_key_conflicts
 from .schema_mapping import BASIC, NOVEL
 from .skolem import (
@@ -71,6 +72,8 @@ class QueryGenerationResult:
     """The emitted program plus the intermediate artifacts of Algorithm 4."""
 
     program: DatalogProgram
+    #: the program before ``qgen.optimize`` (``program`` when it is off)
+    unoptimized: DatalogProgram
     skolemized: list[LogicalMapping] = field(default_factory=list)
     unitary: list[UnitaryMapping] = field(default_factory=list)
     final: list[UnitaryMapping] = field(default_factory=list)
@@ -144,9 +147,13 @@ def generate_queries(
     algorithm: str = NOVEL,
     skolem_strategy: str | None = None,
     optimize: bool = True,
-    propagate_unification: bool = True,
 ) -> QueryGenerationResult:
-    """Run query generation end to end (Algorithm 2 or 4)."""
+    """Run query generation end to end (Algorithm 2 or 4).
+
+    Algorithm 4 stops with one error carrying every ``MAP003``, then every
+    ``MAP002`` finding: a :class:`NonFunctionalMappingError` if any mapping
+    is non-functional, else resolution's ``HardKeyConflictError``.
+    """
     if algorithm not in (BASIC, NOVEL):
         raise QueryGenerationError(f"unknown algorithm {algorithm!r}")
     source_schema = schema_mapping.source_schema
@@ -173,18 +180,26 @@ def generate_queries(
 
         resolution: ResolutionReport | None = None
         if algorithm == NOVEL:
-            assert_all_functional(unitary, source_schema, target_schema)
+            violations = functionality_violations(
+                unitary, source_schema, target_schema
+            )
+            if violations:
+                conflicts = find_all_conflicts(unitary, source_schema, target_schema)
+                hard = [conflict for conflict in conflicts if conflict.is_hard]
+                findings = [item.diagnostic() for item in [*violations, *hard]]
+                raise NonFunctionalMappingError(
+                    findings[0].message, diagnostics=findings
+                )
             final, resolution = resolve_key_conflicts(
-                unitary,
-                source_schema,
-                target_schema,
-                propagate_unification=propagate_unification,
+                unitary, source_schema, target_schema
             )
         else:
             final = unitary
 
         with span("qgen.build_program", mappings=len(final)):
-            program = build_program(final, source_schema, target_schema)
+            program = unoptimized = build_program(
+                final, source_schema, target_schema
+            )
         if optimize:
             before = len(program.rules)
             with span("qgen.optimize"):
@@ -194,6 +209,7 @@ def generate_queries(
         trace.set(rules=len(program.rules))
     return QueryGenerationResult(
         program=program,
+        unoptimized=unoptimized,
         skolemized=skolemized,
         unitary=unitary,
         final=final,

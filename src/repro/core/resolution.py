@@ -1,9 +1,11 @@
 """Soft key-conflict resolution (Algorithm 4, step 3).
 
 Given the unitary skolemized mappings and the key conflicts identified by
-:mod:`repro.core.conflicts`, this module performs the paper's rewriting:
+:func:`repro.core.conflicts.find_all_conflicts`, this module performs the
+paper's rewriting:
 
-* **hard conflicts** raise :class:`HardKeyConflictError`;
+* **hard conflicts** raise one :class:`HardKeyConflictError` carrying every
+  one of them;
 * **basic resolution**: a mapping with preferable competitors is partially
   disabled by conjoining, for each preferable mapping ``m'``, the negation of
   ``m'``'s premise projected on the target key, correlated on the mapping's
@@ -36,7 +38,7 @@ from .conflicts import (
     NULL_KIND,
     KeyConflict,
     conflicting_sets,
-    find_key_conflicts,
+    find_all_conflicts,
     term_kind,
 )
 
@@ -198,59 +200,38 @@ def _resolve_key_conflicts(
     target_schema: Schema,
     propagate_unification: bool,
 ) -> tuple[list[UnitaryMapping], ResolutionReport]:
-    report = ResolutionReport()
+    conflicts = find_all_conflicts(mappings, source_schema, target_schema)
+    hard = [conflict.diagnostic() for conflict in conflicts if conflict.is_hard]
+    if hard:
+        raise HardKeyConflictError(hard[0].message, diagnostics=hard)
+    report = ResolutionReport(conflicts=conflicts)
     unifier = FunctorUnifier()
     negations: dict[str, list[NegatedPremise]] = {}
     fused_mappings: list[UnitaryMapping] = []
+    groups = conflicting_sets(mappings)
 
-    for relation_name, group in conflicting_sets(mappings).items():
-        if len(group) < 2:
-            continue
-        # -- identify ------------------------------------------------------
+    # find_all_conflicts lists conflicts set by set, in conflicting-set order.
+    for relation_name, group_conflicts in itertools.groupby(
+        conflicts, key=lambda conflict: conflict.left.consequent.relation
+    ):
+        group = groups[relation_name]
+        # -- preferences between the group's members -----------------------
+        relation = target_schema.relation(relation_name)
+        index = {id(mapping): i for i, mapping in enumerate(group)}
         preferred_over: dict[tuple[int, int], set[str]] = {}
-        group_conflicts: list[KeyConflict] = []
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                for conflict in find_key_conflicts(
-                    group[i], group[j], source_schema, target_schema
-                ):
-                    group_conflicts.append(conflict)
-                    if conflict.is_hard:
-                        from ..analysis.diagnostics import diagnostic
-
-                        message = (
-                            f"hard key conflict: {conflict} — both mappings copy "
-                            "source values into the same key"
-                        )
-                        raise HardKeyConflictError(
-                            message,
-                            diagnostic=diagnostic(
-                                "MAP002",
-                                message,
-                                subject=f"{relation_name}.{conflict.attribute}",
-                            ),
-                        )
-                    if conflict.preferred == "left":
-                        preferred_over.setdefault((i, j), set()).add(conflict.attribute)
-                    elif conflict.preferred == "right":
-                        preferred_over.setdefault((j, i), set()).add(conflict.attribute)
-                    else:  # equal-preference invent/invent: unify the functors
-                        left_term = conflict.left.consequent.terms[
-                            target_schema.relation(relation_name).position(
-                                conflict.attribute
-                            )
-                        ]
-                        right_term = conflict.right.consequent.terms[
-                            target_schema.relation(relation_name).position(
-                                conflict.attribute
-                            )
-                        ]
-                        assert isinstance(left_term, SkolemTerm)
-                        assert isinstance(right_term, SkolemTerm)
-                        unifier.unify(left_term.functor, right_term.functor)
-        report.conflicts.extend(group_conflicts)
-        if not group_conflicts:
-            continue
+        for conflict in group_conflicts:
+            i, j = index[id(conflict.left)], index[id(conflict.right)]
+            if conflict.preferred == "left":
+                preferred_over.setdefault((i, j), set()).add(conflict.attribute)
+            elif conflict.preferred == "right":
+                preferred_over.setdefault((j, i), set()).add(conflict.attribute)
+            else:  # equal-preference invent/invent: unify the functors
+                position = relation.position(conflict.attribute)
+                left_term = conflict.left.consequent.terms[position]
+                right_term = conflict.right.consequent.terms[position]
+                assert isinstance(left_term, SkolemTerm)
+                assert isinstance(right_term, SkolemTerm)
+                unifier.unify(left_term.functor, right_term.functor)
 
         # -- basic resolution: disable less-preferred mappings ---------------
         for i, mapping in enumerate(group):

@@ -10,7 +10,7 @@ logical mappings).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .analysis.diagnostics import Diagnostic
@@ -21,13 +21,23 @@ class ReproError(Exception):
 
     Raise sites that correspond to a stable static-analysis code (see
     :mod:`repro.analysis.diagnostics`) pass the structured diagnostic via
-    the ``diagnostic`` keyword; it is exposed as ``error.diagnostic`` so the
-    CLI and the linter can surface the code, severity and source span.
+    the ``diagnostic`` keyword, or several findings via ``diagnostics``.
+    They are exposed as ``error.diagnostics``, and the first one as
+    ``error.diagnostic``, so the CLI and the linter can surface the code,
+    severity and source span.
     """
 
-    def __init__(self, *args: Any, diagnostic: "Diagnostic | None" = None):
+    def __init__(
+        self,
+        *args: Any,
+        diagnostic: "Diagnostic | None" = None,
+        diagnostics: "Sequence[Diagnostic]" = (),
+    ):
         super().__init__(*args)
-        self.diagnostic = diagnostic
+        self.diagnostics = list(diagnostics) or (
+            [diagnostic] if diagnostic is not None else []
+        )
+        self.diagnostic = self.diagnostics[0] if self.diagnostics else None
 
 
 class SchemaError(ReproError):
@@ -66,15 +76,15 @@ class NonFunctionalMappingError(QueryGenerationError):
     """A unitary logical mapping can violate the key of its target relation.
 
     Raised by the functionality check of Algorithm 4, step 2 ("If this is not
-    the case, signal an error and stop").
+    the case, signal an error and stop").  It carries every ``MAP003``, then
+    every ``MAP002`` finding of the mapping as ``error.diagnostics``.
     """
 
 
 class HardKeyConflictError(QueryGenerationError):
     """Two logical mappings copy distinct source values into the same key.
 
-    Raised by Algorithm 4, step 3 for hard (or otherwise unsolvable) key
-    conflicts.
+    Raised by Algorithm 4, step 3; carries every ``MAP002`` finding.
     """
 
 

@@ -342,8 +342,8 @@ class TestLintPasses:
     def test_failing_stage_runs_once(self, monkeypatch, capsys):
         """A stage that raises is cached with its error: with every pass
         flag on a problem whose query generation fails, the pipeline
-        generates queries once, and the verifier its unoptimized program
-        once."""
+        generates queries once, and the verifier, which reads the
+        pipeline's own stage 2, never."""
         import repro.core.pipeline as pipeline
         import repro.core.query_generation as query_generation
 
@@ -363,7 +363,61 @@ class TestLintPasses:
         path = pathlib.Path(__file__).parent / "fixtures" / "broken_mapping.problem.txt"
         assert main(["lint", str(path), *self.ALL_PASSES]) == 1
         assert "1 subject(s)" in capsys.readouterr().out
-        assert calls == {"pipeline": 1, "verifier": 1}
+        assert calls == {"pipeline": 1, "verifier": 0}
+
+    @pytest.mark.parametrize("subject", ["figure-1", "broken_mapping"])
+    def test_key_checks_run_once(self, monkeypatch, capsys, subject):
+        """``lint`` with every pass flag makes exactly the functionality
+        checks and pair probes of one system's stage 2: the deep checks
+        read its findings instead of running Algorithm 4 again."""
+        import repro.core.conflicts as conflicts
+        import repro.core.functionality as functionality
+        from repro.dsl.parser import parse_problem
+        from repro.errors import ReproError
+
+        calls = {"check_functionality": 0, "find_key_conflicts": 0}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(functionality, "check_functionality")
+        spy(conflicts, "find_key_conflicts")
+        if subject == "figure-1":
+            argv = ["--scenario", "figure-1"]
+            problem = bundled_problems()["figure-1"]
+        else:
+            path = pathlib.Path(__file__).parent / "fixtures" / f"{subject}.problem.txt"
+            argv = [str(path)]
+            problem = parse_problem(path.read_text())
+        main(["lint", *argv, *self.ALL_PASSES])
+        assert "1 subject(s)" in capsys.readouterr().out
+        linted = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        with contextlib.suppress(ReproError):
+            MappingSystem(problem).transformation
+        assert linted == calls
+        assert all(calls.values()), calls
+
+    def test_basic_lint_reports_the_basic_programs_key_violations(self, capsys):
+        """Under ``--algorithm basic`` the deep checks reflect Algorithm 2,
+        which has no key management: no MAP002/MAP003.  The certifier is
+        where the basic program's key violations show (CER001)."""
+        path = pathlib.Path(__file__).parent / "fixtures" / "broken_mapping.problem.txt"
+        assert main(["compile", str(path), "--algorithm", "basic"]) == 0
+        capsys.readouterr()
+        assert main(["lint", str(path), "--algorithm", "basic", "--certify"]) == 1
+        out = capsys.readouterr().out
+        assert "MAP002" not in out and "MAP003" not in out
+        refuted = [line for line in out.splitlines() if " CER001 error: " in line]
+        assert len(refuted) == 2
+        assert "key of T1 (k): REFUTED" in refuted[0]
+        assert "key of T2 (t): REFUTED" in refuted[1]
 
     @pytest.mark.parametrize(
         "subjects, passes",

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.functionality import (
-    assert_all_functional,
     check_functionality,
+    functionality_violations,
     rename_unitary,
 )
 from repro.core.query_generation import generate_queries, rewrite_to_unitary
@@ -39,9 +39,11 @@ class TestExampleC1:
                 is None
             ), repr(mapping)
 
-    def test_assert_all_functional_passes(self):
+    def test_functionality_violations_are_none(self):
         problem, unitary = _unitary_mappings(cars.figure10_problem())
-        assert_all_functional(unitary, problem.source_schema, problem.target_schema)
+        assert functionality_violations(
+            unitary, problem.source_schema, problem.target_schema
+        ) == []
 
 
 class TestNonFunctionalDetection:

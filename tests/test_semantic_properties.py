@@ -22,7 +22,6 @@ from repro.analysis.semantic.containment import (
     equivalent,
 )
 from repro.analysis.semantic.minimize import minimize_program
-from repro.analysis.semantic.verifier import verify_system
 from repro.core.pipeline import MappingProblem, MappingSystem
 from repro.datalog.engine import evaluate
 from repro.errors import HardKeyConflictError, NonFunctionalMappingError
@@ -218,7 +217,7 @@ def test_minimize_preserves_figure_scenarios(n_persons, n_cars, seed):
 def test_verifier_certifies_random_problems(problem):
     try:
         system = MappingSystem(problem)
-        report = verify_system(system)
+        report = system.verify()
     except (NonFunctionalMappingError, HardKeyConflictError):
         return
     assert report.ok, [c.detail for c in report.failures()]

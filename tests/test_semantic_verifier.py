@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.semantic.verifier import (
     VerificationReport,
     canonical_instances,
-    verify_system,
 )
 from repro.core.pipeline import MappingSystem
 from repro.core.schema_mapping import BASIC
@@ -25,7 +24,7 @@ SCENARIOS = sorted(bundled_problems())
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_every_bundled_scenario_certifies(name):
     system = MappingSystem(bundled_problems()[name])
-    report = verify_system(system)
+    report = system.verify()
     assert report.checks, name  # something was actually certified
     assert report.ok, [c.detail for c in report.failures()]
     assert report.diagnostics == []
@@ -34,7 +33,7 @@ def test_every_bundled_scenario_certifies(name):
 @pytest.mark.parametrize("name", ["figure-1", "figure-10", "figure-14"])
 def test_basic_algorithm_certifies(name):
     system = MappingSystem(bundled_problems()[name], algorithm=BASIC)
-    report = verify_system(system)
+    report = system.verify()
     assert report.ok, [c.detail for c in report.failures()]
 
 
@@ -50,13 +49,13 @@ class TestPipelineFlag:
         import repro.analysis.semantic.verifier as verifier_module
 
         calls = []
-        real = verifier_module.verify_generation
+        real = verifier_module.verify_result
 
         def spy(*args, **kwargs):
             calls.append(kwargs.get("problem"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verifier_module, "verify_generation", spy)
+        monkeypatch.setattr(verifier_module, "verify_result", spy)
         system = MappingSystem(cars.figure1_problem())
         system.query_result()
         assert calls == []
@@ -110,7 +109,7 @@ class TestCanonicalInstances:
 class TestFailureDetection:
     def test_broken_optimizer_is_caught(self, monkeypatch):
         """Dropping a non-redundant rule must produce SEM003 failures."""
-        import repro.analysis.semantic.verifier as verifier_module
+        import repro.core.query_generation as qgen_module
 
         def lobotomized(program):
             # "Optimize" by discarding the C2 rules — semantics change.
@@ -123,15 +122,15 @@ class TestFailureDetection:
             )
 
         monkeypatch.setattr(
-            verifier_module, "remove_subsumed_rules", lobotomized
+            qgen_module, "remove_subsumed_rules", lobotomized
         )
         system = MappingSystem(cars.figure1_problem())
-        report = verify_system(system)
+        report = system.verify()
         assert not report.ok
         assert any(d.code == "SEM003" for d in report.diagnostics)
 
     def test_pipeline_flag_raises_on_failure(self, monkeypatch):
-        import repro.analysis.semantic.verifier as verifier_module
+        import repro.core.query_generation as qgen_module
 
         def lobotomized(program):
             kept = [r for r in program.rules if r.head_relation != "C2"]
@@ -143,7 +142,7 @@ class TestFailureDetection:
             )
 
         monkeypatch.setattr(
-            verifier_module, "remove_subsumed_rules", lobotomized
+            qgen_module, "remove_subsumed_rules", lobotomized
         )
         system = MappingSystem(cars.figure1_problem(), verify_optimizations=True)
         with pytest.raises(ReproError) as excinfo:
@@ -186,7 +185,7 @@ class TestOneRunPerInstance:
 
         monkeypatch.setattr(verifier_module, "evaluate", counting)
         problem = cars.figure1_problem()
-        report = verify_system(MappingSystem(problem))
+        report = MappingSystem(problem).verify()
         unoptimized = MappingSystem(problem, optimize=False).query_result().program
         instances = canonical_instances(unoptimized)
         assert any(c.name == "resolution:keys" for c in report.checks)
@@ -196,7 +195,7 @@ class TestOneRunPerInstance:
     def test_missing_disabling_negations_fail_the_key_check(self, monkeypatch):
         """A resolution that adds no negations leaves a key conflict: SEM004."""
         _drop_disabling_negations(monkeypatch)
-        report = verify_system(MappingSystem(cars.figure1_problem()))
+        report = MappingSystem(cars.figure1_problem()).verify()
         failures = report.failures()
         assert failures
         assert {c.name for c in failures} == {"resolution:keys"}
@@ -213,7 +212,7 @@ class TestOneRunPerInstance:
         if negations == "dropped":
             _drop_disabling_negations(monkeypatch)
         problem = bundled_problems()[name]
-        report = verify_system(MappingSystem(problem))
+        report = MappingSystem(problem).verify()
         unoptimized = MappingSystem(problem, optimize=False).query_result().program
         optimized = remove_subsumed_rules(unoptimized)
         expected = [
