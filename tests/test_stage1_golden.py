@@ -4,6 +4,8 @@ Stage 1 (chase, candidate generation, pruning) is run on the bundled
 problems (with and without semantic pruning, and under the basic
 algorithm), on the deep-compile problems ``chain_problem(4, 6, 8)`` and
 ``wide_problem(8, 10, 12)``, and on the generator's DEFAULT seeds 0–199.
+The 25 seeds on which semantic pruning prunes more than the syntactic tests
+also run with it (``gen-N+semantic``).
 For each, the ordered ``PruneRecord`` fields (``name``, ``description``,
 ``reason``, ``rule``, ``by``) are hashed, and the digest, the record count
 and the kept candidate names are compared against
@@ -37,6 +39,12 @@ BUNDLED_VARIANTS = {
     "+basic": (BASIC, False),
 }
 FLEET_SEEDS = range(200)
+#: the DEFAULT seeds whose semantic run has a ``(semantic)`` prune record
+#: (the bundled ``+semantic`` subjects all equal their plain runs)
+SEMANTIC_SEEDS = (
+    8, 11, 16, 17, 26, 32, 39, 43, 47, 51, 53, 58, 66, 85, 96, 107, 124, 129,
+    140, 144, 150, 165, 179, 186, 187,
+)
 
 
 def _subjects() -> dict[str, tuple]:
@@ -51,6 +59,8 @@ def _subjects() -> dict[str, tuple]:
         subjects[f"wide-{width}"] = (wide_problem(width), NOVEL, False)
     for name, problem in generated_problems(FLEET_SEEDS).items():
         subjects[name] = (problem, NOVEL, False)
+    for name, problem in generated_problems(SEMANTIC_SEEDS).items():
+        subjects[f"{name}+semantic"] = (problem, NOVEL, True)
     return subjects
 
 
