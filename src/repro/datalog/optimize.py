@@ -7,12 +7,15 @@ exactly that: a rule ``r`` is dropped when another rule ``r'`` with the same
 head relation derives every tuple ``r`` derives — witnessed by a
 homomorphism θ with ``θ(head') = head``, ``θ(body') ⊆ body``, the conditions
 of ``r'`` implied by those of ``r``, and ``θ(negations') ⊆ negations``.
+The scan (:func:`repro.logic.redundancy.redundant`) compares rules of one
+head relation and arity only, and keeps the earlier of two duplicates.
 """
 
 from __future__ import annotations
 
 from ..logic.atoms import RelationalAtom
 from ..logic.homomorphism import find_homomorphism
+from ..logic.redundancy import redundant
 from ..logic.terms import Term, Variable
 from .program import DatalogProgram, Rule
 
@@ -71,21 +74,11 @@ def subsumes_rule(general: Rule, specific: Rule) -> bool:
 
 def remove_subsumed_rules(program: DatalogProgram) -> DatalogProgram:
     """Drop rules subsumed by other rules (and exact duplicates)."""
-    kept: list[Rule] = []
     rules = program.rules
-    for i, rule in enumerate(rules):
-        redundant = False
-        for j, other in enumerate(rules):
-            if i == j:
-                continue
-            if subsumes_rule(other, rule):
-                # Mutual subsumption (duplicates): keep the earlier rule.
-                if subsumes_rule(rule, other) and i < j:
-                    continue
-                redundant = True
-                break
-        if not redundant:
-            kept.append(rule)
+    removed = redundant(
+        rules, subsumes_rule, key=lambda rule: (rule.head_relation, rule.head.arity)
+    )
+    kept = [rule for i, rule in enumerate(rules) if i not in removed]
     return drop_dead_intermediates(program, kept)
 
 
