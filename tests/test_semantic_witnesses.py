@@ -114,6 +114,26 @@ def test_witnesses_match_fixture(name):
     )
 
 
+def test_cached_witnesses_do_not_depend_on_call_history():
+    """A rewrite certificate reads the same cold and after the SQL check ran
+    (whose lowered queries are alpha-equivalent to the rules)."""
+    problem = bundled_problems()["appendix-A.1"]
+
+    def rewrite_details(warm: bool) -> list[str]:
+        reset_default_engine()
+        system = MappingSystem(problem)
+        if warm:
+            system.sql_report()
+        return [
+            check.detail
+            for check in system.verify().checks
+            if check.name == "resolution:rewrite"
+        ]
+
+    cold = rewrite_details(warm=False)
+    assert cold and rewrite_details(warm=True) == cold
+
+
 def test_fixture_exercises_every_stage():
     """Every stage asks the engine, and some scenario gets a proof from it."""
     golden = _golden()
