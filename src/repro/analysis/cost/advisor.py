@@ -6,11 +6,12 @@ order_atoms` works well.  The static path (``repro plan``, golden
 snapshots, the SQL-pushdown compiler to come) has no statistics at all —
 every relation counts as empty and the greedy order degenerates to "most
 constants first, then input order".  The :class:`JoinOrderAdvisor` fills
-that gap with the symbolic cost model of :mod:`.bounds`: it enumerates
+that gap with the symbolic cost model of :mod:`.bounds`: it searches the
 join orders (exhaustively up to :data:`MAX_EXHAUSTIVE_ATOMS` atoms, the
-realistic ceiling for generated rules), prices each order as the sum of
-the symbolic intermediate-result bounds at the calibration point, and
-returns the provably cheapest one.  Key joins (fan-out one, via declared
+realistic ceiling for generated rules) by a depth-first branch-and-bound
+that prices each prefix once, as the sum of the symbolic
+intermediate-result bounds at the calibration point, and returns the
+provably cheapest order.  Key joins (fan-out one, via declared
 source keys) price linear; joins that cannot cover a key price as
 multiplications, so connected, key-walking orders — the FK paths of the
 paper's §4 correspondences — win automatically.
@@ -20,8 +21,6 @@ empty, so runtime plans are unchanged.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
 
 from ...logic.atoms import RelationalAtom
 from ...logic.terms import Variable
@@ -67,46 +66,71 @@ class JoinOrderAdvisor:
             return ONE
         return Polynomial.var(atom.relation)
 
-    def order_cost(
-        self, atoms: tuple[RelationalAtom, ...], order: list[int]
-    ) -> tuple[int, int]:
-        """Price one order: (total intermediate rows, final degree).
-
-        The cost is the sum over prefix steps of the symbolic bound on the
-        rows materialized after the step, evaluated at the calibration
-        point — the classic "sum of intermediate result sizes" objective.
-        """
-        from .bounds import _calibrate
-
-        running = ONE
-        total = ZERO_COST
-        bound_vars: set[Variable] = set()
-        for index in order:
-            atom = atoms[index]
-            running = running * self._step_bound(atom, bound_vars)
-            total = total + running
-            bound_vars.update(
-                t for t in atom.terms if isinstance(t, Variable)
-            )
-        return _calibrate(total), running.degree()
-
     # -- the advisor entry point ------------------------------------------
 
     def order(self, atoms: tuple[RelationalAtom, ...]) -> list[int] | None:
-        """The provably cheapest join order, or ``None`` to keep greedy."""
+        """The provably cheapest join order, or ``None`` to keep greedy.
+
+        An order costs the sum over its prefixes of the symbolic bound on
+        the rows materialized after each step, evaluated at the calibration
+        point — the classic "sum of intermediate result sizes" objective —
+        and the minimum is taken over ``(cost, final degree, order)``.  A
+        depth-first search visits the orders lexicographically, extending
+        the running product and the total one step at a time, and drops a
+        prefix whose cost already exceeds the cheapest complete order: each
+        later step adds a non-negative term, so it cannot win.
+        """
         if len(atoms) < 2:
             return None
         if len(atoms) > MAX_EXHAUSTIVE_ATOMS:
             return None
-        best: list[int] | None = None
-        best_key: tuple | None = None
-        for candidate in permutations(range(len(atoms))):
-            order = list(candidate)
-            cost, degree = self.order_cost(atoms, order)
-            key = (cost, degree, order)
-            if best_key is None or key < best_key:
-                best, best_key = order, key
-        return best
+        search = _OrderSearch(self, atoms)
+        search.extend(0, 1, 0, 0)
+        return search.best[2]
 
 
-ZERO_COST = Polynomial.const(0)
+class _OrderSearch:
+    """The depth-first branch-and-bound behind :meth:`JoinOrderAdvisor.order`."""
+
+    def __init__(self, advisor: JoinOrderAdvisor, atoms: tuple[RelationalAtom, ...]):
+        self.advisor = advisor
+        self.atoms = atoms
+        self.variables = [
+            {t for t in atom.terms if isinstance(t, Variable)} for atom in atoms
+        ]
+        #: (atom, joined-atoms bitmask) -> (calibrated fan-out, its degree)
+        self.steps: dict[tuple[int, int], tuple[int, int]] = {}
+        self.prefix: list[int] = []
+        #: (cost, degree, order) of the cheapest complete order so far
+        self.best: tuple[int, int, list[int]] | None = None
+
+    def step(self, index: int, joined: int) -> tuple[int, int]:
+        """Joining atom ``index`` after the atoms in the ``joined`` bitmask."""
+        key = (index, joined)
+        if key not in self.steps:
+            from .bounds import _calibrate
+
+            bound_vars: set[Variable] = set()
+            for other, names in enumerate(self.variables):
+                if joined >> other & 1:
+                    bound_vars |= names
+            fanout = self.advisor._step_bound(self.atoms[index], bound_vars)
+            self.steps[key] = (_calibrate(fanout), fanout.degree())
+        return self.steps[key]
+
+    def extend(self, joined: int, running: int, total: int, degree: int) -> None:
+        """Visit every completion of the current prefix, in lexicographic order."""
+        if len(self.prefix) == len(self.atoms):
+            if self.best is None or (total, degree) < self.best[:2]:
+                self.best = (total, degree, list(self.prefix))
+            return
+        for index in range(len(self.atoms)):
+            if joined >> index & 1:
+                continue
+            fanout, step_degree = self.step(index, joined)
+            rows = running * fanout
+            if self.best is not None and total + rows > self.best[0]:
+                continue
+            self.prefix.append(index)
+            self.extend(joined | 1 << index, rows, total + rows, degree + step_degree)
+            self.prefix.pop()

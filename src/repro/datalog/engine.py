@@ -3,9 +3,10 @@
 :func:`run_strata` is the evaluation loop both engines share: it
 materializes every defined relation in stratification order, asking the
 engine only for each rule's derived rows.  The reference interpreter
-(:func:`evaluate`) derives them with an index-nested-loop join: at each
-step the most tightly bound remaining body atom is joined next, using hash
-indexes built per (relation, bound-positions) on demand.  Skolem terms in
+(:func:`evaluate`) derives them with an index-nested-loop join: the atom
+joined at each depth is the most tightly bound remaining body atom, chosen
+once per depth and rule evaluation, and it is probed through hash indexes
+built per (relation, bound-positions) on demand.  Skolem terms in
 heads become :class:`repro.model.values.LabeledNull` invented values;
 ``null`` becomes :data:`repro.model.values.NULL`.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..errors import EvaluationError
 from ..logic.atoms import RelationalAtom
@@ -122,53 +123,89 @@ def _match_atom(
 
 
 def _join(store: _Store, atoms: list[RelationalAtom], bindings: Bindings) -> Iterator[Bindings]:
-    """All extensions of ``bindings`` satisfying every atom (greedy ordering)."""
-    if not atoms:
-        yield bindings
-        return
-    # Pick the atom with the most bound positions; break ties by relation size.
-    def bound_positions(atom: RelationalAtom) -> tuple[int, ...]:
-        positions = []
-        for i, term in enumerate(atom.terms):
-            if not isinstance(term, Variable) or term in bindings:
-                positions.append(i)
-        return tuple(positions)
+    """All extensions of ``bindings`` satisfying every atom (greedy ordering).
 
-    best_index = min(
-        range(len(atoms)),
-        key=lambda i: (
-            -len(bound_positions(atoms[i])),
-            store.size(atoms[i].relation),
-        ),
-    )
-    atom = atoms[best_index]
-    rest = atoms[:best_index] + atoms[best_index + 1:]
-    positions = bound_positions(atom)
-    if positions:
-        wanted = []
-        usable = True
-        for p in positions:
-            term = atom.terms[p]
-            if isinstance(term, Variable):
-                wanted.append(bindings[term])
-            elif isinstance(term, Constant):
-                wanted.append(term.value)
-            elif isinstance(term, NullTerm):
-                wanted.append(NULL)
-            else:  # pragma: no cover
-                usable = False
-                break
-        if usable:
-            candidates = store.index(atom.relation, positions).get(tuple(wanted), [])
-        else:  # pragma: no cover
-            candidates = store.rows(atom.relation)
-    else:
+    The atom joined at depth ``k`` is the remaining one with the most bound
+    positions, ties broken by relation size and then by body order.  A
+    matched atom binds all of its variables and the store does not change
+    during a join, so that choice depends only on the atoms joined before
+    it: each depth is planned once, the first time a binding reaches it.
+    Most joins stop at their first atom, so later depths stay unplanned.
+    """
+    return _extend(store, (list(atoms), set(bindings), []), 0, bindings)
+
+
+def _extend(
+    store: _Store,
+    plan: tuple[list[RelationalAtom], set[Variable], list],
+    depth: int,
+    bindings: Bindings,
+) -> Iterator[Bindings]:
+    """The join from ``depth`` on.
+
+    ``plan`` is ``(unplanned atoms, variables the planned ones bind, planned
+    steps)``, shared by every binding of one join.  It is passed along, not
+    closed over: a self-recursive closure is a reference cycle, which only
+    the cyclic garbage collector frees, once per rule evaluation.
+    """
+    remaining, bound, steps = plan
+    if depth == len(steps):
+        if not remaining:
+            yield bindings
+            return
+        steps.append(_plan_step(store, remaining, bound))
+    atom, positions, probe = steps[depth]
+    if probe is None:
         candidates = store.rows(atom.relation)
+    else:
+        wanted = tuple(
+            bindings[key] if isinstance(key, Variable) else key[0]
+            for key in probe
+        )
+        candidates = store.index(atom.relation, positions).get(wanted, ())
     for row in candidates:
         extended = _match_atom(atom, row, bindings)
-        if extended is None:
-            continue
-        yield from _join(store, rest, extended)
+        if extended is not None:
+            yield from _extend(store, plan, depth + 1, extended)
+
+
+def _plan_step(
+    store: _Store, remaining: list[RelationalAtom], bound: set[Variable]
+) -> tuple[RelationalAtom, tuple[int, ...], list | None]:
+    """Pop the next atom to join and mark its variables bound.
+
+    Returns the atom, its bound positions and its probe: per bound position
+    the variable to read from the bindings or a 1-tuple holding the ground
+    value, or ``None`` when the atom is scanned whole (nothing bound, or a
+    position that cannot be probed).
+    """
+    best = 0
+    best_key = None
+    best_positions: tuple[int, ...] = ()
+    for i, atom in enumerate(remaining):
+        positions = tuple(
+            p
+            for p, term in enumerate(atom.terms)
+            if not isinstance(term, Variable) or term in bound
+        )
+        key = (-len(positions), store.size(atom.relation))
+        if best_key is None or key < best_key:
+            best, best_key, best_positions = i, key, positions
+    atom = remaining.pop(best)
+    probe: list | None = [] if best_positions else None
+    for p in best_positions:
+        term = atom.terms[p]
+        if isinstance(term, Variable):
+            probe.append(term)
+        elif isinstance(term, Constant):
+            probe.append((term.value,))
+        elif isinstance(term, NullTerm):
+            probe.append((NULL,))
+        else:  # pragma: no cover
+            probe = None
+            break
+    bound.update(t for t in atom.terms if isinstance(t, Variable))
+    return atom, best_positions, probe
 
 
 def _conditions_hold(rule: Rule, bindings: Bindings) -> bool:
@@ -197,6 +234,10 @@ def _negations_hold(rule: Rule, store: _Store, bindings: Bindings) -> bool:
 
 def evaluate_rule(rule: Rule, store: _Store) -> list[Row]:
     """All head rows derived by one rule against the current store."""
+    # An empty body relation derives nothing; ``rows`` raises first for any
+    # relation the store has never seen.
+    if not all([store.rows(atom.relation) for atom in rule.body]):
+        return []
     derived: dict[Row, None] = {}
     for bindings in _join(store, list(rule.body), {}):
         if not _conditions_hold(rule, bindings):
@@ -206,6 +247,20 @@ def evaluate_rule(rule: Rule, store: _Store) -> list[Row]:
         row = tuple(_eval_term(t, bindings) for t in rule.head.terms)
         derived.setdefault(row, None)
     return list(derived)
+
+
+def evaluate_rules(
+    rules: Iterable[Rule], relations: Mapping[str, Iterable[Row]]
+) -> list[list[Row]]:
+    """Each rule's derived rows against ``relations``, rule by rule.
+
+    Unlike :func:`evaluate` nothing is materialized between rules: every
+    relation a rule reads must be among ``relations``.
+    """
+    store = _Store()
+    for name, rows in relations.items():
+        store.add_relation(name, rows)
+    return [evaluate_rule(rule, store) for rule in rules]
 
 
 @dataclass

@@ -18,7 +18,9 @@ should gate on :func:`duckdb_available` (tests and CI skip when missing).
 from __future__ import annotations
 
 import sqlite3
+import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from ..errors import EvaluationError
@@ -63,9 +65,12 @@ class _PipelineExecutor:
         self.trace.statements.append(sql)
         connection.execute(sql, *args)
 
-    def _load_instance(self, connection: Any, instance: Instance) -> None:
-        for statement in schema_ddl(instance.schema, enforce=False):
+    def _execute_all(self, connection: Any, statements: tuple[str, ...]) -> None:
+        for statement in statements:
             self._execute(connection, statement)
+
+    def _load_instance(self, connection: Any, instance: Instance) -> None:
+        self._execute_all(connection, _schema_ddl(instance.schema, False))
         for name, relation in instance.relations.items():
             if not relation:
                 continue
@@ -82,15 +87,16 @@ class _PipelineExecutor:
         if not isinstance(target_schema, Schema):
             raise EvaluationError("program has no target schema")
         program.validate()
-        pipeline = compile_program(program)
+        pipeline = _pipeline_sql(program, self.dialect)
         self.trace = ExecutionTrace()
         connection = self._connect()
         try:
             self._prepare(connection)
             self._load_instance(connection, source)
-            for statement in schema_ddl(target_schema, enforce=self.enforce_constraints):
-                self._execute(connection, statement)
-            for statement in pipeline.sql(self.dialect):
+            self._execute_all(
+                connection, _schema_ddl(target_schema, self.enforce_constraints)
+            )
+            for statement in pipeline:
                 self._execute(connection, statement)
             connection.commit()
             return self._read_target(connection, target_schema)
@@ -109,10 +115,51 @@ class _PipelineExecutor:
         return instance
 
 
+#: id(program) -> what its pipeline was last rendered from, and the rendered
+#: statements; an entry is dropped with its program
+_RENDERED: dict[int, tuple[tuple, Dialect, list[str]]] = {}
+
+
+def _pipeline_sql(program: DatalogProgram, dialect: Dialect) -> list[str]:
+    """The program's compiled pipeline rendered for ``dialect``.
+
+    Each run of a program would otherwise compile and render it again; on
+    small instances that is about a quarter of a SQLite run.  The rendering
+    is kept while the rules, the schema objects and the intermediates it was
+    made from are.
+    """
+    made_from = (
+        tuple(program.rules),
+        program.source_schema,
+        program.target_schema,
+        dict(program.intermediates),
+    )
+    memo = _RENDERED.get(id(program))
+    if memo is None:
+        weakref.finalize(program, _RENDERED.pop, id(program), None)
+    elif memo[:2] == (made_from, dialect):
+        return memo[2]
+    statements = compile_program(program).sql(dialect)
+    _RENDERED[id(program)] = (made_from, dialect, statements)
+    return statements
+
+
+@lru_cache(maxsize=64)
+def _schema_ddl(schema: Schema, enforce: bool) -> tuple[str, ...]:
+    """:func:`schema_ddl`, once per (immutable) schema."""
+    return tuple(schema_ddl(schema, enforce))
+
+
 class SqliteExecutor(_PipelineExecutor):
     """Runs a compiled pipeline inside an in-memory SQLite database."""
 
     dialect = SQLITE
+
+    def _execute_all(self, connection: Any, statements: tuple[str, ...]) -> None:
+        # One script, not one call per statement; ``executescript`` commits
+        # any open transaction first, which only ends the source load.
+        self.trace.statements.extend(statements)
+        connection.executescript(";\n".join(statements))
 
     def _connect(self) -> sqlite3.Connection:
         return sqlite3.connect(":memory:")

@@ -154,6 +154,93 @@ class TestFailureDetection:
             system.query_result()
 
 
+def _break_optimizer(monkeypatch, transform):
+    """Replace stage 2's optimizer by ``transform`` of its kept rules."""
+    import repro.core.query_generation as qgen_module
+
+    real = qgen_module.remove_subsumed_rules
+
+    def broken(program):
+        return DatalogProgram(
+            rules=transform(real(program).rules),
+            source_schema=program.source_schema,
+            target_schema=program.target_schema,
+            intermediates=dict(program.intermediates),
+        )
+
+    monkeypatch.setattr(qgen_module, "remove_subsumed_rules", broken)
+
+
+def _differential_failures(name):
+    report = MappingSystem(bundled_problems()[name]).verify()
+    return {
+        check.subject: check.detail
+        for check in report.failures()
+        if check.name == "optimizer:differential"
+    }
+
+
+class TestDifferentialDetail:
+    """A SEM003 differential failure names a removed rule and its row."""
+
+    def test_shortcut_names_the_removed_rule_and_row(self, monkeypatch):
+        # figure-7 reads only source relations: the removed rules run alone.
+        _break_optimizer(
+            monkeypatch, lambda rules: [r for r in rules if r.head_relation != "O3"]
+        )
+        failures = _differential_failures("figure-7")
+        assert sorted(failures) == ["rule[1]:O3", "rule[2]:C3", "rule[3]:P3", "union"]
+        assert failures["rule[2]:C3"] == (
+            "programs disagree on canonical instance rule[2]:C3: removed "
+            "rule[1] O3(c,p) <- C2a(c,m,p), P2a(p,n,e) derives "
+            "O3(r2.c#0, r2.p#2), which the optimized target lacks"
+        )
+
+    def test_full_evaluation_names_the_removed_rule_and_row(self, monkeypatch):
+        # figure-10 reads the intermediate OCtmp: both programs run in full.
+        _break_optimizer(
+            monkeypatch,
+            lambda rules: [
+                r for r in rules
+                if not (r.head_relation == "C2a" and len(r.body) == 3)
+            ],
+        )
+        failures = _differential_failures("figure-10")
+        assert "union" in failures
+        assert failures["rule[4]:P2a"] == (
+            "programs disagree on canonical instance rule[4]:P2a: removed "
+            "rule[3] C2a(c,m,p) <- O3(c,p), C3(c,m), P3(p,n,e) derives "
+            "C2a(r4.c#0, r4.m#2, r4.p#1), which the optimized target lacks"
+        )
+
+    def test_both_paths_write_the_same_text(self, monkeypatch):
+        import repro.analysis.semantic.verifier as verifier_module
+
+        _break_optimizer(
+            monkeypatch, lambda rules: [r for r in rules if r.head_relation != "O3"]
+        )
+        shortcut = _differential_failures("figure-7")
+        monkeypatch.setattr(
+            verifier_module, "_reads_source_only", lambda *programs: False
+        )
+        assert _differential_failures("figure-7") == shortcut
+
+    def test_a_row_only_the_optimized_target_holds(self, monkeypatch):
+        # An "optimizer" that adds a rule: no rule is removed, so the
+        # detail names the optimized target's extra row.
+        c, m, p = Variable("c"), Variable("m"), Variable("p")
+        extra = Rule(
+            head=RelationalAtom("O3", (c, c)),
+            body=(RelationalAtom("C2a", (c, m, p)),),
+        )
+        _break_optimizer(monkeypatch, lambda rules: rules + [extra])
+        failures = _differential_failures("figure-7")
+        assert failures["rule[1]:O3"] == (
+            "programs disagree on canonical instance rule[1]:O3: "
+            "O3(r1.c#0, r1.c#0) is in the optimized target only"
+        )
+
+
 def _drop_disabling_negations(monkeypatch):
     """Make resolution forget the negations that disable conflicting rules."""
     import repro.core.query_generation as qgen_module
@@ -169,7 +256,12 @@ def _drop_disabling_negations(monkeypatch):
 
 
 class TestOneRunPerInstance:
-    """Each program runs once per canonical instance; the keys reuse it."""
+    """Each canonical instance is evaluated once per program at most.
+
+    Programs whose rules read only source relations run the optimized
+    program alone (plus the removed rules); the others run both programs.
+    The key checks reuse the optimized program's targets.
+    """
 
     RESOLVED = ["example-6-6", "example-6-7", "figure-1", "figure-12"]
 
@@ -191,6 +283,26 @@ class TestOneRunPerInstance:
         assert any(c.name == "resolution:keys" for c in report.checks)
         assert len(runs) == 2 * len(instances)
         assert sorted(Counter(runs).values()) == [2] * len(instances)
+
+    def test_source_only_programs_evaluate_once_per_instance(self, monkeypatch):
+        import repro.analysis.semantic.verifier as verifier_module
+
+        runs = []
+        real = verifier_module.evaluate
+
+        def counting(program, instance, *args, **kwargs):
+            runs.append((id(program), id(instance)))
+            return real(program, instance, *args, **kwargs)
+
+        monkeypatch.setattr(verifier_module, "evaluate", counting)
+        system = MappingSystem(bundled_problems()["figure-7"])
+        result = system.query_result()
+        assert len(result.program.rules) < len(result.unoptimized.rules)
+        report = system.verify()
+        assert report.ok
+        instances = canonical_instances(result.unoptimized)
+        assert len(runs) == len(set(runs)) == len(instances)
+        assert {program for program, _ in runs} == {id(result.program)}
 
     def test_missing_disabling_negations_fail_the_key_check(self, monkeypatch):
         """A resolution that adds no negations leaves a key conflict: SEM004."""

@@ -5,6 +5,7 @@ import sqlite3
 
 from repro.core.pipeline import MappingSystem
 from repro.core.schema_mapping import BASIC
+from repro.datalog.engine import evaluate
 from repro.errors import EvaluationError
 from repro.model.values import NULL, LabeledNull
 from repro.scenarios import cars
@@ -137,6 +138,19 @@ class TestExecutorParity:
         engine_output = system.transform(source)
         sql_output = run_on_sqlite(system.transformation, source)
         assert sql_output == engine_output, problem.name
+
+
+    def test_a_program_changed_after_a_run_runs_its_new_rules(self):
+        # The executor keeps each program's rendered pipeline; editing the
+        # rules must not serve the old rendering.
+        system = MappingSystem(cars.figure1_problem())
+        program = system.transformation
+        source = cars.cars3_source_instance()
+        assert run_on_sqlite(program, source) == system.transform(source)
+        program.rules = [r for r in program.rules if r.head_relation != "C2"]
+        output = run_on_sqlite(program, source)
+        assert output == evaluate(program, source).target
+        assert len(output.relation("C2")) == 0
 
 
 class TestConstraintEnforcement:

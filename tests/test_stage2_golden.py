@@ -11,7 +11,9 @@ conflicts, the fused mapping names, the functor renaming, the negation
 counts by origin and the SHA-256 of the rendered unoptimized and optimized
 programs; a subject whose stage 2 fails holds the exception type and every
 diagnostic the error carries instead.  For the bundled problems under the
-novel algorithm it also holds every :class:`VerificationReport` check.
+novel algorithm, for the chain problems and for the DEFAULT seeds whose
+optimizer removes a rule (``VERIFY_SEEDS``) it also holds every
+:class:`VerificationReport` check.
 
 Regenerate after an intentional change with::
 
@@ -38,6 +40,13 @@ HERE = os.path.dirname(__file__)
 FIXTURE = os.path.join(HERE, "fixtures", "stage2.json")
 BROKEN = os.path.join(HERE, "fixtures", "broken_mapping.problem.txt")
 FLEET_SEEDS = range(200)
+#: the DEFAULT seeds whose optimized program has fewer rules than the
+#: unoptimized one, so the verifier's optimizer certificates have work to do
+VERIFY_SEEDS = frozenset((
+    11, 16, 17, 20, 26, 32, 39, 43, 47, 49, 51, 53, 58, 62, 64, 66, 76, 78,
+    85, 96, 102, 106, 107, 117, 119, 124, 128, 140, 144, 150, 155, 165, 170,
+    179, 186, 187, 195,
+))
 
 
 def _subjects() -> dict[str, tuple]:
@@ -47,11 +56,12 @@ def _subjects() -> dict[str, tuple]:
         subjects[name] = (problem, NOVEL, True)
         subjects[f"{name}+basic"] = (problem, BASIC, False)
     for depth in (4, 6, 8):
-        subjects[f"chain-{depth}"] = (chain_problem(depth), NOVEL, False)
+        subjects[f"chain-{depth}"] = (chain_problem(depth), NOVEL, True)
     for width in (8, 10, 12):
         subjects[f"wide-{width}"] = (wide_problem(width), NOVEL, False)
+    verified = {f"gen-{seed}" for seed in VERIFY_SEEDS}
     for name, problem in generated_problems(FLEET_SEEDS).items():
-        subjects[name] = (problem, NOVEL, False)
+        subjects[name] = (problem, NOVEL, name in verified)
     with open(BROKEN) as handle:
         subjects["broken_mapping"] = (
             parse_problem(handle.read(), name="broken_mapping"), NOVEL, False
@@ -115,6 +125,16 @@ def golden(subjects):
 
 def test_fixture_covers_every_subject(subjects, golden):
     assert sorted(golden) == sorted(subjects)
+
+
+def test_verified_seeds_are_those_the_optimizer_shrinks(golden):
+    shrunk = {
+        int(name.removeprefix("gen-"))
+        for name, entry in golden.items()
+        if name.startswith("gen-") and "rules" in entry
+        and entry["rules"][0] > entry["rules"][1]
+    }
+    assert shrunk == VERIFY_SEEDS
 
 
 def test_stage2_matches_fixture(subjects, golden):
