@@ -3,6 +3,7 @@
 from repro.core.candidates import generate_candidates
 from repro.core.chase import MODIFIED, logical_relations
 from repro.core.conflicts import find_all_conflicts
+from repro.core.functionality import PairChecker
 from repro.core.pruning import prune_candidates
 from repro.core.query_generation import generate_queries, rewrite_to_unitary
 from repro.core.resolution import resolve_key_conflicts
@@ -71,7 +72,9 @@ def test_example_6_3_conflict_identification(benchmark):
     unitary = _unitary(problem)
 
     def run():
-        return find_all_conflicts(unitary, problem.source_schema, problem.target_schema)
+        return find_all_conflicts(
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
+        )
 
     conflicts = benchmark(run)
     assert len(conflicts) == 1  # the soft conflict on C2.person
@@ -84,7 +87,7 @@ def test_example_6_4_resolution(benchmark):
 
     def run():
         return resolve_key_conflicts(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         )
 
     final, report = benchmark(run)

@@ -10,7 +10,7 @@ Run:  python examples/paper_walkthrough.py
 """
 
 from repro.core.conflicts import find_all_conflicts
-from repro.core.functionality import check_functionality
+from repro.core.functionality import PairChecker
 from repro.core.pipeline import MappingSystem
 from repro.core.query_generation import rewrite_to_unitary
 from repro.core.skolem import skolemize_schema_mapping
@@ -51,16 +51,13 @@ def main() -> None:
         print(f"  {mapping.name}: {abbreviator.shorten(repr(mapping))}")
 
     print("\nSTEP 5 — functionality check (each unitary mapping)")
-    for mapping in unitary:
-        verdict = check_functionality(
-            mapping, problem.source_schema, problem.target_schema
-        )
+    checker = PairChecker(unitary, problem.source_schema, problem.target_schema)
+    for index, mapping in enumerate(unitary):
+        verdict = checker.violation(index)
         print(f"  {mapping.name}: {'functional' if verdict is None else verdict}")
 
     print("\nSTEP 6 — key conflicts")
-    conflicts = find_all_conflicts(
-        unitary, problem.source_schema, problem.target_schema
-    )
+    conflicts = find_all_conflicts(checker)
     for conflict in conflicts:
         kind = "hard" if conflict.is_hard else "soft"
         print(f"  [{kind}] {conflict} (preferred: {conflict.preferred})")

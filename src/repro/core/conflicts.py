@@ -12,6 +12,12 @@ paper's resolution strategy prefers ``c ≻ n ≻ i``:
 * ``c`` vs ``c`` — a **hard** conflict: two source values may compete;
 * mixed kinds — a **soft** conflict, the higher kind preferred;
 * ``i`` vs ``i`` — equally preferable; resolved by unifying the functors.
+
+Every pair of one conflicting set is probed on the stage-2 run's
+:class:`~repro.core.functionality.PairChecker`, the one the functionality
+check used: the premises are already renamed apart and closed, so a pair
+costs one join of two closed sides, one saturation and one probe per
+non-key attribute.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from ..logic.mappings import UnitaryMapping
 from ..logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
 from ..model.schema import Schema
 from ..obs import count
-from .functionality import differing_positions
+from .functionality import PairChecker
 
 COPY = "c"
 NULL_KIND = "n"
@@ -100,13 +106,17 @@ def find_key_conflicts(
     """
     if left.consequent.relation != right.consequent.relation:
         return []
+    checker = PairChecker([left, right], source_schema, target_schema)
+    return pair_conflicts(checker, 0, 1)
+
+
+def pair_conflicts(checker: PairChecker, left: int, right: int) -> list[KeyConflict]:
+    """The key conflicts between the checker's mappings ``left`` and ``right``."""
     conflicts: list[KeyConflict] = []
-    for attribute, left_term, right_term in differing_positions(
-        left, right, source_schema, target_schema
-    ):
+    for attribute, left_term, right_term in checker.differing_positions(left, right):
         conflict = KeyConflict(
-            left=left,
-            right=right,
+            left=checker.mappings[left],
+            right=checker.mappings[right],
             attribute=attribute,
             left_kind=term_kind(left_term),
             right_kind=term_kind(right_term),
@@ -126,21 +136,18 @@ def conflicting_sets(
     return groups
 
 
-def find_all_conflicts(
-    mappings: list[UnitaryMapping],
-    source_schema: Schema,
-    target_schema: Schema,
-) -> list[KeyConflict]:
+def find_all_conflicts(checker: PairChecker) -> list[KeyConflict]:
     """All pairwise key conflicts inside every conflicting set.
 
     The one place that probes pairs of unitary mappings: conflicts come
     grouped by conflicting set, then by pair ``(i, j)`` with ``i < j``.
     """
+    groups: dict[str, list[int]] = {}
+    for index, mapping in enumerate(checker.mappings):
+        groups.setdefault(mapping.consequent.relation, []).append(index)
     conflicts: list[KeyConflict] = []
-    for group in conflicting_sets(mappings).values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                conflicts.extend(
-                    find_key_conflicts(group[i], group[j], source_schema, target_schema)
-                )
+    for group in groups.values():
+        for i, left in enumerate(group):
+            for right in group[i + 1:]:
+                conflicts.extend(pair_conflicts(checker, left, right))
     return conflicts

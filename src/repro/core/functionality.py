@@ -6,10 +6,17 @@ non-key position ``v`` the query ``φ(k, v) ∧ φ(k', v') ∧ k = k' ∧ v ≠ 
 must be unsatisfiable over instances satisfying the source constraints.
 
 The check doubles the premise with fresh variables, equates the two copies'
-key terms (decomposing Skolem terms via injectivity), closes the pair once
-under the source key dependencies, and probes each non-key position against
-that closure.  The key-conflict check of :mod:`repro.core.conflicts` probes
-two different mappings the same way (:func:`differing_positions`).
+key terms (decomposing Skolem terms via injectivity), closes the pair under
+the source key dependencies, and probes each non-key position against that
+closure.  The key-conflict check of :mod:`repro.core.conflicts` probes two
+different mappings the same way.
+
+Both run on one :class:`PairChecker` per stage-2 run.  It closes each
+mapping's premise once, and its renamed-apart copy once, each in its own
+:class:`~repro.logic.satisfiability.EgdClosure`; a pair check joins two
+closed sides (:meth:`~repro.logic.satisfiability.EgdClosure.joined`)
+instead of renaming and reloading both premises, so the per-pair cost is
+the copy and the saturation of the cross-side key equalities.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..analysis.diagnostics import Diagnostic, diagnostic
+from ..logic.atoms import RelationalAtom
 from ..logic.mappings import Premise, UnitaryMapping
 from ..logic.satisfiability import EgdClosure
 from ..logic.terms import Term, Variable
@@ -69,26 +77,33 @@ class FunctionalityViolation:
         )
 
 
-def differing_positions(
-    left: UnitaryMapping,
-    right: UnitaryMapping,
-    source_schema: Schema,
-    target_schema: Schema,
-) -> Iterator[tuple[str, Term, Term]]:
-    """The non-key attributes where two key-equal consequents can differ.
+class PairChecker:
+    """Algorithm 4's pair checks over one list of unitary mappings.
 
-    ``right`` is renamed apart first (the paper assumes pairwise-disjoint
-    variable sets).  Both premises with their conditions and the key
-    equalities of the two consequents are closed once under the source key
-    dependencies; each non-key position is then one probe of that closure,
-    yielding ``(attribute, left term, renamed right term)`` iff the closure
-    has no contradiction and does not force the two terms equal.
+    Every mapping gets two sides, each built on first use and indexed by
+    the mapping's position in :attr:`mappings`: its premise loaded and
+    closed in an :class:`EgdClosure` (the left side of a pair), and its
+    renamed-apart copy (:func:`rename_unitary`, called once) loaded and
+    closed in a second one (the right side).  A pair check joins the left
+    side of one mapping with the right side of another — the two share no
+    variable, so the join copies their classes instead of reloading the
+    premises — equates the two consequents' key terms and saturates.
     """
-    renamed = rename_unitary(right)
-    relation = target_schema.relation(left.consequent.relation)
-    key_positions = relation.key_positions()
-    closure = EgdClosure(source_schema)
-    for premise in (left.premise, renamed.premise):
+
+    def __init__(
+        self,
+        mappings: list[UnitaryMapping],
+        source_schema: Schema,
+        target_schema: Schema,
+    ) -> None:
+        self.mappings = mappings
+        self.source_schema = source_schema
+        self.target_schema = target_schema
+        self._left: dict[int, EgdClosure] = {}
+        self._right: dict[int, tuple[RelationalAtom, EgdClosure]] = {}
+
+    def _closed(self, premise: Premise) -> EgdClosure:
+        closure = EgdClosure(self.source_schema)
         closure.load(
             premise.atoms,
             premise.null_vars,
@@ -96,16 +111,74 @@ def differing_positions(
             premise.equalities,
             premise.disequalities,
         )
-    pairs = list(zip(left.consequent.terms, renamed.consequent.terms))
-    for position in key_positions:
-        closure.equate(*pairs[position])
-    closure.saturate()
-    for position, attribute in enumerate(relation.attributes):
-        if position in key_positions:
-            continue
-        count("satisfiability.checks")
-        if closure.contradiction is None and not closure.terms_equal(*pairs[position]):
-            yield (attribute.name, *pairs[position])
+        closure.saturate()
+        return closure
+
+    def _left_side(self, index: int) -> EgdClosure:
+        side = self._left.get(index)
+        if side is None:
+            side = self._left[index] = self._closed(self.mappings[index].premise)
+        return side
+
+    def _right_side(self, index: int) -> tuple[RelationalAtom, EgdClosure]:
+        side = self._right.get(index)
+        if side is None:
+            renamed = rename_unitary(self.mappings[index])
+            side = self._right[index] = (
+                renamed.consequent,
+                self._closed(renamed.premise),
+            )
+        return side
+
+    def differing_positions(
+        self, left: int, right: int
+    ) -> Iterator[tuple[str, Term, Term]]:
+        """The non-key attributes where the two mappings' consequents can
+        differ while their keys agree.
+
+        ``left`` and ``right`` are positions in :attr:`mappings`; ``right``
+        is taken renamed apart (the paper assumes pairwise-disjoint
+        variable sets), so ``left == right`` is the self pair of the
+        functionality check.  Each non-key position is one probe of the
+        pair's closure, yielding ``(attribute, left term, renamed right
+        term)`` iff the closure has no contradiction and does not force the
+        two terms equal.
+        """
+        consequent = self.mappings[left].consequent
+        right_consequent, right_closure = self._right_side(right)
+        relation = self.target_schema.relation(consequent.relation)
+        key_positions = relation.key_positions()
+        closure = self._left_side(left).joined(right_closure)
+        pairs = list(zip(consequent.terms, right_consequent.terms))
+        for position in key_positions:
+            closure.equate(*pairs[position])
+        closure.saturate()
+        for position, attribute in enumerate(relation.attributes):
+            if position in key_positions:
+                continue
+            count("satisfiability.checks")
+            if closure.contradiction is None and not closure.terms_equal(
+                *pairs[position]
+            ):
+                yield (attribute.name, *pairs[position])
+
+    def violation(self, index: int) -> FunctionalityViolation | None:
+        """A witness that mapping ``index`` is not functional, or ``None``."""
+        count("functionality.checks")
+        for attribute, _, _ in self.differing_positions(index, index):
+            return FunctionalityViolation(self.mappings[index], attribute)
+        return None
+
+
+def differing_positions(
+    left: UnitaryMapping,
+    right: UnitaryMapping,
+    source_schema: Schema,
+    target_schema: Schema,
+) -> Iterator[tuple[str, Term, Term]]:
+    """:meth:`PairChecker.differing_positions` of one pair of mappings."""
+    checker = PairChecker([left, right], source_schema, target_schema)
+    return checker.differing_positions(0, 1)
 
 
 def check_functionality(
@@ -114,23 +187,11 @@ def check_functionality(
     target_schema: Schema,
 ) -> FunctionalityViolation | None:
     """Return a violation witness, or ``None`` when the mapping is functional."""
-    count("functionality.checks")
-    for attribute, _, _ in differing_positions(
-        mapping, mapping, source_schema, target_schema
-    ):
-        return FunctionalityViolation(mapping, attribute)
-    return None
+    return PairChecker([mapping], source_schema, target_schema).violation(0)
 
 
-def functionality_violations(
-    mappings: list[UnitaryMapping],
-    source_schema: Schema,
-    target_schema: Schema,
-) -> list[FunctionalityViolation]:
-    """Every functionality violation among ``mappings``, in mapping order."""
-    with span("qgen.functionality", mappings=len(mappings)):
-        checked = (
-            check_functionality(mapping, source_schema, target_schema)
-            for mapping in mappings
-        )
+def functionality_violations(checker: PairChecker) -> list[FunctionalityViolation]:
+    """Every functionality violation among the checker's mappings, in order."""
+    with span("qgen.functionality", mappings=len(checker.mappings)):
+        checked = (checker.violation(index) for index in range(len(checker.mappings)))
         return [violation for violation in checked if violation is not None]

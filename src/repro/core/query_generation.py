@@ -23,7 +23,7 @@ from ..obs import RunReport, count, span, stage_report
 from ..datalog.optimize import remove_subsumed_rules
 from ..datalog.program import DatalogProgram, Rule
 from .conflicts import find_all_conflicts
-from .functionality import functionality_violations
+from .functionality import PairChecker, functionality_violations
 from .resolution import ResolutionReport, resolve_key_conflicts
 from .schema_mapping import BASIC, NOVEL
 from .skolem import (
@@ -180,19 +180,16 @@ def generate_queries(
 
         resolution: ResolutionReport | None = None
         if algorithm == NOVEL:
-            violations = functionality_violations(
-                unitary, source_schema, target_schema
-            )
+            checker = PairChecker(unitary, source_schema, target_schema)
+            violations = functionality_violations(checker)
             if violations:
-                conflicts = find_all_conflicts(unitary, source_schema, target_schema)
+                conflicts = find_all_conflicts(checker)
                 hard = [conflict for conflict in conflicts if conflict.is_hard]
                 findings = [item.diagnostic() for item in [*violations, *hard]]
                 raise NonFunctionalMappingError(
                     findings[0].message, diagnostics=findings
                 )
-            final, resolution = resolve_key_conflicts(
-                unitary, source_schema, target_schema
-            )
+            final, resolution = resolve_key_conflicts(checker)
         else:
             final = unitary
 

@@ -41,6 +41,7 @@ from .conflicts import (
     find_all_conflicts,
     term_kind,
 )
+from .functionality import PairChecker
 
 
 class FunctorUnifier:
@@ -169,12 +170,10 @@ class ResolutionReport:
 
 
 def resolve_key_conflicts(
-    mappings: list[UnitaryMapping],
-    source_schema: Schema,
-    target_schema: Schema,
+    checker: PairChecker,
     propagate_unification: bool = True,
 ) -> tuple[list[UnitaryMapping], ResolutionReport]:
-    """Rewrite the unitary mappings so target key constraints are satisfied.
+    """Rewrite the checker's unitary mappings so target key constraints hold.
 
     ``propagate_unification`` selects between the paper's two (inconsistent)
     renderings of Skolem unification: Example 6.7 propagates the unified
@@ -183,10 +182,8 @@ def resolve_key_conflicts(
     the fused mappings (``propagate_unification=False``).  The two differ
     only by a renaming of invented values.
     """
-    with span("qgen.resolution", mappings=len(mappings)) as trace:
-        final, report = _resolve_key_conflicts(
-            mappings, source_schema, target_schema, propagate_unification
-        )
+    with span("qgen.resolution", mappings=len(checker.mappings)) as trace:
+        final, report = _resolve_key_conflicts(checker, propagate_unification)
         count("resolution.disabled-negations", sum(report.negations_by_origin.values()))
         count("resolution.fused", len(report.fused))
         count("resolution.unified-functors", len(report.functor_renaming))
@@ -195,12 +192,10 @@ def resolve_key_conflicts(
 
 
 def _resolve_key_conflicts(
-    mappings: list[UnitaryMapping],
-    source_schema: Schema,
-    target_schema: Schema,
-    propagate_unification: bool,
+    checker: PairChecker, propagate_unification: bool
 ) -> tuple[list[UnitaryMapping], ResolutionReport]:
-    conflicts = find_all_conflicts(mappings, source_schema, target_schema)
+    mappings, target_schema = checker.mappings, checker.target_schema
+    conflicts = find_all_conflicts(checker)
     hard = [conflict.diagnostic() for conflict in conflicts if conflict.is_hard]
     if hard:
         raise HardKeyConflictError(hard[0].message, diagnostics=hard)

@@ -6,7 +6,9 @@ engine only for each rule's derived rows.  The reference interpreter
 (:func:`evaluate`) derives them with an index-nested-loop join: the atom
 joined at each depth is the most tightly bound remaining body atom, chosen
 once per depth and rule evaluation, and it is probed through hash indexes
-built per (relation, bound-positions) on demand.  Skolem terms in
+built per (relation, bound-positions) on demand.  Planning a depth also
+fixes which positions each candidate row is checked at and which it binds,
+so only a matching row copies the bindings.  Skolem terms in
 heads become :class:`repro.model.values.LabeledNull` invented values;
 ``null`` becomes :data:`repro.model.values.NULL`.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from ..errors import EvaluationError
 from ..logic.atoms import RelationalAtom
@@ -94,32 +96,78 @@ def _eval_term(term: Term, bindings: Bindings) -> Any:
     raise EvaluationError(f"cannot evaluate term {term!r}")  # pragma: no cover
 
 
+#: kinds of the position checks a join step makes on each candidate row:
+#: equal to a bound variable's value, equal to the row's value at an earlier
+#: position (a variable repeated in the atom), null, or a constant
+_BOUND, _REPEAT, _NULL, _CONSTANT = "bound", "repeat", "null", "constant"
+
+
+def _atom_checks(
+    atom: RelationalAtom, bound: Collection[Variable], probed: Collection[int]
+) -> tuple[list[tuple[int, str, Any]], list[tuple[int, Variable]]]:
+    """What matching ``atom`` against a row checks, and what it binds.
+
+    The checks are ``(position, kind, expected)`` for every position outside
+    ``probed`` (positions an index probe already guarantees); the binds are
+    ``(position, variable)`` for each unbound variable's first occurrence.
+    """
+    checks: list[tuple[int, str, Any]] = []
+    binds: list[tuple[int, Variable]] = []
+    first: dict[Variable, int] = {}
+    for p, term in enumerate(atom.terms):
+        if isinstance(term, Variable) and term not in bound:
+            if term in first:
+                checks.append((p, _REPEAT, first[term]))
+            else:
+                first[term] = p
+                binds.append((p, term))
+        elif p in probed:
+            continue
+        elif isinstance(term, Variable):
+            checks.append((p, _BOUND, term))
+        elif isinstance(term, NullTerm):
+            checks.append((p, _NULL, None))
+        elif isinstance(term, Constant):
+            checks.append((p, _CONSTANT, term.value))
+        else:  # pragma: no cover - Skolem terms never occur in bodies
+            raise EvaluationError(f"unexpected body term {term!r}")
+    return checks, binds
+
+
+def _extend_bindings(
+    row: Row,
+    bindings: Bindings,
+    checks: list[tuple[int, str, Any]],
+    binds: list[tuple[int, Variable]],
+) -> Bindings | None:
+    """``bindings`` extended by ``row`` when it passes ``checks``, else None.
+
+    Only a matching row copies the bindings.
+    """
+    for position, kind, expected in checks:
+        value = row[position]
+        if kind is _BOUND:
+            if bindings[expected] != value:
+                return None
+        elif kind is _REPEAT:
+            if row[expected] != value:
+                return None
+        elif kind is _NULL:
+            if not is_null(value):
+                return None
+        elif expected != value:
+            return None
+    extended = dict(bindings)
+    for position, var in binds:
+        extended[var] = row[position]
+    return extended
+
+
 def _match_atom(
     atom: RelationalAtom, row: Row, bindings: Bindings
 ) -> Bindings | None:
     """Extend bindings so the atom matches the row, or None on mismatch."""
-    new: Bindings = {}
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, Variable):
-            if term in bindings:
-                if bindings[term] != value:
-                    return None
-            elif term in new:
-                if new[term] != value:
-                    return None
-            else:
-                new[term] = value
-        elif isinstance(term, NullTerm):
-            if not is_null(value):
-                return None
-        elif isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:  # pragma: no cover - Skolem terms never occur in bodies
-            raise EvaluationError(f"unexpected body term {term!r}")
-    merged = dict(bindings)
-    merged.update(new)
-    return merged
+    return _extend_bindings(row, bindings, *_atom_checks(atom, bindings, ()))
 
 
 def _join(store: _Store, atoms: list[RelationalAtom], bindings: Bindings) -> Iterator[Bindings]:
@@ -154,30 +202,31 @@ def _extend(
             yield bindings
             return
         steps.append(_plan_step(store, remaining, bound))
-    atom, positions, probe = steps[depth]
+    relation, positions, probe, checks, binds = steps[depth]
     if probe is None:
-        candidates = store.rows(atom.relation)
+        candidates = store.rows(relation)
     else:
         wanted = tuple(
             bindings[key] if isinstance(key, Variable) else key[0]
             for key in probe
         )
-        candidates = store.index(atom.relation, positions).get(wanted, ())
+        candidates = store.index(relation, positions).get(wanted, ())
     for row in candidates:
-        extended = _match_atom(atom, row, bindings)
+        extended = _extend_bindings(row, bindings, checks, binds)
         if extended is not None:
             yield from _extend(store, plan, depth + 1, extended)
 
 
 def _plan_step(
     store: _Store, remaining: list[RelationalAtom], bound: set[Variable]
-) -> tuple[RelationalAtom, tuple[int, ...], list | None]:
+) -> tuple[str, tuple[int, ...], list | None, list, list]:
     """Pop the next atom to join and mark its variables bound.
 
-    Returns the atom, its bound positions and its probe: per bound position
-    the variable to read from the bindings or a 1-tuple holding the ground
-    value, or ``None`` when the atom is scanned whole (nothing bound, or a
-    position that cannot be probed).
+    Returns the atom's relation, its bound positions, its probe, and its
+    checks and binds (:func:`_atom_checks`).  The probe holds per bound
+    position the variable to read from the bindings or a 1-tuple holding
+    the ground value; it is ``None`` when the atom is scanned whole (nothing
+    bound, or a position that cannot be probed).
     """
     best = 0
     best_key = None
@@ -204,8 +253,11 @@ def _plan_step(
         else:  # pragma: no cover
             probe = None
             break
-    bound.update(t for t in atom.terms if isinstance(t, Variable))
-    return atom, best_positions, probe
+    checks, binds = _atom_checks(
+        atom, bound, best_positions if probe is not None else ()
+    )
+    bound.update(var for _, var in binds)
+    return atom.relation, best_positions, probe, checks, binds
 
 
 def _conditions_hold(rule: Rule, bindings: Bindings) -> bool:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from ..model.schema import Schema
 from .atoms import Disequality, Equality, RelationalAtom
@@ -203,13 +203,33 @@ def conditioned_homomorphisms(
     )
 
 
-@dataclass
-class _ClassInfo:
-    """Constraints accumulated on one equivalence class of variables."""
+class _ClassInfo(NamedTuple):
+    """Constraints accumulated on one equivalence class of variables.
+
+    Immutable, so closures can share it: :meth:`EgdClosure.joined` copies
+    the class map without copying its entries.
+    """
 
     pin: Constant | None = None
     null: bool = False
     nonnull: bool = False
+
+
+#: the constraints of unpinned classes, by (null, nonnull), built once:
+#: marking a class rebinds it to one of these
+_UNPINNED = {
+    (null, nonnull): _ClassInfo(None, null, nonnull)
+    for null in (False, True)
+    for nonnull in (False, True)
+}
+_UNCONSTRAINED = _UNPINNED[False, False]
+
+
+def _marked(info: _ClassInfo, null: bool, nonnull: bool) -> _ClassInfo:
+    """``info`` with its null / non-null marks set to the given ones."""
+    if info.pin is None:
+        return _UNPINNED[null, nonnull]
+    return _ClassInfo(info.pin, null, nonnull)
 
 
 @dataclass
@@ -217,14 +237,38 @@ class EgdClosure:
     """A congruence closure over query variables under source FDs."""
 
     schema: Schema | None  # the source Schema (FDs + NOT NULL)
-    atoms: list[RelationalAtom] = field(default_factory=list)
     #: why the constraint set is unsatisfiable, or None while it still is
     contradiction: str | None = None
+    #: the loaded atoms, in loading order (see :meth:`add_atoms`)
+    atoms: list[RelationalAtom] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         self._parent: dict[Variable, Variable] = {}
         self._info: dict[Variable, _ClassInfo] = {}
         self._diseqs: list[tuple[Term, Term]] = []
+        #: the atoms over source relations, by relation: the FD chase's input
+        self._by_relation: dict[str, list[RelationalAtom]] = {}
+
+    def joined(self, other: "EgdClosure") -> "EgdClosure":
+        """A new closure holding this closure's and ``other``'s constraints.
+
+        The two must share no variable.  Their union-find forests and class
+        constraints are copied side by side and their atoms concatenated,
+        so nothing is loaded again; the copy closes under the key FDs of
+        this closure's schema once :meth:`saturate` runs.
+        """
+        if not self._parent.keys().isdisjoint(other._parent):
+            raise ValueError("joined closures must not share variables")
+        joined = EgdClosure(self.schema, self.contradiction or other.contradiction)
+        joined.atoms = self.atoms + other.atoms
+        joined._parent = {**self._parent, **other._parent}
+        joined._info = {**self._info, **other._info}
+        joined._diseqs = self._diseqs + other._diseqs
+        by_relation = {name: list(atoms) for name, atoms in self._by_relation.items()}
+        for name, atoms in other._by_relation.items():
+            by_relation.setdefault(name, []).extend(atoms)
+        joined._by_relation = by_relation
+        return joined
 
     # -- union-find --------------------------------------------------------
 
@@ -233,7 +277,7 @@ class EgdClosure:
         parent = self._parent
         if var not in parent:
             parent[var] = var
-            self._info[var] = _ClassInfo()
+            self._info[var] = _UNCONSTRAINED
             return var
         while parent[var] is not var:
             parent[var] = parent[parent[var]]
@@ -280,22 +324,23 @@ class EgdClosure:
                 f"({info.pin!r} and {constant!r})"
             )
             return
-        info.pin = constant
         if info.null:
             self._fail(f"null-constrained variable pinned to constant {constant!r}")
-        info.nonnull = True
+        self._info[root] = _ClassInfo(constant, info.null, True)
 
     def _mark_null_root(self, root: Variable) -> None:
         info = self._info[root]
         if info.nonnull or info.pin is not None:
             self._fail("a value is required to be both null and non-null")
-        info.null = True
+        if not info.null:
+            self._info[root] = _marked(info, True, info.nonnull)
 
     def _mark_nonnull_root(self, root: Variable) -> None:
         info = self._info[root]
         if info.null:
             self._fail("a value is required to be both null and non-null")
-        info.nonnull = True
+        if not info.nonnull:
+            self._info[root] = _marked(info, info.null, True)
 
     # -- loading a query ---------------------------------------------------
 
@@ -322,15 +367,17 @@ class EgdClosure:
         for atom in atoms:
             self.atoms.append(atom)
             rel = self._source_relation(atom.relation)
+            attributes = () if rel is None else rel.attributes
+            if rel is not None:
+                self._by_relation.setdefault(rel.name, []).append(atom)
             for position, term in enumerate(atom.terms):
                 if not isinstance(term, Variable):
                     continue
-                self.find(term)
-                if rel is not None and position < rel.arity:
-                    if not rel.attributes[position].nullable:
-                        # Valid source instances keep mandatory attributes
-                        # non-null; only those are reasoned about.
-                        self.mark_nonnull(term)
+                root = self.find(term)
+                if position < len(attributes) and not attributes[position].nullable:
+                    # Valid source instances keep mandatory attributes
+                    # non-null; only those are reasoned about.
+                    self._mark_nonnull_root(root)
 
     def _source_relation(self, name: str):
         if self.schema is None or name not in self.schema:
@@ -394,29 +441,34 @@ class EgdClosure:
                 return
 
     def _saturate_once(self) -> bool:
+        """One round of the FD chase; True iff it changed the closure.
+
+        Relation by relation, the atoms are grouped by the normal forms of
+        their key terms, taken when the relation's turn comes, and every
+        atom is unified with the first atom of its group.  Key equalities
+        that a relation's own merges create are picked up by the next round.
+        """
         changed = False
-        by_relation: dict[str, list[RelationalAtom]] = {}
-        for atom in self.atoms:
-            by_relation.setdefault(atom.relation, []).append(atom)
-        for name, atoms in by_relation.items():
-            rel = self._source_relation(name)
-            if rel is None or not rel.key:
+        for name, atoms in self._by_relation.items():
+            if len(atoms) < 2:
                 continue
-            key_positions = rel.key_positions()
-            for i, first in enumerate(atoms):
-                for second in atoms[i + 1:]:
-                    if any(p >= len(first.terms) for p in key_positions):
-                        continue  # pragma: no cover - malformed atom
-                    if all(
-                        self.terms_equal(first.terms[p], second.terms[p])
-                        for p in key_positions
-                    ):
-                        for a, b in zip(first.terms, second.terms):
-                            if not self.terms_equal(a, b):
-                                self.equate(a, b)
-                                changed = True
-                            if self.contradiction is not None:
-                                return False
+            key_positions = self.schema.relation(name).key_positions()
+            last = max(key_positions)
+            groups: dict[tuple, list[RelationalAtom]] = {}
+            for atom in atoms:
+                terms = atom.terms
+                if len(terms) <= last:
+                    continue  # pragma: no cover - malformed atom
+                key = tuple([self.normalize(terms[p]) for p in key_positions])
+                groups.setdefault(key, []).append(atom)
+            for first, *rest in groups.values():
+                for second in rest:
+                    for a, b in zip(first.terms, second.terms):
+                        if not self.terms_equal(a, b):
+                            self.equate(a, b)
+                            changed = True
+                        if self.contradiction is not None:
+                            return False
         return changed
 
     # -- queries -----------------------------------------------------------

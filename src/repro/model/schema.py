@@ -101,6 +101,7 @@ class RelationSchema:
             if self._by_name[k].nullable:
                 raise SchemaError(f"relation {name}: key attribute {k!r} cannot be nullable")
         self.key: tuple[str, ...] = key_names
+        self._key_positions = tuple(names.index(k) for k in key_names)
 
     # -- queries ---------------------------------------------------------
 
@@ -141,7 +142,7 @@ class RelationSchema:
         return self.attribute(name).nullable
 
     def key_positions(self) -> tuple[int, ...]:
-        return tuple(self.position(k) for k in self.key)
+        return self._key_positions
 
     def nonkey_attribute_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes if a.name not in self.key)

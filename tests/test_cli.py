@@ -371,23 +371,23 @@ class TestLintPasses:
         checks and pair probes of one system's stage 2: the deep checks
         read its findings instead of running Algorithm 4 again."""
         import repro.core.conflicts as conflicts
-        import repro.core.functionality as functionality
+        from repro.core.functionality import PairChecker
         from repro.dsl.parser import parse_problem
         from repro.errors import ReproError
 
-        calls = {"check_functionality": 0, "find_key_conflicts": 0}
+        calls = {"violation": 0, "pair_conflicts": 0}
 
-        def spy(module, name):
-            real = getattr(module, name)
+        def spy(owner, name):
+            real = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
 
-        spy(functionality, "check_functionality")
-        spy(conflicts, "find_key_conflicts")
+        spy(PairChecker, "violation")
+        spy(conflicts, "pair_conflicts")
         if subject == "figure-1":
             argv = ["--scenario", "figure-1"]
             problem = bundled_problems()["figure-1"]

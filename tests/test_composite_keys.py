@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.conflicts import find_all_conflicts
+from repro.core.functionality import PairChecker
 from repro.core.pipeline import MappingSystem
 from repro.core.query_generation import rewrite_to_unitary
 from repro.core.schema_mapping import generate_schema_mapping
@@ -40,7 +41,7 @@ class TestEnrollmentConsolidation:
             skolemize_schema_mapping(list(schema_mapping), problem.target_schema)
         )
         conflicts = find_all_conflicts(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         )
         assert sorted(c.attribute for c in conflicts) == ["grade", "mentor"]
         assert all(not c.is_hard for c in conflicts)

@@ -12,6 +12,7 @@ from repro.core.conflicts import (
     conflicting_sets,
     term_kind,
 )
+from repro.core.functionality import PairChecker
 from repro.core.pipeline import MappingSystem
 from repro.core.query_generation import rewrite_to_unitary
 from repro.core.schema_mapping import generate_schema_mapping
@@ -74,7 +75,7 @@ class TestExample63:
         # The key c determines model via C3's key in both premises.
         problem, unitary = _unitary(figure1_problem)
         conflicts = find_all_conflicts(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         )
         assert all(c.attribute != "model" for c in conflicts)
 
@@ -86,7 +87,7 @@ class TestExampleC1Conflicts:
         p2a = conflicting_sets(unitary)["P2a"]
         assert len(p2a) == 3
         conflicts = find_all_conflicts(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         )
         p2a_conflicts = [c for c in conflicts if c.left.consequent.relation == "P2a"]
         assert p2a_conflicts == []
@@ -94,7 +95,7 @@ class TestExampleC1Conflicts:
     def test_c2a_soft_conflict_on_person(self):
         problem, unitary = _unitary(cars.figure10_problem())
         conflicts = find_all_conflicts(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         )
         c2a = [c for c in conflicts if c.left.consequent.relation == "C2a"]
         assert len(c2a) == 1
@@ -106,7 +107,7 @@ class TestExampleC2Conflicts:
     def test_pairwise_preferences(self):
         problem, unitary = _unitary(cars.figure12_problem())
         conflicts = find_all_conflicts(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         )
         # m1 vs m2 on o_name, m1 vs m3 on d_name, m2 vs m3 on both.
         attributes = sorted(c.attribute for c in conflicts)
@@ -120,7 +121,7 @@ class TestExample67Conflicts:
 
         problem, unitary = _unitary(example_6_7_problem())
         conflicts = find_all_conflicts(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         )
         by_attribute = {}
         for conflict in conflicts:
@@ -150,7 +151,7 @@ class TestHardConflicts:
         problem.add_correspondence("B.v", "T.v")
         problem, unitary = _unitary(problem)
         conflicts = find_all_conflicts(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         )
         assert any(c.is_hard for c in conflicts)
         assert "T.v" in str(conflicts[0]) or "v" in str(conflicts[0])
@@ -173,9 +174,11 @@ class TestBundledConflicts:
             actual[name] = [
                 [c.left.consequent.relation, c.attribute, c.left_kind, c.right_kind]
                 for c in find_all_conflicts(
-                    system.query_result().unitary,
-                    schema_mapping.source_schema,
-                    schema_mapping.target_schema,
+                    PairChecker(
+                        system.query_result().unitary,
+                        schema_mapping.source_schema,
+                        schema_mapping.target_schema,
+                    )
                 )
             ]
         assert actual == expected

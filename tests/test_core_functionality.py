@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.functionality import (
+    PairChecker,
     check_functionality,
     functionality_violations,
     rename_unitary,
@@ -42,7 +43,7 @@ class TestExampleC1:
     def test_functionality_violations_are_none(self):
         problem, unitary = _unitary_mappings(cars.figure10_problem())
         assert functionality_violations(
-            unitary, problem.source_schema, problem.target_schema
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
         ) == []
 
 

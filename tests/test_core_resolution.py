@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.conflicts import COPY, INVENT, NULL_KIND, term_kind
+from repro.core.functionality import PairChecker
 from repro.core.query_generation import rewrite_to_unitary
 from repro.core.resolution import FunctorUnifier, _fusion_core, resolve_key_conflicts
 from repro.core.schema_mapping import generate_schema_mapping
@@ -22,7 +23,7 @@ def _resolve(problem):
     )
     unitary = rewrite_to_unitary(skolemized)
     final, report = resolve_key_conflicts(
-        unitary, problem.source_schema, problem.target_schema
+        PairChecker(unitary, problem.source_schema, problem.target_schema)
     )
     return final, report
 
@@ -190,9 +191,11 @@ class TestHardConflictError:
         )
         with pytest.raises(HardKeyConflictError):
             resolve_key_conflicts(
-                rewrite_to_unitary(skolemized),
-                problem.source_schema,
-                problem.target_schema,
+                PairChecker(
+                    rewrite_to_unitary(skolemized),
+                    problem.source_schema,
+                    problem.target_schema,
+                )
             )
 
 

@@ -1,0 +1,331 @@
+"""Algorithm 4's pair checks, checked against the per-pair closures they replaced.
+
+* :class:`~repro.core.functionality.PairChecker` closes each unitary
+  mapping's premise once and its renamed-apart copy once, then joins two
+  closed sides per pair.  The per-pair check it replaced (rename ``right``,
+  load both premises into a fresh closure, equate the keys, saturate) is
+  copied here as the oracle: both give the same differing positions on
+  every same-relation pair, self pairs included, of the generator's
+  DEFAULT seeds and of small larger-shape seeds, and on random premises
+  with null conditions, equalities, disequalities and contradictions.
+* :meth:`EgdClosure._saturate_once` finds key-equal atoms through a dict
+  keyed by their normalized key terms.  The loop that tested every atom
+  pair is copied here as the oracle: on random atom sets both reach a
+  contradiction or neither does, and otherwise they prove the same terms
+  equal.
+* One stage-2 run renames every unitary mapping at most once and loads
+  each premise at most twice (as a left and as a right side).
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.functionality import PairChecker, rename_unitary
+from repro.core.pipeline import MappingSystem
+from repro.core.query_generation import generate_queries, rewrite_to_unitary
+from repro.core.skolem import ALL_SOURCE_OR_KEY_VARS, skolemize_schema_mapping
+from repro.logic.atoms import Disequality, Equality, RelationalAtom
+from repro.logic.mappings import Premise, UnitaryMapping
+from repro.logic.satisfiability import EgdClosure
+from repro.logic.terms import NULL_TERM, Constant, SkolemTerm, Variable
+from repro.model.builder import SchemaBuilder
+from repro.scenarios.generator import DEFAULT, GeneratorConfig, generate_scenario
+from repro.scenarios.synthetic import chain_problem
+
+# ---------------------------------------------------------------------------
+# The replaced closures, as oracles.
+
+
+class PairwiseClosure(EgdClosure):
+    """The closure whose FD chase tests every pair of atoms."""
+
+    def _saturate_once(self) -> bool:
+        changed = False
+        by_relation: dict[str, list[RelationalAtom]] = {}
+        for atom in self.atoms:
+            by_relation.setdefault(atom.relation, []).append(atom)
+        for name, atoms in by_relation.items():
+            rel = self._source_relation(name)
+            if rel is None or not rel.key:
+                continue
+            key_positions = rel.key_positions()
+            for i, first in enumerate(atoms):
+                for second in atoms[i + 1:]:
+                    if any(p >= len(first.terms) for p in key_positions):
+                        continue
+                    if all(
+                        self.terms_equal(first.terms[p], second.terms[p])
+                        for p in key_positions
+                    ):
+                        for a, b in zip(first.terms, second.terms):
+                            if not self.terms_equal(a, b):
+                                self.equate(a, b)
+                                changed = True
+                            if self.contradiction is not None:
+                                return False
+        return changed
+
+
+def per_pair_differing_positions(left, right, source_schema, target_schema):
+    """One fresh closure per pair: the check the pair checker replaced."""
+    renamed = rename_unitary(right)
+    relation = target_schema.relation(left.consequent.relation)
+    key_positions = relation.key_positions()
+    closure = PairwiseClosure(source_schema)
+    for premise in (left.premise, renamed.premise):
+        closure.load(
+            premise.atoms,
+            premise.null_vars,
+            premise.nonnull_vars,
+            premise.equalities,
+            premise.disequalities,
+        )
+    pairs = list(zip(left.consequent.terms, renamed.consequent.terms))
+    for position in key_positions:
+        closure.equate(*pairs[position])
+    closure.saturate()
+    for position, attribute in enumerate(relation.attributes):
+        if position in key_positions:
+            continue
+        if closure.contradiction is None and not closure.terms_equal(*pairs[position]):
+            yield (attribute.name, *pairs[position])
+
+
+def rendered(positions):
+    """Differing positions by attribute and term text (renamings are fresh)."""
+    return [(attribute, repr(left), repr(right)) for attribute, left, right in positions]
+
+
+def assert_checker_agrees(mappings, source_schema, target_schema, order):
+    """One checker answers every same-relation pair like the oracle does."""
+    checker = PairChecker(mappings, source_schema, target_schema)
+    for i, j in order:
+        expected = per_pair_differing_positions(
+            mappings[i], mappings[j], source_schema, target_schema
+        )
+        assert rendered(checker.differing_positions(i, j)) == rendered(expected), (
+            mappings[i],
+            mappings[j],
+        )
+
+
+def same_relation_pairs(mappings):
+    return [
+        (i, j)
+        for i, left in enumerate(mappings)
+        for j, right in enumerate(mappings)
+        if left.consequent.relation == right.consequent.relation
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Generated problems.
+
+#: the larger generator shape of tests/larger_shape.py
+LARGER = GeneratorConfig(
+    source_relations=(4, 6),
+    target_relations=(3, 5),
+    payload_attributes=(2, 4),
+)
+
+
+@lru_cache(maxsize=None)
+def unitary_mappings(seed: int, larger: bool):
+    """Algorithm 4's unitary mappings of one generated problem."""
+    problem = generate_scenario(seed, LARGER if larger else DEFAULT).problem
+    schema_mapping = MappingSystem(problem).schema_mapping
+    target_schema = schema_mapping.target_schema
+    skolemized = skolemize_schema_mapping(
+        list(schema_mapping),
+        target_schema,
+        strategy=ALL_SOURCE_OR_KEY_VARS,
+        use_null_for_nullable=True,
+    )
+    return rewrite_to_unitary(skolemized), schema_mapping.source_schema, target_schema
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 199), data=st.data())
+def test_checker_matches_per_pair_closures_on_default_seeds(seed, data):
+    mappings, source_schema, target_schema = unitary_mappings(seed, False)
+    order = data.draw(st.permutations(same_relation_pairs(mappings)))
+    assert_checker_agrees(mappings, source_schema, target_schema, order)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 9), data=st.data())
+def test_checker_matches_per_pair_closures_on_larger_shape(seed, data):
+    mappings, source_schema, target_schema = unitary_mappings(seed, True)
+    order = data.draw(st.permutations(same_relation_pairs(mappings)))
+    assert_checker_agrees(mappings, source_schema, target_schema, order)
+
+
+# ---------------------------------------------------------------------------
+# Random premises and atom sets.
+
+SOURCE = (
+    SchemaBuilder("src")
+    .relation("A", "k", "a", "b?")
+    .relation("B", "k1", "k2", "c?", key=("k1", "k2"))
+    .build()
+)
+TARGET = SchemaBuilder("tgt").relation("T", "t", "u", "v?").build()
+ARITIES = {"A": 3, "B": 3, "Free": 2}  # "Free" is not a source relation
+
+
+@st.composite
+def premises(draw):
+    """A premise over A and B with conditions on its own variables."""
+    variables = [Variable(f"x{i}") for i in range(draw(st.integers(1, 5)))]
+    ground = st.sampled_from([Constant("c1"), Constant("c2"), NULL_TERM])
+    term = st.one_of(st.sampled_from(variables), ground)
+    atoms = draw(
+        st.lists(
+            st.sampled_from(["A", "B"]).flatmap(
+                lambda name: st.tuples(st.just(name), st.tuples(*[term] * 3))
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    atoms = [RelationalAtom(name, terms) for name, terms in atoms]
+    used = list(
+        dict.fromkeys(t for a in atoms for t in a.terms if isinstance(t, Variable))
+    )
+    if not used:
+        atoms.append(RelationalAtom("A", (variables[0], Constant("c1"), NULL_TERM)))
+        used = [variables[0]]
+    own = st.sampled_from(used)
+    own_or_ground = st.one_of(own, ground)
+    return Premise(
+        atoms=tuple(atoms),
+        null_vars=tuple(draw(st.lists(own, max_size=1, unique=True))),
+        nonnull_vars=tuple(draw(st.lists(own, max_size=1, unique=True))),
+        equalities=tuple(
+            Equality(*pair)
+            for pair in draw(st.lists(st.tuples(own, own_or_ground), max_size=2))
+        ),
+        disequalities=tuple(
+            Disequality(*pair)
+            for pair in draw(st.lists(st.tuples(own, own_or_ground), max_size=1))
+        ),
+    )
+
+
+@st.composite
+def unitary(draw, index):
+    premise = draw(premises())
+    used = premise.variables()
+    value = st.one_of(
+        st.sampled_from(used),
+        st.sampled_from([Constant("c1"), NULL_TERM]),
+        st.sampled_from(["f", "g"]).flatmap(
+            lambda functor: st.sampled_from(used).map(
+                lambda var: SkolemTerm(functor, [var])
+            )
+        ),
+    )
+    key = st.one_of(st.sampled_from(used), st.just(Constant("c1")))
+    consequent = RelationalAtom("T", (draw(key), draw(value), draw(value)))
+    return UnitaryMapping(
+        premise=premise, consequent=consequent, origin=f"m{index}", name=f"m{index}.1"
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_checker_matches_per_pair_closures_on_random_premises(data):
+    count = data.draw(st.integers(1, 3))
+    mappings = [data.draw(unitary(index)) for index in range(count)]
+    order = data.draw(st.permutations(same_relation_pairs(mappings)))
+    assert_checker_agrees(mappings, SOURCE, TARGET, order)
+
+
+@st.composite
+def closure_inputs(draw):
+    variables = [Variable(f"v{i}") for i in range(6)]
+    var = st.sampled_from(variables)
+    ground = st.sampled_from([Constant(0), Constant(1), NULL_TERM])
+    term = st.one_of(var, var, ground)
+    atoms = draw(
+        st.lists(
+            st.sampled_from(sorted(ARITIES)).flatmap(
+                lambda name: st.tuples(
+                    st.just(name), st.tuples(*[term] * ARITIES[name])
+                )
+            ),
+            max_size=8,
+        )
+    )
+    return (
+        variables,
+        [RelationalAtom(name, terms) for name, terms in atoms],
+        draw(st.lists(var, max_size=2)),
+        draw(st.lists(var, max_size=2)),
+        [Equality(*pair) for pair in draw(st.lists(st.tuples(var, term), max_size=3))],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(closure_inputs())
+def test_dict_keyed_chase_agrees_with_the_pairwise_loop(inputs):
+    variables, atoms, null_vars, nonnull_vars, equalities = inputs
+    closures = []
+    for cls in (EgdClosure, PairwiseClosure):
+        closure = cls(SOURCE)
+        closure.load(atoms, null_vars, nonnull_vars, equalities)
+        closure.saturate()
+        closures.append(closure)
+    keyed, pairwise = closures
+    assert (keyed.contradiction is None) == (pairwise.contradiction is None)
+    if keyed.contradiction is not None:
+        return
+    terms = variables + [Constant(0), Constant(1), NULL_TERM]
+    for left in terms:
+        for right in terms:
+            assert keyed.terms_equal(left, right) == pairwise.terms_equal(left, right)
+
+
+# ---------------------------------------------------------------------------
+# Work done by one stage-2 run.
+
+
+def test_one_stage2_run_renames_and_loads_each_mapping_once(monkeypatch):
+    import repro.core.functionality as functionality
+
+    schema_mapping = MappingSystem(chain_problem(8)).schema_mapping
+    renames: Counter = Counter()
+    # The recorded objects stay alive, so their ids stay unique.
+    renamed: list[UnitaryMapping] = []
+    loaded: list[tuple] = []
+
+    real_rename = functionality.rename_unitary
+    real_load = EgdClosure.load
+
+    def counted_rename(mapping):
+        renames[id(mapping)] += 1
+        renamed.append(real_rename(mapping))
+        return renamed[-1]
+
+    def counted_load(self, atoms, *args, **kwargs):
+        loaded.append(atoms)
+        return real_load(self, atoms, *args, **kwargs)
+
+    monkeypatch.setattr(functionality, "rename_unitary", counted_rename)
+    monkeypatch.setattr(EgdClosure, "load", counted_load)
+    unitary = generate_queries(schema_mapping).unitary
+
+    assert renames and max(renames.values()) == 1
+    assert set(renames) <= {id(mapping) for mapping in unitary}
+    # A premise shared by sibling mappings loads once per sibling as a left
+    # side; each renamed copy loads once as a right side.
+    allowed = Counter(id(mapping.premise.atoms) for mapping in unitary)
+    allowed.update(id(copy.premise.atoms) for copy in renamed)
+    loads = Counter(id(atoms) for atoms in loaded)
+    assert set(loads) <= set(allowed)
+    assert all(loads[atoms] <= allowed[atoms] for atoms in loads), loads
+    assert sum(loads.values()) <= 2 * len(unitary)

@@ -1,5 +1,6 @@
 """Tests for the Skolem-unification propagation policy and rule statistics."""
 
+from repro.core.functionality import PairChecker
 from repro.core.query_generation import generate_queries, rewrite_to_unitary
 from repro.core.resolution import resolve_key_conflicts
 from repro.core.schema_mapping import generate_schema_mapping
@@ -18,9 +19,7 @@ def _resolve(problem, propagate):
         skolemize_schema_mapping(list(schema_mapping), problem.target_schema)
     )
     return resolve_key_conflicts(
-        unitary,
-        problem.source_schema,
-        problem.target_schema,
+        PairChecker(unitary, problem.source_schema, problem.target_schema),
         propagate_unification=propagate,
     )
 
