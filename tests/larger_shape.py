@@ -2,10 +2,11 @@
 
 Each seed of the larger shape (4–6 source relations, 3–5 target relations,
 2–4 payload attributes) is compiled through a
-:class:`~repro.core.pipeline.MappingSystem`, and the SHA-256 of its rendered
-unoptimized and optimized programs is compared against
-``tests/fixtures/larger_shape.json``.  Compiling the twelve seeds takes
-about 35 s on 2 vCPUs, so this is a script, not a tier-1 test::
+:class:`~repro.core.pipeline.MappingSystem` and certified.  The SHA-256 of
+its rendered unoptimized and optimized programs and its certificate (the
+verdict counts and the digest of the report's JSON) are compared against
+``tests/fixtures/larger_shape.json``.  Compiling and certifying the twelve
+seeds takes about 40 s on 2 vCPUs, so this is a script, not a tier-1 test::
 
     PYTHONPATH=src python -m tests.larger_shape
 
@@ -22,7 +23,7 @@ import sys
 from repro.core.pipeline import MappingSystem
 from repro.scenarios.generator import GeneratorConfig, generate_scenario
 
-from .test_stage2_golden import _digest
+from .test_stage2_golden import _certify, _digest
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "larger_shape.json")
 LARGER = GeneratorConfig(
@@ -34,12 +35,15 @@ SEEDS = range(10, 22)
 
 
 def programs(seed: int) -> dict:
-    """The digests and rule counts of one seed's compiled programs."""
-    result = MappingSystem(generate_scenario(seed, LARGER).problem).query_result()
+    """The digests and rule counts of one seed's compiled programs, and
+    its certificate."""
+    system = MappingSystem(generate_scenario(seed, LARGER).problem)
+    result = system.query_result()
     return {
         "unoptimized": _digest(repr(result.unoptimized)),
         "optimized": _digest(repr(result.program)),
         "rules": [len(result.unoptimized.rules), len(result.program.rules)],
+        "certify": _certify(system),
     }
 
 

@@ -13,7 +13,10 @@ programs; a subject whose stage 2 fails holds the exception type and every
 diagnostic the error carries instead.  For the bundled problems under the
 novel algorithm, for the chain problems and for the DEFAULT seeds whose
 optimizer removes a rule (``VERIFY_SEEDS``) it also holds every
-:class:`VerificationReport` check.
+:class:`VerificationReport` check.  Every subject that compiles also holds
+its certificate: the verdict counts and the SHA-256 of the certification
+report's JSON, plus the full key verdicts when one of them is REFUTED or
+UNKNOWN.
 
 Regenerate after an intentional change with::
 
@@ -104,6 +107,21 @@ def _stage2(problem, algorithm: str, verify: bool) -> dict:
             [check.name, check.subject, check.ok, check.detail]
             for check in system.verify().checks
         ]
+    entry["certify"] = _certify(system)
+    return entry
+
+
+def _certify(system: MappingSystem) -> dict:
+    """The subject's certificate: its counts, digest and open key verdicts."""
+    reset_default_engine()  # witness names must not depend on test order
+    report = system.certify()
+    entry = {
+        "counts": report.counts(),
+        "digest": _digest(json.dumps(report.to_dict(), sort_keys=True)),
+    }
+    keys = [verdict.to_dict() for verdict in report.of_kind("key")]
+    if any(verdict["verdict"] != "PROVED" for verdict in keys):
+        entry["keys"] = keys
     return entry
 
 
