@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from ...core.functionality import premise_closure
 from ...datalog.program import DatalogProgram, Rule
-from ...logic.satisfiability import EgdClosure
 from ...logic.terms import NullTerm, Variable
 from ...obs import count
 from ..semantic.containment import (
@@ -36,7 +36,7 @@ from ..semantic.containment import (
     Witness,
     cq_from_rule,
 )
-from .closure import add_rule, negation_refutation
+from .closure import negation_refutation, rule_clause
 from .counterexample import confirmed_counterexample, fk_violation_check
 from .report import PROVED, REFUTED, UNKNOWN, ConstraintVerdict
 
@@ -194,8 +194,7 @@ def _containment_proof(
 
 def _fk_counterexample(program: DatalogProgram, rule: Rule, term, fk):
     """A valid source instance making ``rule`` emit a dangling FK value."""
-    closure = EgdClosure(schema=program.source_schema)
-    add_rule(closure, rule)
+    closure = premise_closure(rule_clause(rule).premise, program.source_schema)
     if isinstance(term, Variable):
         # The FK constraint only bites for non-null values.
         if closure.info(term).null:
@@ -204,7 +203,7 @@ def _fk_counterexample(program: DatalogProgram, rule: Rule, term, fk):
     closure.saturate()
     if closure.contradiction is not None:
         return None
-    if negation_refutation(closure, (rule,), program) is not None:
+    if negation_refutation(closure, rule.negated, program) is not None:
         return None
     return confirmed_counterexample(
         program, closure, fk_violation_check(fk.relation, fk.attribute)

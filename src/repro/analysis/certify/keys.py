@@ -5,16 +5,20 @@ firings (of the same rule or of two different rules for ``R``) can agree on
 the key positions yet produce different rows.  The pass decomposes the
 proof obligation accordingly:
 
-* *within one rule* — the PR 4 key-origin functionality records
-  (Algorithm 4, step 2 lifted to a static FD closure): a confirmed record
-  proves any two firings of that rule agreeing on the key emit the same
-  row.  Unconfirmed records fall back to the pair analysis against a
-  renamed copy of the rule.
+* *within one rule* — the key-origin functionality records (Algorithm 4,
+  step 2 lifted to a static FD closure): a confirmed record proves any two
+  firings of that rule agreeing on the key emit the same row.  Unconfirmed
+  records fall back to the pair analysis of the rule's self pair.
 
-* *across two rules* — the combined bodies are loaded into an
-  :class:`~repro.logic.satisfiability.EgdClosure`, the key head terms
-  are equated, and the closure is saturated under the source FDs.  The pair
-  is then harmless when one of these holds, each yielding a one-line proof:
+* *across two rules* — the pair analysis of the two rules.
+
+The pair analysis is Algorithm 4's own: one
+:class:`~repro.core.functionality.PairChecker` per target relation holds
+its rules (:func:`~.closure.rule_clause`), renames each rule once and
+closes each body once per side.  A pair's closure joins the two closed
+bodies, equates the key head terms and saturates under the source FDs.
+The pair is then harmless when one of these holds, each yielding a
+one-line proof:
 
   1. the constraints are contradictory (disjoint Skolem ranges, an
      invented-vs-ground clash, a null condition against a non-null one, a
@@ -35,11 +39,14 @@ counterexample refutes the key, otherwise the verdict is UNKNOWN.
 
 from __future__ import annotations
 
+from functools import partial
+
+from ...core.functionality import PairChecker
 from ...datalog.program import DatalogProgram, Rule
-from ...logic.satisfiability import EgdClosure
+from ...model.instance import Instance
 from ...obs import count
 from ..flow.keyorigin import FunctionalityRecord, functionality_records
-from .closure import add_rule, negation_refutation, rename_rule
+from .closure import negation_refutation, rule_clause
 from .counterexample import confirmed_counterexample, key_violation_check
 from .report import PROVED, REFUTED, UNKNOWN, ConstraintVerdict
 
@@ -67,21 +74,26 @@ def _certify_relation_key(
     records: dict[int, FunctionalityRecord],
 ) -> ConstraintVerdict:
     name = relation.name
-    constraint = f"key of {name} ({', '.join(relation.key)})"
+    key_verdict = partial(
+        ConstraintVerdict,
+        kind="key",
+        constraint=f"key of {name} ({', '.join(relation.key)})",
+        relation=name,
+    )
     rules = program.rules_for(name)
-    key_positions = relation.key_positions()
-    proofs: list[str] = []
-    unknowns: list[str] = []
-
     if not rules:
-        return ConstraintVerdict(
-            kind="key",
-            constraint=constraint,
-            relation=name,
+        return key_verdict(
             verdict=PROVED,
             witness=f"no rule derives {name}; the key holds vacuously",
         )
 
+    checker = PairChecker(
+        [rule_clause(rule) for rule in rules],
+        program.source_schema,
+        program.target_schema,
+    )
+    proofs: list[str] = []
+    unknowns: list[str] = []
     # Within-rule functionality (two firings of the same rule).
     for index, rule in enumerate(rules):
         record = records.get(id(rule))
@@ -91,13 +103,11 @@ def _certify_relation_key(
                 f"(static FD closure, Algorithm 4 step 2)"
             )
             continue
-        outcome = _analyze_pair(
-            program, rule, rename_rule(rule), key_positions, name
-        )
-        if outcome.proof is not None:
-            proofs.append(f"rule {index} (self-pair): {outcome.proof}")
-        elif outcome.counterexample is not None:
-            return _refuted(constraint, name, f"rule {index}", outcome)
+        proof, counterexample = _pair_outcome(program, checker, rules, index, index)
+        if proof is not None:
+            proofs.append(f"rule {index} (self-pair): {proof}")
+        elif counterexample is not None:
+            return _refuted(key_verdict, f"rule {index}", counterexample)
         else:
             unknowns.append(
                 f"rule {index}: functionality not statically confirmed "
@@ -105,15 +115,13 @@ def _certify_relation_key(
             )
 
     # Cross-rule pairs.
-    for i, first in enumerate(rules):
+    for i in range(len(rules)):
         for j in range(i + 1, len(rules)):
-            outcome = _analyze_pair(
-                program, first, rename_rule(rules[j]), key_positions, name
-            )
-            if outcome.proof is not None:
-                proofs.append(f"rules {i}+{j}: {outcome.proof}")
-            elif outcome.counterexample is not None:
-                return _refuted(constraint, name, f"rules {i}+{j}", outcome)
+            proof, counterexample = _pair_outcome(program, checker, rules, i, j)
+            if proof is not None:
+                proofs.append(f"rules {i}+{j}: {proof}")
+            elif counterexample is not None:
+                return _refuted(key_verdict, f"rules {i}+{j}", counterexample)
             else:
                 unknowns.append(
                     f"rules {i}+{j}: neither disjointness nor row agreement "
@@ -121,83 +129,49 @@ def _certify_relation_key(
                 )
 
     if unknowns:
-        return ConstraintVerdict(
-            kind="key",
-            constraint=constraint,
-            relation=name,
-            verdict=UNKNOWN,
-            reason="; ".join(unknowns),
-        )
-    return ConstraintVerdict(
-        kind="key",
-        constraint=constraint,
-        relation=name,
-        verdict=PROVED,
-        witness="; ".join(proofs),
-    )
+        return key_verdict(verdict=UNKNOWN, reason="; ".join(unknowns))
+    return key_verdict(verdict=PROVED, witness="; ".join(proofs))
 
 
-class _PairOutcome:
-    __slots__ = ("proof", "counterexample")
-
-    def __init__(self, proof=None, counterexample=None):
-        self.proof = proof
-        self.counterexample = counterexample
-
-
-def _refuted(constraint, name, which, outcome) -> ConstraintVerdict:
-    return ConstraintVerdict(
-        kind="key",
-        constraint=constraint,
-        relation=name,
+def _refuted(key_verdict, which: str, counterexample: Instance) -> ConstraintVerdict:
+    return key_verdict(
         verdict=REFUTED,
         reason=(
             f"{which} can emit two rows agreeing on the key but differing "
             f"elsewhere; confirmed on both engines"
         ),
-        counterexample=outcome.counterexample,
+        counterexample=counterexample,
     )
 
 
-def _analyze_pair(
+def _pair_outcome(
     program: DatalogProgram,
-    first: Rule,
-    second: Rule,
-    key_positions: tuple[int, ...],
-    relation: str,
-) -> _PairOutcome:
-    """Can firings of ``first`` and ``second`` collide on the key?
+    checker: PairChecker,
+    rules: list[Rule],
+    left: int,
+    right: int,
+) -> tuple[str | None, Instance | None]:
+    """Can firings of ``rules[left]`` and ``rules[right]`` collide on the key?
 
-    ``second`` must already be variable-disjoint from ``first`` (renamed).
+    ``rules`` are the checker's rules; ``right`` is taken renamed apart, so
+    ``left == right`` is the self pair.  Returns a one-line proof that they
+    cannot, or else a confirmed counterexample, or neither.
     """
-    closure = EgdClosure(schema=program.source_schema)
-    add_rule(closure, first)
-    add_rule(closure, second)
-    for position in key_positions:
-        closure.equate(first.head.terms[position], second.head.terms[position])
-    closure.saturate()
+    closure, pairs = checker.pair(left, right)
     if closure.contradiction is not None:
-        return _PairOutcome(proof=f"key-equal firings impossible: {closure.contradiction}")
-    negation_proof = negation_refutation(closure, (first, second), program)
-    if negation_proof is not None:
-        return _PairOutcome(
-            proof=f"key-equal firings impossible: {negation_proof}"
-        )
-    disagreeing = [
-        position
-        for position in range(len(first.head.terms))
-        if not closure.terms_equal(
-            first.head.terms[position], second.head.terms[position]
-        )
-    ]
-    if not disagreeing:
-        return _PairOutcome(
-            proof=(
-                "key-equal firings provably emit identical rows "
-                "(FD closure over the combined bodies)"
-            )
-        )
-    counterexample = confirmed_counterexample(
-        program, closure, key_violation_check(relation)
+        return f"key-equal firings impossible: {closure.contradiction}", None
+    renaming = checker.renaming(right)
+    negated = rules[left].negated + tuple(
+        atom.substitute(renaming) for atom in rules[right].negated
     )
-    return _PairOutcome(counterexample=counterexample)
+    negation_proof = negation_refutation(closure, negated, program)
+    if negation_proof is not None:
+        return f"key-equal firings impossible: {negation_proof}", None
+    if all(closure.terms_equal(*terms) for terms in pairs):
+        return (
+            "key-equal firings provably emit identical rows "
+            "(FD closure over the combined bodies)",
+            None,
+        )
+    check = key_violation_check(rules[left].head_relation)
+    return None, confirmed_counterexample(program, closure, check)

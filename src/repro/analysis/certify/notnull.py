@@ -13,15 +13,15 @@ UNKNOWN — the fixpoint over-approximates, so ``MAYBE`` alone never refutes.
 
 from __future__ import annotations
 
+from ...core.functionality import premise_closure
 from ...datalog.program import DatalogProgram, Rule
-from ...logic.satisfiability import EgdClosure
 from ...logic.terms import NullTerm, Variable
 from ...model.instance import Instance
 from ...obs import count
 from ..flow.lattice import BOTTOM, NO
 from ..flow.nullability import NullabilityAnalysis
 from ..flow.solver import FlowResult, solve
-from .closure import add_rule, negation_refutation
+from .closure import negation_refutation, rule_clause
 from .counterexample import confirmed_counterexample, null_violation_check
 from .report import PROVED, REFUTED, UNKNOWN, ConstraintVerdict
 
@@ -118,8 +118,7 @@ def _null_counterexample(
 ) -> Instance | None:
     """A valid source instance making this rule emit null at ``position``."""
     term = rule.head.terms[position]
-    closure = EgdClosure(schema=program.source_schema)
-    add_rule(closure, rule)
+    closure = premise_closure(rule_clause(rule).premise, program.source_schema)
     if isinstance(term, Variable):
         closure.equate(term, NullTerm())
     elif not isinstance(term, NullTerm):
@@ -127,6 +126,6 @@ def _null_counterexample(
     closure.saturate()
     if closure.contradiction is not None:
         return None
-    if negation_refutation(closure, (rule,), program) is not None:
+    if negation_refutation(closure, rule.negated, program) is not None:
         return None  # the rule body can never fire under this constraint
     return confirmed_counterexample(program, closure, check)

@@ -1,4 +1,4 @@
-"""The functionality check of Algorithm 4 (step 2).
+"""The functionality check of Algorithm 4 (step 2), and the pair closure.
 
 A unitary logical mapping ``m = φ(x) → R(t_key, t_v1, ...)`` is *functional*
 when it cannot, on its own, violate the key constraint of ``R``: for every
@@ -9,20 +9,24 @@ The check doubles the premise with fresh variables, equates the two copies'
 key terms (decomposing Skolem terms via injectivity), closes the pair under
 the source key dependencies, and probes each non-key position against that
 closure.  The key-conflict check of :mod:`repro.core.conflicts` probes two
-different mappings the same way.
+different mappings the same way, and the certifier's key pass
+(:mod:`repro.analysis.certify.keys`) asks the same question of two target
+rules, each taken as its head over a premise of its body and conditions.
 
-Both run on one :class:`PairChecker` per stage-2 run.  It closes each
-mapping's premise once, and its renamed-apart copy once, each in its own
-:class:`~repro.logic.satisfiability.EgdClosure`; a pair check joins two
-closed sides (:meth:`~repro.logic.satisfiability.EgdClosure.joined`)
-instead of renaming and reloading both premises, so the per-pair cost is
-the copy and the saturation of the cross-side key equalities.
+All three run on :class:`PairChecker`, the one code that renames, loads,
+closes and joins a pair of key-producing clauses.  It closes each clause's
+premise once, and its renamed-apart copy once, each in its own
+:class:`~repro.logic.satisfiability.EgdClosure` (:func:`premise_closure`
+is the one loader); a pair joins two closed sides
+(:meth:`~repro.logic.satisfiability.EgdClosure.joined`) instead of renaming
+and reloading both premises, so the per-pair cost is the copy and the
+saturation of the cross-side key equalities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ..analysis.diagnostics import Diagnostic, diagnostic
 from ..logic.atoms import RelationalAtom
@@ -45,15 +49,17 @@ def rename_premise(premise: Premise) -> tuple[Premise, dict[Variable, Term]]:
     return premise.substitute(renaming), renaming
 
 
-def rename_unitary(mapping: UnitaryMapping) -> UnitaryMapping:
-    """A copy of a unitary mapping with fresh premise (and consequent) variables."""
-    premise, renaming = rename_premise(mapping.premise)
-    return UnitaryMapping(
-        premise=premise,
-        consequent=mapping.consequent.substitute(renaming),
-        origin=mapping.origin,
-        name=mapping.name,
+def premise_closure(premise: Premise, source_schema: Schema | None) -> EgdClosure:
+    """A closure with the premise's atoms and conditions loaded, unsaturated."""
+    closure = EgdClosure(source_schema)
+    closure.load(
+        premise.atoms,
+        premise.null_vars,
+        premise.nonnull_vars,
+        premise.equalities,
+        premise.disequalities,
     )
+    return closure
 
 
 @dataclass
@@ -77,17 +83,27 @@ class FunctionalityViolation:
         )
 
 
+class _RightSide(NamedTuple):
+    """A clause renamed apart: its consequent, closed premise and renaming."""
+
+    consequent: RelationalAtom
+    closure: EgdClosure
+    renaming: dict[Variable, Term]
+
+
 class PairChecker:
     """Algorithm 4's pair checks over one list of unitary mappings.
 
     Every mapping gets two sides, each built on first use and indexed by
     the mapping's position in :attr:`mappings`: its premise loaded and
     closed in an :class:`EgdClosure` (the left side of a pair), and its
-    renamed-apart copy (:func:`rename_unitary`, called once) loaded and
-    closed in a second one (the right side).  A pair check joins the left
-    side of one mapping with the right side of another — the two share no
-    variable, so the join copies their classes instead of reloading the
-    premises — equates the two consequents' key terms and saturates.
+    renamed-apart copy (:func:`rename_premise`, called once) loaded and
+    closed in a second one (the right side).  A pair (:meth:`pair`) joins
+    the left side of one mapping with the right side of another — the two
+    share no variable, so the join copies their classes instead of
+    reloading the premises — equates the two consequents' key terms and
+    saturates.  A target rule enters as the mapping of its head over a
+    premise of its body and conditions.
     """
 
     def __init__(
@@ -100,17 +116,10 @@ class PairChecker:
         self.source_schema = source_schema
         self.target_schema = target_schema
         self._left: dict[int, EgdClosure] = {}
-        self._right: dict[int, tuple[RelationalAtom, EgdClosure]] = {}
+        self._right: dict[int, _RightSide] = {}
 
     def _closed(self, premise: Premise) -> EgdClosure:
-        closure = EgdClosure(self.source_schema)
-        closure.load(
-            premise.atoms,
-            premise.null_vars,
-            premise.nonnull_vars,
-            premise.equalities,
-            premise.disequalities,
-        )
+        closure = premise_closure(premise, self.source_schema)
         closure.saturate()
         return closure
 
@@ -120,15 +129,42 @@ class PairChecker:
             side = self._left[index] = self._closed(self.mappings[index].premise)
         return side
 
-    def _right_side(self, index: int) -> tuple[RelationalAtom, EgdClosure]:
+    def _right_side(self, index: int) -> _RightSide:
         side = self._right.get(index)
         if side is None:
-            renamed = rename_unitary(self.mappings[index])
-            side = self._right[index] = (
-                renamed.consequent,
-                self._closed(renamed.premise),
+            mapping = self.mappings[index]
+            premise, renaming = rename_premise(mapping.premise)
+            side = self._right[index] = _RightSide(
+                mapping.consequent.substitute(renaming),
+                self._closed(premise),
+                renaming,
             )
         return side
+
+    def renaming(self, index: int) -> dict[Variable, Term]:
+        """The renaming that takes mapping ``index`` to its right side."""
+        return self._right_side(index).renaming
+
+    def pair(
+        self, left: int, right: int
+    ) -> tuple[EgdClosure, list[tuple[Term, Term]]]:
+        """The saturated closure of one pair with its key terms equated.
+
+        ``left`` and ``right`` are positions in :attr:`mappings`; ``right``
+        is taken renamed apart (the paper assumes pairwise-disjoint
+        variable sets), so ``left == right`` is a self pair.  Also returns
+        the two consequents' terms position by position, as ``(left term,
+        renamed right term)``.
+        """
+        consequent = self.mappings[left].consequent
+        right_side = self._right_side(right)
+        closure = self._left_side(left).joined(right_side.closure)
+        pairs = list(zip(consequent.terms, right_side.consequent.terms))
+        relation = self.target_schema.relation(consequent.relation)
+        for position in relation.key_positions():
+            closure.equate(*pairs[position])
+        closure.saturate()
+        return closure, pairs
 
     def differing_positions(
         self, left: int, right: int
@@ -136,23 +172,14 @@ class PairChecker:
         """The non-key attributes where the two mappings' consequents can
         differ while their keys agree.
 
-        ``left`` and ``right`` are positions in :attr:`mappings`; ``right``
-        is taken renamed apart (the paper assumes pairwise-disjoint
-        variable sets), so ``left == right`` is the self pair of the
-        functionality check.  Each non-key position is one probe of the
-        pair's closure, yielding ``(attribute, left term, renamed right
-        term)`` iff the closure has no contradiction and does not force the
-        two terms equal.
+        Each non-key position is one probe of the :meth:`pair` closure,
+        yielding ``(attribute, left term, renamed right term)`` iff the
+        closure has no contradiction and does not force the two terms
+        equal.
         """
-        consequent = self.mappings[left].consequent
-        right_consequent, right_closure = self._right_side(right)
-        relation = self.target_schema.relation(consequent.relation)
+        closure, pairs = self.pair(left, right)
+        relation = self.target_schema.relation(self.mappings[left].consequent.relation)
         key_positions = relation.key_positions()
-        closure = self._left_side(left).joined(right_closure)
-        pairs = list(zip(consequent.terms, right_consequent.terms))
-        for position in key_positions:
-            closure.equate(*pairs[position])
-        closure.saturate()
         for position, attribute in enumerate(relation.attributes):
             if position in key_positions:
                 continue

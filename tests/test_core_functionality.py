@@ -6,7 +6,7 @@ from repro.core.functionality import (
     PairChecker,
     check_functionality,
     functionality_violations,
-    rename_unitary,
+    rename_premise,
 )
 from repro.core.query_generation import generate_queries, rewrite_to_unitary
 from repro.core.schema_mapping import generate_schema_mapping
@@ -98,21 +98,22 @@ class TestNonFunctionalDetection:
 
 
 class TestRenaming:
-    def test_rename_unitary_is_fresh(self):
+    def test_rename_premise_is_fresh(self):
         problem, unitary = _unitary_mappings(cars.figure10_problem())
         original = unitary[0]
-        renamed = rename_unitary(original)
+        renamed, renaming = rename_premise(original.premise)
         original_vars = set(original.premise.variables())
-        renamed_vars = set(renamed.premise.variables())
+        renamed_vars = set(renamed.variables())
         assert not (original_vars & renamed_vars)
-        assert renamed.consequent.relation == original.consequent.relation
+        assert set(renaming) == original_vars
+        assert set(renaming.values()) == renamed_vars
 
     def test_rename_preserves_conditions(self):
         problem, unitary = _unitary_mappings(cars.figure14_problem())
         with_null = next(m for m in unitary if m.premise.null_vars)
-        renamed = rename_unitary(with_null)
-        assert len(renamed.premise.null_vars) == len(with_null.premise.null_vars)
-        assert renamed.premise.null_vars[0] is not with_null.premise.null_vars[0]
+        renamed, _ = rename_premise(with_null.premise)
+        assert len(renamed.null_vars) == len(with_null.premise.null_vars)
+        assert renamed.null_vars[0] is not with_null.premise.null_vars[0]
 
 
 class TestSkolemizedHeads:

@@ -13,8 +13,17 @@
   pair is copied here as the oracle: on random atom sets both reach a
   contradiction or neither does, and otherwise they prove the same terms
   equal.
+* The key certifier asks the same question of target rules on the same
+  checker (each rule as :func:`~repro.analysis.certify.closure.rule_clause`).
+  Its old per-pair closure (rename the second rule, load both bodies,
+  equate the key head terms, saturate) is copied here as the oracle: on
+  every self pair and same-head pair of DEFAULT-seed programs (both
+  algorithms) and of small larger-shape seeds, both find a contradiction
+  or neither does, prove the same head positions equal and refute the
+  same negated premise.
 * One stage-2 run renames every unitary mapping at most once and loads
-  each premise at most twice (as a left and as a right side).
+  each premise at most twice (as a left and as a right side); one certify
+  run does the same for every rule.
 """
 
 from __future__ import annotations
@@ -24,10 +33,14 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.functionality import PairChecker, rename_unitary
+from repro.analysis.certify import certify_program
+from repro.analysis.certify.closure import negation_refutation, rule_clause
+from repro.core.functionality import PairChecker, rename_premise
 from repro.core.pipeline import MappingSystem
 from repro.core.query_generation import generate_queries, rewrite_to_unitary
+from repro.core.schema_mapping import BASIC, NOVEL
 from repro.core.skolem import ALL_SOURCE_OR_KEY_VARS, skolemize_schema_mapping
+from repro.datalog.program import Rule
 from repro.logic.atoms import Disequality, Equality, RelationalAtom
 from repro.logic.mappings import Premise, UnitaryMapping
 from repro.logic.satisfiability import EgdClosure
@@ -72,11 +85,11 @@ class PairwiseClosure(EgdClosure):
 
 def per_pair_differing_positions(left, right, source_schema, target_schema):
     """One fresh closure per pair: the check the pair checker replaced."""
-    renamed = rename_unitary(right)
+    renamed, renaming = rename_premise(right.premise)
     relation = target_schema.relation(left.consequent.relation)
     key_positions = relation.key_positions()
     closure = PairwiseClosure(source_schema)
-    for premise in (left.premise, renamed.premise):
+    for premise in (left.premise, renamed):
         closure.load(
             premise.atoms,
             premise.null_vars,
@@ -84,7 +97,8 @@ def per_pair_differing_positions(left, right, source_schema, target_schema):
             premise.equalities,
             premise.disequalities,
         )
-    pairs = list(zip(left.consequent.terms, renamed.consequent.terms))
+    right_consequent = right.consequent.substitute(renaming)
+    pairs = list(zip(left.consequent.terms, right_consequent.terms))
     for position in key_positions:
         closure.equate(*pairs[position])
     closure.saturate()
@@ -162,6 +176,111 @@ def test_checker_matches_per_pair_closures_on_larger_shape(seed, data):
     mappings, source_schema, target_schema = unitary_mappings(seed, True)
     order = data.draw(st.permutations(same_relation_pairs(mappings)))
     assert_checker_agrees(mappings, source_schema, target_schema, order)
+
+
+# ---------------------------------------------------------------------------
+# Rule pairs of the key certifier.
+
+
+def rename_rule(rule: Rule) -> Rule:
+    """A copy of ``rule`` over fresh variables (the certifier's old renaming)."""
+    mapping: dict[Variable, Variable] = {}
+    for var in rule.body_variables():
+        mapping.setdefault(var, Variable(var.name + "'"))
+    for term in rule.head.terms:
+        for var in term.variables():
+            mapping.setdefault(var, Variable(var.name + "'"))
+    return Rule(
+        head=rule.head.substitute(mapping),
+        body=tuple(a.substitute(mapping) for a in rule.body),
+        negated=tuple(a.substitute(mapping) for a in rule.negated),
+        null_vars=tuple(mapping.get(v, v) for v in rule.null_vars),
+        nonnull_vars=tuple(mapping.get(v, v) for v in rule.nonnull_vars),
+        equalities=tuple(e.substitute(mapping) for e in rule.equalities),
+        disequalities=tuple(d.substitute(mapping) for d in rule.disequalities),
+    )
+
+
+def per_pair_rule_closure(program, first, second, key_positions):
+    """One fresh closure per rule pair: the key certifier's old pair closure.
+
+    Returns the closure and the renamed ``second``.
+    """
+    second = rename_rule(second)
+    closure = EgdClosure(schema=program.source_schema)
+    for rule in (first, second):
+        closure.load(
+            rule.body,
+            rule.null_vars,
+            rule.nonnull_vars,
+            rule.equalities,
+            rule.disequalities,
+        )
+    for position in key_positions:
+        closure.equate(first.head.terms[position], second.head.terms[position])
+    closure.saturate()
+    return closure, second
+
+
+@lru_cache(maxsize=None)
+def compiled_program(seed: int, larger: bool, algorithm: str):
+    """The program the certifier reads for one generated problem."""
+    problem = generate_scenario(seed, LARGER if larger else DEFAULT).problem
+    return MappingSystem(problem, algorithm=algorithm).transformation
+
+
+def assert_rule_checker_agrees(program, data):
+    """Per target relation, one checker over its rules answers every self
+    pair and same-head pair like the per-pair closure does."""
+    for relation in program.target_schema:
+        rules = program.rules_for(relation.name)
+        pairs = [(i, j) for i in range(len(rules)) for j in range(i, len(rules))]
+        order = data.draw(st.permutations(pairs))
+        checker = PairChecker(
+            [rule_clause(rule) for rule in rules],
+            program.source_schema,
+            program.target_schema,
+        )
+        for i, j in order:
+            closure, terms = checker.pair(i, j)
+            negated = rules[i].negated + tuple(
+                atom.substitute(checker.renaming(j)) for atom in rules[j].negated
+            )
+            expected, renamed = per_pair_rule_closure(
+                program, rules[i], rules[j], relation.key_positions()
+            )
+            context = (rules[i], rules[j])
+            assert (closure.contradiction is None) == (
+                expected.contradiction is None
+            ), context
+            assert [closure.terms_equal(*pair) for pair in terms] == [
+                expected.terms_equal(*pair)
+                for pair in zip(rules[i].head.terms, renamed.head.terms)
+            ], context
+            assert negation_refutation(closure, negated, program) == (
+                negation_refutation(
+                    expected, rules[i].negated + renamed.negated, program
+                )
+            ), context
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 199),
+    algorithm=st.sampled_from([NOVEL, BASIC]),
+    data=st.data(),
+)
+def test_rule_checker_matches_per_pair_closures_on_default_seeds(
+    seed, algorithm, data
+):
+    program = compiled_program(seed, False, algorithm)
+    assert_rule_checker_agrees(program, data)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 9), data=st.data())
+def test_rule_checker_matches_per_pair_closures_on_larger_shape(seed, data):
+    assert_rule_checker_agrees(compiled_program(seed, True, NOVEL), data)
 
 
 # ---------------------------------------------------------------------------
@@ -294,38 +413,61 @@ def test_dict_keyed_chase_agrees_with_the_pairwise_loop(inputs):
 # Work done by one stage-2 run.
 
 
+def assert_renamed_and_loaded_once(premises, renamed, loaded):
+    """Each clause renamed at most once, each body loaded at most twice.
+
+    ``premises`` holds one premise per clause of the run; sibling clauses
+    may share one premise object (and two rules one body tuple), so counts
+    are per object, bounded by the number of clauses sharing it.  Each
+    clause's body loads once as a left side, its renamed copy once as a
+    right side.
+    """
+    clauses = Counter(id(premise.atoms) for premise in premises)
+    renames = Counter(id(original.atoms) for original, _ in renamed)
+    assert renames and set(renames) <= set(clauses)
+    assert all(renames[atoms] <= clauses[atoms] for atoms in renames), renames
+    allowed = clauses + Counter(id(copy.atoms) for _, copy in renamed)
+    loads = Counter(id(atoms) for atoms in loaded)
+    assert set(loads) <= set(allowed)
+    assert all(loads[atoms] <= allowed[atoms] for atoms in loads), loads
+    assert sum(loads.values()) <= 2 * len(premises)
+
+
 def test_one_stage2_run_renames_and_loads_each_mapping_once(monkeypatch):
+    """One stage-2 run on chain-8, and one certify run on DEFAULT seed 106
+    (whose key pass checks 4 152 rule pairs), rename each clause at most
+    once and load each premise or rule body at most twice."""
     import repro.core.functionality as functionality
 
     schema_mapping = MappingSystem(chain_problem(8)).schema_mapping
-    renames: Counter = Counter()
+    program = MappingSystem(generate_scenario(106, DEFAULT).problem).transformation
     # The recorded objects stay alive, so their ids stay unique.
-    renamed: list[UnitaryMapping] = []
+    renamed: list[tuple[Premise, Premise]] = []
     loaded: list[tuple] = []
 
-    real_rename = functionality.rename_unitary
+    real_rename = functionality.rename_premise
     real_load = EgdClosure.load
 
-    def counted_rename(mapping):
-        renames[id(mapping)] += 1
-        renamed.append(real_rename(mapping))
-        return renamed[-1]
+    def counted_rename(premise):
+        copy, renaming = real_rename(premise)
+        renamed.append((premise, copy))
+        return copy, renaming
 
     def counted_load(self, atoms, *args, **kwargs):
         loaded.append(atoms)
         return real_load(self, atoms, *args, **kwargs)
 
-    monkeypatch.setattr(functionality, "rename_unitary", counted_rename)
+    monkeypatch.setattr(functionality, "rename_premise", counted_rename)
     monkeypatch.setattr(EgdClosure, "load", counted_load)
-    unitary = generate_queries(schema_mapping).unitary
 
-    assert renames and max(renames.values()) == 1
-    assert set(renames) <= {id(mapping) for mapping in unitary}
-    # A premise shared by sibling mappings loads once per sibling as a left
-    # side; each renamed copy loads once as a right side.
-    allowed = Counter(id(mapping.premise.atoms) for mapping in unitary)
-    allowed.update(id(copy.premise.atoms) for copy in renamed)
-    loads = Counter(id(atoms) for atoms in loaded)
-    assert set(loads) <= set(allowed)
-    assert all(loads[atoms] <= allowed[atoms] for atoms in loads), loads
-    assert sum(loads.values()) <= 2 * len(unitary)
+    unitary = generate_queries(schema_mapping).unitary
+    assert_renamed_and_loaded_once(
+        [mapping.premise for mapping in unitary], renamed, loaded
+    )
+
+    renamed.clear()
+    loaded.clear()
+    certify_program(program)
+    assert_renamed_and_loaded_once(
+        [rule_clause(rule).premise for rule in program.rules], renamed, loaded
+    )
