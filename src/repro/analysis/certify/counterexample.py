@@ -104,8 +104,10 @@ def repair_foreign_keys(instance: Instance, fresh=None) -> bool:
     """Chase dangling foreign keys by adding referenced rows.
 
     Added rows carry the dangling value at the key, ``NULL`` at nullable
-    attributes and fresh constants elsewhere.  Returns ``False`` when the
-    repair does not converge within :data:`MAX_REPAIR_ROUNDS`.
+    attributes and fresh constants elsewhere.  Each round adds one row per
+    dangling (referenced relation, value), however many rows dangle on it,
+    so the repair never adds two rows with one key.  Returns ``False`` when
+    the repair does not converge within :data:`MAX_REPAIR_ROUNDS`.
     """
     if fresh is None:
         fresh = _counter()
@@ -114,18 +116,22 @@ def repair_foreign_keys(instance: Instance, fresh=None) -> bool:
         report = validate_instance(instance)
         if not report.foreign_key_violations:
             return True
-        for violation in report.foreign_key_violations:
-            referenced = schema.relation(violation.referenced)
+        missing = dict.fromkeys(
+            (violation.referenced, violation.value)
+            for violation in report.foreign_key_violations
+        )
+        for relation, value in missing:
+            referenced = schema.relation(relation)
             key_attr = referenced.key[0]
             row = []
             for attribute in referenced.attributes:
                 if attribute.name == key_attr:
-                    row.append(violation.value)
+                    row.append(value)
                 elif attribute.nullable:
                     row.append(NULL)
                 else:
                     row.append(f"r{next(fresh)}")
-            instance.add(violation.referenced, tuple(row))
+            instance.add(relation, tuple(row))
     return False
 
 

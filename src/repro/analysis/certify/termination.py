@@ -15,12 +15,15 @@ functor applications:
 
 The program is chase-terminating when no cycle goes through a special edge
 (the classical weak-acyclicity argument: invented values can then only be
-nested to bounded depth).  The certificate also reports that bound — the
-maximum number of special edges on any path, computed by longest-path DP
-over the strongly-connected-component condensation — which equals the
-maximum Skolem nesting depth any chase sequence can reach.  The other
-certifier passes require a bounded certificate: their canonical-instance
-arguments unfold the program only finitely often.
+nested to bounded depth).  The search for such a cycle is the schema test's
+own :func:`repro.model.graph.special_cycle`, here over sorted edges.  The
+certificate also reports that bound — the maximum number of special edges
+on any path, computed by a longest-path relaxation in which special edges
+weigh 1 and ordinary edges 0 (no cycle can raise a depth once no special
+cycle exists) — which equals the maximum Skolem nesting depth any chase
+sequence can reach.  The other certifier passes require a bounded
+certificate: their canonical-instance arguments unfold the program only
+finitely often.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field
 
 from ...datalog.program import DatalogProgram, Rule
 from ...logic.terms import SkolemTerm, Variable
+from ...model.graph import special_cycle
 from ...obs import count
 
 Position = tuple[str, int]
@@ -44,9 +48,6 @@ class ProgramDependencyGraph:
 
     def all_edges(self) -> set[tuple[Position, Position]]:
         return self.ordinary_edges | self.special_edges
-
-    def successors(self, node: Position) -> list[Position]:
-        return sorted(v for (u, v) in self.all_edges() if u == node)
 
 
 @dataclass
@@ -105,121 +106,37 @@ def build_program_graph(program: DatalogProgram) -> ProgramDependencyGraph:
     return graph
 
 
-def _find_special_cycle(graph: ProgramDependencyGraph) -> list[Position] | None:
-    """A cycle through a special edge, or ``None`` (mirrors model.graph)."""
-    adjacency: dict[Position, list[Position]] = {}
-    for u, v in sorted(graph.all_edges()):
-        adjacency.setdefault(u, []).append(v)
-    for u, v in sorted(graph.special_edges):
-        path = _find_path(adjacency, v, u)
-        if path is not None:
-            return [u] + path
-    return None
-
-
-def _find_path(
-    adjacency: dict[Position, list[Position]],
-    start: Position,
-    goal: Position,
-) -> list[Position] | None:
-    stack: list[tuple[Position, list[Position]]] = [(start, [start])]
-    seen = {start}
-    while stack:
-        node, path = stack.pop()
-        if node == goal:
-            return path
-        for succ in adjacency.get(node, ()):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append((succ, path + [succ]))
-    return None
-
-
-def _sccs(graph: ProgramDependencyGraph) -> dict[Position, int]:
-    """Node → SCC id, ids in reverse topological order (Tarjan, iterative)."""
-    adjacency: dict[Position, list[Position]] = {}
-    for u, v in sorted(graph.all_edges()):
-        adjacency.setdefault(u, []).append(v)
-    index_of: dict[Position, int] = {}
-    low: dict[Position, int] = {}
-    on_stack: set[Position] = set()
-    stack: list[Position] = []
-    component: dict[Position, int] = {}
-    counter = iter(range(len(graph.nodes) + 1))
-    next_component = iter(range(len(graph.nodes) + 1))
-
-    for root in sorted(graph.nodes):
-        if root in index_of:
-            continue
-        work: list[tuple[Position, int]] = [(root, 0)]
-        while work:
-            node, child_index = work.pop()
-            if child_index == 0:
-                index_of[node] = low[node] = next(counter)
-                stack.append(node)
-                on_stack.add(node)
-            children = adjacency.get(node, [])
-            recursed = False
-            for i in range(child_index, len(children)):
-                child = children[i]
-                if child not in index_of:
-                    work.append((node, i + 1))
-                    work.append((child, 0))
-                    recursed = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index_of[child])
-            if recursed:
-                continue
-            if low[node] == index_of[node]:
-                scc = next(next_component)
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component[member] = scc
-                    low[member] = index_of[node]
-                    if member == node:
-                        break
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return component
-
-
 def _depth_bound(graph: ProgramDependencyGraph) -> int:
-    """Max special edges on any path (graph must be weakly acyclic)."""
-    component = _sccs(graph)
-    # Weak acyclicity puts every special edge between distinct SCCs, so the
-    # condensation DAG carries them all; longest-path DP gives the bound.
-    condensed: dict[int, list[tuple[int, int]]] = {}
-    indegree: dict[int, int] = {c: 0 for c in component.values()}
-    for u, v in sorted(graph.special_edges):
-        condensed.setdefault(component[u], []).append((component[v], 1))
-    for u, v in sorted(graph.ordinary_edges):
-        if component[u] != component[v]:
-            condensed.setdefault(component[u], []).append((component[v], 0))
-    for edges in condensed.values():
-        for target, _ in edges:
-            indegree[target] += 1
+    """Max special edges on any path (graph must be weakly acyclic).
 
-    from collections import deque
-
-    depth: dict[int, int] = {c: 0 for c in indegree}
-    queue = deque(c for c, d in indegree.items() if d == 0)
-    while queue:
-        node = queue.popleft()
-        for target, weight in condensed.get(node, ()):
-            depth[target] = max(depth[target], depth[node] + weight)
-            indegree[target] -= 1
-            if indegree[target] == 0:
-                queue.append(target)
+    A longest-path relaxation in which ordinary edges weigh 0 and special
+    edges weigh 1.  Without a cycle through a special edge no cycle can
+    raise a depth, so every push strictly raises a bounded depth and the
+    worklist empties.
+    """
+    weighted: dict[Position, list[tuple[Position, int]]] = {}
+    for u, v in graph.ordinary_edges:
+        weighted.setdefault(u, []).append((v, 0))
+    for u, v in graph.special_edges:
+        weighted.setdefault(u, []).append((v, 1))
+    depth = dict.fromkeys(graph.nodes, 0)
+    work = list(graph.nodes)
+    while work:
+        node = work.pop()
+        for target, weight in weighted.get(node, ()):
+            if depth[node] + weight > depth[target]:
+                depth[target] = depth[node] + weight
+                work.append(target)
     return max(depth.values(), default=0)
 
 
 def certify_termination(program: DatalogProgram) -> TerminationCertificate:
     """Decide program-level weak acyclicity and the chase-depth bound."""
     graph = build_program_graph(program)
-    cycle = _find_special_cycle(graph)
+    adjacency: dict[Position, list[Position]] = {}
+    for u, v in sorted(graph.all_edges()):
+        adjacency.setdefault(u, []).append(v)
+    cycle = special_cycle(sorted(graph.special_edges), adjacency)
     if cycle is not None:
         count("certify.termination", 1, outcome="unbounded")
         return TerminationCertificate(

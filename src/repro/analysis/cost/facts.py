@@ -80,9 +80,6 @@ class CostFacts:
     def always_null(self, relation: str, position: int) -> bool:
         return self.nullability.get((relation, position)) == _YES
 
-    def is_fk_position(self, relation: str, position: int) -> bool:
-        return (relation, position) in self.foreign_keys
-
     # -- construction ----------------------------------------------------
 
     @staticmethod

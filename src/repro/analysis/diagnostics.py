@@ -16,7 +16,7 @@ The full code reference lives in ``docs/ANALYSIS.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 ERROR = "error"
@@ -251,9 +251,6 @@ class Diagnostic:
         info = CODES.get(self.code)
         return info.title if info else self.code
 
-    def with_span(self, span: SourceSpan | None) -> "Diagnostic":
-        return replace(self, span=span) if span is not None else self
-
     def render(self) -> str:
         """One text line: ``file:line: CODE severity: message [§n]``."""
         prefix = f"{self.span}: " if self.span else ""
@@ -331,12 +328,6 @@ class AnalysisReport:
     def ok(self) -> bool:
         """True iff the report has no errors (warnings/infos allowed)."""
         return not self.errors
-
-    def at_least(self, threshold: str) -> list[Diagnostic]:
-        """Diagnostics at or above ``threshold`` severity."""
-        return [
-            d for d in self.diagnostics if severity_at_least(d.severity, threshold)
-        ]
 
     def by_code(self) -> dict[str, int]:
         """Per-code diagnostic counts, sorted by code."""

@@ -355,9 +355,7 @@ class ContainmentEngine:
         for key in (verdict_key, witness_key):
             if key in self._cache:
                 count("semantic.cache_hits")
-                count("semantic.containment.lookups", 1, result="hit")
                 return self._cache[key]
-        count("semantic.containment.lookups", 1, result="miss")
         witness = compute()
         self._cache[verdict_key if witness is None else witness_key] = witness
         return witness

@@ -281,8 +281,8 @@ class EvalMatrix:
             "rows": [row.to_dict() for row in self.rows],
         }
 
-    def to_json(self, stamp: bool = True) -> str:
-        payload = stamp_metadata(self.to_dict()) if stamp else self.to_dict()
+    def to_json(self) -> str:
+        payload = stamp_metadata(self.to_dict())
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_jsonl(self) -> str:

@@ -90,20 +90,18 @@ def suggest_correspondences(
     source_schema: Schema,
     target_schema: Schema,
     threshold: float = 0.55,
-    include_paths: bool = True,
     max_depth: int = 2,
 ) -> list[MatchSuggestion]:
     """Rank candidate correspondences between two schemas.
 
     Returns at most one suggestion per *target* attribute occurrence (the
-    best-scoring source endpoint), sorted by descending score.  With
-    ``include_paths`` the source side also explores foreign-key paths, so
-    the matcher can propose referenced-attribute correspondences like
-    ``O.person ▹ P.name → C.name``.
+    best-scoring source endpoint), sorted by descending score.  The source
+    side also explores foreign-key paths, so the matcher can propose
+    referenced-attribute correspondences like ``O.person ▹ P.name → C.name``.
     """
-    source_refs = _plain_references(source_schema)
-    if include_paths:
-        source_refs += _path_references(source_schema, max_depth)
+    source_refs = _plain_references(source_schema) + _path_references(
+        source_schema, max_depth
+    )
     target_refs = _plain_references(target_schema)
 
     best: dict[ReferencedAttribute, MatchSuggestion] = {}

@@ -50,9 +50,6 @@ class _Store:
     #: materialized relations load like source ones
     add_derived = add_relation
 
-    def has_relation(self, name: str) -> bool:
-        return name in self._rows
-
     def rows(self, name: str) -> list[Row]:
         try:
             return self._rows[name]

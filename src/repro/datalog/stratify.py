@@ -7,10 +7,14 @@ this — any dependency cycle among defined relations is rejected — and
 returns the defined relations in a safe evaluation order (dependencies
 first), which doubles as a stratification for the safe negation.
 
-On recursion the error names the relation cycle *and* the rule that closes
-it, and carries the structured ``DLG002`` diagnostic of
-:mod:`repro.analysis.diagnostics`; :func:`find_recursion_cycle` exposes the
-same witness non-destructively for the linter.
+Both come from one depth-first search of the relation graph
+(:func:`repro.model.graph.depth_first`, reading each relation's
+dependencies in name order): its post-order is the evaluation order and the
+first cycle it meets is the recursion witness.  On recursion the error names
+the relation cycle *and* the rule that closes it, and carries the structured
+``DLG002`` diagnostic of :mod:`repro.analysis.diagnostics`;
+:func:`find_recursion_cycle` exposes the same witness non-destructively for
+the linter.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..errors import DatalogError
+from ..model.graph import depth_first
 
 if TYPE_CHECKING:  # pragma: no cover
     from .program import DatalogProgram, Rule
@@ -68,6 +73,17 @@ def _closing_rule(
     return None
 
 
+def _search(
+    program: "DatalogProgram",
+) -> tuple[list[str], tuple[list[str], "Rule | None"] | None]:
+    """One depth-first search: the evaluation order and the first cycle."""
+    graph = dependencies(program)
+    order, cycle = depth_first(graph, lambda name: sorted(graph[name]))
+    if cycle is None:
+        return order, None
+    return order, (cycle, _closing_rule(program, cycle[-2], cycle[0]))
+
+
 def find_recursion_cycle(
     program: "DatalogProgram",
 ) -> tuple[list[str], "Rule | None"] | None:
@@ -76,29 +92,7 @@ def find_recursion_cycle(
     Returns the cycle as a relation list ``[r1, ..., rn, r1]`` plus the rule
     that closes it (the rule with head ``rn`` reading ``r1``).
     """
-    graph = dependencies(program)
-    state: dict[str, int] = {}  # 0 = visiting, 1 = done
-
-    def visit(name: str, trail: list[str]) -> tuple[list[str], "Rule | None"] | None:
-        status = state.get(name)
-        if status == 1:
-            return None
-        if status == 0:
-            cycle = trail[trail.index(name):] + [name]
-            return cycle, _closing_rule(program, cycle[-2], name)
-        state[name] = 0
-        for dependency in sorted(graph[name]):
-            found = visit(dependency, trail + [name])
-            if found is not None:
-                return found
-        state[name] = 1
-        return None
-
-    for name in graph:
-        found = visit(name, [])
-        if found is not None:
-            return found
-    return None
+    return _search(program)[1]
 
 
 def stratify(program: "DatalogProgram") -> list[str]:
@@ -108,35 +102,14 @@ def stratify(program: "DatalogProgram") -> list[str]:
     definition order) and relation names, never on hashing or object
     identity.
     """
-    graph = dependencies(program)
-    order: list[str] = []
-    state: dict[str, int] = {}  # 0 = visiting, 1 = done
+    order, recursion = _search(program)
+    if recursion is None:
+        return order
+    cycle, rule = recursion
+    closed_by = f" (closed by rule {rule!r})" if rule is not None else ""
+    message = f"recursive Datalog program: {' -> '.join(cycle)}{closed_by}"
+    from ..analysis.diagnostics import diagnostic
 
-    def visit(name: str, trail: list[str]) -> None:
-        status = state.get(name)
-        if status == 1:
-            return
-        if status == 0:
-            cycle = trail[trail.index(name):] + [name]
-            pretty = " -> ".join(cycle)
-            rule = _closing_rule(program, cycle[-2], name)
-            closed_by = f" (closed by rule {rule!r})" if rule is not None else ""
-            from ..analysis.diagnostics import diagnostic
-
-            raise DatalogError(
-                f"recursive Datalog program: {pretty}{closed_by}",
-                diagnostic=diagnostic(
-                    "DLG002",
-                    f"recursive Datalog program: {pretty}{closed_by}",
-                    subject=name,
-                ),
-            )
-        state[name] = 0
-        for dependency in sorted(graph[name]):
-            visit(dependency, trail + [name])
-        state[name] = 1
-        order.append(name)
-
-    for name in graph:
-        visit(name, [])
-    return order
+    raise DatalogError(
+        message, diagnostic=diagnostic("DLG002", message, subject=cycle[0])
+    )

@@ -10,16 +10,22 @@ keys to form a *weakly acyclic* set, with the dependency graph built as:
   positions).
 
 The set is weakly acyclic iff no cycle goes through a special edge.
+:func:`special_cycle` finds such a cycle and :func:`depth_first` orders a
+graph; every dependency graph of the system (schema FKs, the generator's key
+FKs, a program's relations and Skolem positions) uses these two searches.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from ..errors import WeakAcyclicityError
 from .schema import Schema
 
 Node = tuple[str, str]  # (relation, attribute)
+N = TypeVar("N")
 
 
 @dataclass
@@ -62,34 +68,14 @@ def is_weakly_acyclic(schema: Schema) -> bool:
 def find_special_cycle(schema: Schema) -> list[Node] | None:
     """Return a cycle through a special edge if one exists, else ``None``.
 
-    A cycle goes "through a special edge" iff some special edge ``u ⇒ v`` has
-    ``v`` able to reach ``u``.  We compute reachability over all edges and test
-    each special edge.  The returned witness is ``[u, v, ..., u]``.
+    The witness is ``[u, v, ..., u]`` for the first special edge ``u ⇒ v``,
+    in declaration order, whose ``v`` reaches ``u`` (see :func:`special_cycle`).
     """
     graph = build_dependency_graph(schema)
     adjacency: dict[Node, list[Node]] = {n: [] for n in graph.nodes}
     for a, b, _special in graph.all_edges():
         adjacency[a].append(b)
-
-    def path(start: Node, goal: Node) -> list[Node] | None:
-        """A path from start to goal (DFS), or None."""
-        stack: list[tuple[Node, list[Node]]] = [(start, [start])]
-        seen = {start}
-        while stack:
-            node, trail = stack.pop()
-            if node == goal:
-                return trail
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, trail + [nxt]))
-        return None
-
-    for u, v in graph.special_edges:
-        back = path(v, u)
-        if back is not None:
-            return [u] + back
-    return None
+    return special_cycle(graph.special_edges, adjacency)
 
 
 def check_weak_acyclicity(schema: Schema) -> None:
@@ -126,19 +112,72 @@ def chase_order(schema: Schema) -> list[str]:
     order inside strongly connected components (which weak acyclicity keeps
     harmless for termination).
     """
-    order: list[str] = []
-    visited: set[str] = set()
-
-    def visit(name: str, stack: set[str]) -> None:
-        if name in visited or name in stack:
-            return
-        stack.add(name)
-        for fk in schema.foreign_keys_of(name):
-            visit(fk.referenced, stack)
-        stack.discard(name)
-        visited.add(name)
-        order.append(name)
-
-    for rel in schema.relation_names():
-        visit(rel, set())
+    order, _cycle = depth_first(
+        schema.relation_names(),
+        lambda name: [fk.referenced for fk in schema.foreign_keys_of(name)],
+    )
     return order
+
+
+def depth_first(
+    nodes: Iterable[N], successors: Callable[[N], Iterable[N]]
+) -> tuple[list[N], list[N] | None]:
+    """Depth-first post-order from ``nodes``, and the first cycle met.
+
+    Roots and successors are taken in the order given.  A successor on the
+    current trail closes a cycle ``[n, ..., n]``; the search skips that edge
+    and goes on, so the order still lists every reachable node once.
+    """
+    order: list[N] = []
+    done: set[N] = set()
+    cycle: list[N] | None = None
+    for root in nodes:
+        if root in done:
+            continue
+        trail = {root: None}  # insertion-ordered: the path from the root
+        pending = [iter(successors(root))]
+        while pending:
+            for succ in pending[-1]:
+                if succ in done:
+                    continue
+                if succ in trail:
+                    if cycle is None:
+                        path = list(trail)
+                        cycle = path[path.index(succ):] + [succ]
+                    continue
+                trail[succ] = None
+                pending.append(iter(successors(succ)))
+                break
+            else:
+                pending.pop()
+                node, _ = trail.popitem()
+                done.add(node)
+                order.append(node)
+    return order, cycle
+
+
+def special_cycle(
+    special_edges: Iterable[tuple[N, N]], adjacency: Mapping[N, Sequence[N]]
+) -> list[N] | None:
+    """A cycle through a special edge as ``[u, v, ..., u]``, else ``None``.
+
+    The first special edge ``u ⇒ v``, in the given order, whose ``v``
+    reaches ``u`` over ``adjacency`` (all edges) yields the witness: the
+    edge, then the path a stack search in ``adjacency`` order finds back.
+    """
+    for u, v in special_edges:
+        parent: dict[N, N | None] = {v: None}  # also the seen set
+        stack = [v]
+        while stack:
+            node = stack.pop()
+            if node == u:
+                back = [node]
+                while node != v:
+                    node = parent[node]
+                    back.append(node)
+                return [u] + back[::-1]
+            for succ in adjacency.get(node, ()):
+                if succ not in parent:
+                    parent[succ] = node
+                    stack.append(succ)
+    return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .tracer import Span, Tracer
+from .tracer import Span
 
 
 def span_to_dict(span: Span) -> dict[str, Any]:
@@ -52,16 +52,6 @@ class RunReport:
             wall_time=span.duration,
             counters=span.total_counters(),
             spans=[span_to_dict(span)],
-        )
-
-    @classmethod
-    def from_tracer(cls, tracer: Tracer, label: str = "") -> "RunReport":
-        """A report over everything the tracer recorded."""
-        return cls(
-            label=label,
-            wall_time=sum(s.duration for s in tracer.spans),
-            counters=dict(tracer.counters),
-            spans=[span_to_dict(s) for s in tracer.spans],
         )
 
     # -- combination --------------------------------------------------------

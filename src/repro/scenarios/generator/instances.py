@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 
+from ...model.graph import depth_first
 from ...model.instance import Instance
 from ...model.schema import Schema
 from ...model.values import NULL
@@ -69,26 +70,11 @@ def _key_fill_order(schema: Schema) -> list[str]:
             fk = schema.foreign_key_from(relation.name, key_attr)
             if fk is not None:
                 depends[relation.name].add(fk.referenced)
-    order: list[str] = []
-    done: set[str] = set()
-    in_progress: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in done:
-            return
-        if name in in_progress:
-            raise ValueError(
-                f"cannot build an instance: key foreign keys of {name!r} form a cycle"
-            )
-        in_progress.add(name)
-        for dep in sorted(depends[name]):
-            visit(dep)
-        in_progress.discard(name)
-        done.add(name)
-        order.append(name)
-
-    for relation in schema:
-        visit(relation.name)
+    order, cycle = depth_first(depends, lambda name: sorted(depends[name]))
+    if cycle is not None:
+        raise ValueError(
+            f"cannot build an instance: key foreign keys of {cycle[0]!r} form a cycle"
+        )
     return order
 
 

@@ -288,6 +288,23 @@ class TestRefutations:
         return smaller
 
 
+class TestForeignKeyRepair:
+    def test_rows_dangling_on_one_value_get_one_referenced_row(self):
+        """Two owners of one missing person must not invent two persons."""
+        from repro.analysis.certify.counterexample import repair_foreign_keys
+        from repro.model.instance import Instance
+        from repro.scenarios.cars import cars3_schema
+
+        source = Instance(cars3_schema())
+        source.add("C3", ("c1", "m1"))
+        source.add("C3", ("c2", "m2"))
+        source.add("O3", ("c1", "p9"))
+        source.add("O3", ("c2", "p9"))
+        assert repair_foreign_keys(source)
+        assert list(source.relation("P3").rows) == [("p9", "r0", "r1")]
+        assert validate_instance(source).ok
+
+
 class TestBasicAlgorithmFigure1:
     """The paper's motivating failure, statically rediscovered."""
 
