@@ -1,7 +1,7 @@
 """Static cost & cardinality certifier for compiled plans.
 
 The package turns the facts the rest of the analyzer already proves —
-declared source keys, PROVED target keys and foreign keys (certifier),
+declared source keys, PROVED target keys (certifier),
 statically functional rules and the nullability fixpoint (flow engine),
 and the chase-depth bound (TRM001) — into *sound symbolic upper bounds*
 on the number of rows every operator, rule, and derived relation of a

@@ -11,9 +11,6 @@ a proof obligation discharged elsewhere in the code base:
   in *every* reachable target instance no two distinct rows of the
   relation share a key value, so the relation's size is bounded by the
   number of distinct key values any rule can emit;
-* **proved foreign keys** — ``PROVED`` FK verdicts; the join-order advisor
-  prefers walking these edges (they are exactly the joins the paper's
-  correspondences induce), they never loosen a bound;
 * **functional rules** — the flow engine's static replay of Algorithm 4's
   functionality check: a confirmed rule derives at most one row per
   distinct key value, even when the relation-level key is not (yet)
@@ -52,8 +49,6 @@ class CostFacts:
     head_keys: dict[str, tuple[int, ...]] = field(default_factory=dict)
     #: target relations whose key constraint the certifier PROVED
     proved_key_relations: frozenset[str] = frozenset()
-    #: (relation, attribute-position) pairs of PROVED foreign keys
-    foreign_keys: tuple[tuple[str, int], ...] = ()
     #: id(rule) of rules whose functionality is statically confirmed
     functional_rules: frozenset[int] = frozenset()
     #: (relation, position) -> nullability lattice value ("NO"/"YES"/...)
@@ -91,13 +86,12 @@ class CostFacts:
         """Assemble the fact base for one generated program.
 
         Without ``certification`` / ``flow`` reports only schema-derived
-        facts are used: source keys, schema NOT NULL positions, source
-        foreign keys, and the termination certificate (computed here — it
-        is cheap and the precondition of everything else).
+        facts are used: source keys, schema NOT NULL positions and the
+        termination certificate (computed here — it is cheap and the
+        precondition of everything else).
         """
         keys: dict[str, tuple[tuple[int, ...], ...]] = {}
         nonnull: set[tuple[str, int]] = set()
-        fks: list[tuple[str, int]] = []
         for schema in (program.source_schema,):
             if schema is None:
                 continue
@@ -106,9 +100,6 @@ class CostFacts:
                 for position, attribute in enumerate(relation.attributes):
                     if not attribute.nullable:
                         nonnull.add((relation.name, position))
-            for fk in schema.foreign_keys:
-                relation = schema.relation(fk.relation)
-                fks.append((fk.relation, relation.position(fk.attribute)))
 
         target = program.target_schema
         head_keys: dict[str, tuple[int, ...]] = {}
@@ -131,19 +122,6 @@ class CostFacts:
                         keys.setdefault(
                             name, (target.relation(name).key_positions(),)
                         )
-            for verdict in certification.verdicts:
-                if (
-                    verdict.kind == "foreign-key"
-                    and verdict.verdict == "PROVED"
-                    and target is not None
-                    and verdict.relation in target
-                ):
-                    relation = target.relation(verdict.relation)
-                    attribute = verdict.constraint.split(".", 1)[-1].split(" ")[0]
-                    if relation.has_attribute(attribute):
-                        fks.append(
-                            (verdict.relation, relation.position(attribute))
-                        )
         if flow is not None:
             for record in flow.functionality:
                 if record.confirmed:
@@ -165,7 +143,6 @@ class CostFacts:
             keys=keys,
             head_keys=head_keys,
             proved_key_relations=frozenset(proved_keys),
-            foreign_keys=tuple(sorted(set(fks))),
             functional_rules=frozenset(functional),
             nullability=nullability,
             nonnull_positions=frozenset(nonnull),

@@ -46,7 +46,7 @@ class Lattice:
         The default is the join itself, which is a correct widening exactly
         for finite-height domains.  Unbounded domains must override this to
         jump to a post-fixpoint (the solver switches from join to widen at a
-        position after ``widen_after`` visits of its relation).
+        position after ``WIDEN_AFTER`` visits of its relation).
         """
         return self.join(old, new)
 

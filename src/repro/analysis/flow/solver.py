@@ -10,8 +10,8 @@ stratification order (dependencies first, reusing
 programs query generation emits a single sweep reaches the fixpoint; the
 worklist re-enqueues the readers of any relation whose state changed
 (:func:`repro.datalog.stratify.readers`), which also makes the solver total
-on recursive or hand-built programs.  After ``widen_after`` visits of the
-same relation the solver switches from join to the lattice's widening
+on recursive or hand-built programs.  After :data:`WIDEN_AFTER` visits of
+the same relation the solver switches from join to the lattice's widening
 operator, so domains of unbounded height still terminate.
 
 An analysis (client) provides:
@@ -42,7 +42,7 @@ from ...logic.terms import Variable
 from ...obs import count
 
 #: Visits of one relation after which join gives way to widening.
-DEFAULT_WIDEN_AFTER = 3
+WIDEN_AFTER = 3
 
 #: Hard ceiling on relation visits — a genuinely diverging analysis (a
 #: non-monotone client or a broken widening) fails loudly instead of looping.
@@ -157,11 +157,7 @@ def evaluation_order(program: DatalogProgram) -> list[str]:
         return program.defined_relations()
 
 
-def solve(
-    program: DatalogProgram,
-    analysis: "object",
-    widen_after: int = DEFAULT_WIDEN_AFTER,
-) -> FlowResult:
+def solve(program: DatalogProgram, analysis: "object") -> FlowResult:
     """Run one analysis to fixpoint and return the solved environment."""
     lattice = analysis.lattice
     env = Environment(analysis)
@@ -196,7 +192,7 @@ def solve(
             for position, value in enumerate(row):
                 old = env.lookup(relation, position)
                 new = lattice.join(old, value)
-                if visits[relation] > widen_after and new != old:
+                if visits[relation] > WIDEN_AFTER and new != old:
                     new = lattice.widen(old, new)
                     stats.widenings += 1
                 if new != old:

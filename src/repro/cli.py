@@ -7,9 +7,8 @@ Usage (after installation, via ``python -m repro``):
   basic`` for the Clio-style baseline);
 * ``python -m repro run problem.txt instance.txt`` — execute the
   transformation on an instance (``--engine batch`` for the planned
-  set-oriented runtime, ``--workers N`` to partition large scans across
-  processes; ``--engine sqlite`` runs on SQLite, ``--enforce`` with real
-  constraints; ``--validate`` prints the target constraint report,
+  set-oriented runtime; ``--engine sqlite`` runs on SQLite, ``--enforce``
+  with real constraints; ``--validate`` prints the target constraint report,
   ``--fail-on-violation`` additionally exits non-zero when it is not clean);
 * ``python -m repro plan problem.txt`` — dump the batch runtime's compiled
   operator trees;
@@ -198,8 +197,8 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     system = _system(args)
-    if args.workers is not None and args.engine != "batch":
-        print("error: --workers requires --engine batch", file=sys.stderr)
+    if args.enforce and args.engine != "sqlite":
+        print("error: --enforce requires --engine sqlite", file=sys.stderr)
         return 2
     if args.explain_analyze and args.engine == "sqlite":
         print(
@@ -212,13 +211,9 @@ def cmd_run(args) -> int:
     if args.engine == "sqlite":
         executor = SqliteExecutor(enforce_constraints=args.enforce)
         target = executor.run(system.transformation, source)
-    else:  # batch, reference (and reference's legacy alias "datalog")
-        engine = "batch" if args.engine == "batch" else "reference"
+    else:
         result = system.run(
-            source,
-            engine=engine,
-            workers=args.workers,
-            analyze=args.explain_analyze,
+            source, engine=args.engine, analyze=args.explain_analyze
         )
         target, profile = result.target, result.profile
     print(target.to_text())
@@ -885,16 +880,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_parser)
     run_parser.add_argument("instance", help="source instance file (DSL)")
     run_parser.add_argument(
-        "--engine", choices=["reference", "batch", "sqlite", "datalog"],
+        "--engine", choices=["reference", "batch", "sqlite"],
         default=MappingSystem.DEFAULT_ENGINE,
         help="reference = tuple-at-a-time oracle interpreter; batch = "
              "planned set-oriented runtime; sqlite = SQL translation on "
-             "SQLite (datalog is a legacy alias for reference)",
-    )
-    run_parser.add_argument(
-        "--workers", type=int, metavar="N",
-        help="batch engine only: partition large outer scans across N "
-             "worker processes",
+             "SQLite",
     )
     run_parser.add_argument("--enforce", action="store_true",
                             help="enforce PK/FK/NOT NULL on SQLite")

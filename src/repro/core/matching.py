@@ -22,6 +22,9 @@ from ..model.schema import Schema
 from .correspondences import Correspondence, ReferencedAttribute
 from .pipeline import MappingProblem
 
+#: The longest foreign-key prefix path the matcher explores, in FK steps.
+MAX_PATH_DEPTH = 2
+
 
 def name_similarity(left: str, right: str) -> float:
     """Similarity in [0, 1]: exact (case-insensitive) match scores 1."""
@@ -51,12 +54,12 @@ def _plain_references(schema: Schema) -> list[ReferencedAttribute]:
     ]
 
 
-def _path_references(schema: Schema, max_depth: int = 2) -> list[ReferencedAttribute]:
-    """Referenced attributes with non-empty FK prefix paths, up to a depth."""
+def _path_references(schema: Schema) -> list[ReferencedAttribute]:
+    """Referenced attributes behind 1 to :data:`MAX_PATH_DEPTH` FK steps."""
     results: list[ReferencedAttribute] = []
 
     def extend(steps: tuple[tuple[str, str], ...], relation: str, depth: int) -> None:
-        if depth > max_depth:
+        if depth > MAX_PATH_DEPTH:
             return
         for fk in schema.foreign_keys_of(relation):
             prefix = steps + ((relation, fk.attribute),)
@@ -90,7 +93,6 @@ def suggest_correspondences(
     source_schema: Schema,
     target_schema: Schema,
     threshold: float = 0.55,
-    max_depth: int = 2,
 ) -> list[MatchSuggestion]:
     """Rank candidate correspondences between two schemas.
 
@@ -99,9 +101,7 @@ def suggest_correspondences(
     side also explores foreign-key paths, so the matcher can propose
     referenced-attribute correspondences like ``O.person ▹ P.name → C.name``.
     """
-    source_refs = _plain_references(source_schema) + _path_references(
-        source_schema, max_depth
-    )
+    source_refs = _plain_references(source_schema) + _path_references(source_schema)
     target_refs = _plain_references(target_schema)
 
     best: dict[ReferencedAttribute, MatchSuggestion] = {}

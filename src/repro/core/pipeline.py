@@ -89,7 +89,6 @@ class MappingSystem:
         self,
         problem: MappingProblem,
         algorithm: str = NOVEL,
-        skolem_strategy: str | None = None,
         optimize: bool = True,
         trace: bool = False,
         semantic_pruning: bool = False,
@@ -98,7 +97,6 @@ class MappingSystem:
         problem.validate()
         self.problem = problem
         self.algorithm = algorithm
-        self.skolem_strategy = skolem_strategy
         self.optimize = optimize
         self.semantic_pruning = semantic_pruning
         #: when set, query generation is followed by the differential
@@ -131,7 +129,6 @@ class MappingSystem:
             self.problem.name,
             render_problem(self.problem),
             self.algorithm,
-            self.skolem_strategy,
             self.optimize,
             self.semantic_pruning,
             self.verify_optimizations,
@@ -188,7 +185,6 @@ class MappingSystem:
         result = generate_queries(
             self.schema_mapping,
             algorithm=self.algorithm,
-            skolem_strategy=self.skolem_strategy,
             optimize=self.optimize,
         )
         if self.verify_optimizations:
@@ -286,10 +282,10 @@ class MappingSystem:
         Returns the :class:`repro.analysis.cost.CostReport` with one sound
         symbolic row bound per operator, rule and derived relation of the
         generated program, plus the ``PLN*`` diagnostics.  The fact base is
-        the full one: the certifier's PROVED keys and foreign keys
-        (:meth:`certify`) and the flow engine's functionality and
-        nullability results (:meth:`flow_report`) tighten the bounds beyond
-        what the schemas alone prove.  Forces the pipeline stages.
+        the full one: the certifier's PROVED keys (:meth:`certify`) and the
+        flow engine's functionality and nullability results
+        (:meth:`flow_report`) tighten the bounds beyond what the schemas
+        alone prove.  Forces the pipeline stages.
         """
         from ..analysis.cost import CostFacts, analyze_cost
 
@@ -337,7 +333,7 @@ class MappingSystem:
             ),
         )
 
-    def compile(self, strict: bool = True, flow: bool = False) -> DatalogProgram:
+    def compile(self) -> DatalogProgram:
         """Lint cheaply, then run both pipeline stages and return the program.
 
         The lint pass is the always-on subset of the static analyzer
@@ -346,14 +342,9 @@ class MappingSystem:
         attributes — no pipeline stages, no satisfiability checks.  The
         report is kept on :attr:`lint_report`; per-code ``lint.*`` counters
         flow through the tracer when the system was created with
-        ``trace=True``.  With ``strict`` (the default) the first lint error
-        aborts compilation; warnings never do.
-
-        With ``flow=True`` the flow engine (:meth:`flow_report`) runs after
-        query generation and its ``FLW*`` findings are appended to
-        :attr:`lint_report`.  ``FLW*`` codes are warnings, so they never
-        abort a strict compile; they do make the flow-certified state of the
-        program visible to callers inspecting the report.
+        ``trace=True``.  The first lint error aborts compilation; warnings
+        never do.  The flow engine's ``FLW*`` findings are not part of this
+        report: :meth:`flow_report` computes them.
         """
         from ..analysis.analyzer import quick_lint
         from ..obs import span as obs_span, stage_report
@@ -364,16 +355,13 @@ class MappingSystem:
                 trace.set(diagnostics=len(report))
             self._lint_run_report = stage_report(trace, "lint")
         self.lint_report = report
-        if strict and not report.ok:
+        if not report.ok:
             first = report.errors[0]
             raise ReproError(
                 f"lint failed for {self.problem.name!r}: {first.render()}",
                 diagnostic=first,
             )
-        program = self.transformation
-        if flow:
-            report.extend(self.flow_report().diagnostics)
-        return program
+        return self.transformation
 
     # -- execution -----------------------------------------------------------
 
@@ -398,7 +386,6 @@ class MappingSystem:
         self,
         source: Instance,
         engine: str = DEFAULT_ENGINE,
-        workers: int | None = None,
         analyze: bool = False,
     ) -> EvaluationResult:
         """Execute the transformation on a selectable engine.
@@ -407,24 +394,18 @@ class MappingSystem:
         the tuple-at-a-time interpreter of :mod:`repro.datalog.engine`,
         which stays the differential-testing oracle; ``engine="batch"``
         runs the planned, set-oriented batch runtime of
-        :mod:`repro.datalog.exec`.  ``workers=N`` (batch only) partitions
-        large outer scans across a process pool — see ``docs/ENGINE.md``.  ``analyze=True``
-        collects the EXPLAIN ANALYZE profile on the returned result (also
-        collected implicitly when the system was created with
-        ``trace=True``).
+        :mod:`repro.datalog.exec`.  ``analyze=True`` collects the EXPLAIN
+        ANALYZE profile on the returned result (also collected implicitly
+        when the system was created with ``trace=True``).
         """
         if engine not in self.ENGINES:
             raise ReproError(
                 f"unknown engine {engine!r}: expected one of {self.ENGINES}"
             )
-        if workers is not None and engine != "batch":
-            raise ReproError("workers=N requires engine='batch'")
         program = self.transformation
         with self._traced():
             if engine == "batch":
-                result = evaluate_batch(
-                    program, source, workers=workers, analyze=analyze
-                )
+                result = evaluate_batch(program, source, analyze=analyze)
             else:
                 result = evaluate(program, source, analyze=analyze)
         self._results["evaluation"] = result

@@ -145,10 +145,12 @@ def build_program(
 def generate_queries(
     schema_mapping: SchemaMapping,
     algorithm: str = NOVEL,
-    skolem_strategy: str | None = None,
     optimize: bool = True,
 ) -> QueryGenerationResult:
     """Run query generation end to end (Algorithm 2 or 4).
+
+    Each algorithm skolemizes with its own strategy: Algorithm 4 with
+    All-Source-Or-Key-Vars, Algorithm 2 with Clio's Source-And-RHS-Vars.
 
     Algorithm 4 stops with one error carrying every ``MAP003``, then every
     ``MAP002`` finding: a :class:`NonFunctionalMappingError` if any mapping
@@ -160,10 +162,9 @@ def generate_queries(
     target_schema = schema_mapping.target_schema
     assert isinstance(source_schema, Schema) and isinstance(target_schema, Schema)
 
-    if skolem_strategy is None:
-        skolem_strategy = (
-            ALL_SOURCE_OR_KEY_VARS if algorithm == NOVEL else SOURCE_AND_RHS_VARS
-        )
+    skolem_strategy = (
+        ALL_SOURCE_OR_KEY_VARS if algorithm == NOVEL else SOURCE_AND_RHS_VARS
+    )
     with span(
         "stage.query_generation",
         algorithm=algorithm,

@@ -431,20 +431,18 @@ def plan_rule(
 def plan_program(
     program: DatalogProgram,
     stats: Mapping[str, int] | None = None,
-    cost_advice: bool = True,
 ) -> ProgramPlan:
     """Compile every rule of a (validated) program, in stratification order.
 
     This is the static entry point behind ``repro plan``: statistics default
     to empty, and the join order then comes from the symbolic cost advisor
     (key-aware, deterministic), keeping the rendering stable without an
-    instance.  Pass ``cost_advice=False`` for the bare greedy ordering.
-    The batch runtime instead compiles stratum by stratum with live counts
-    (see :mod:`repro.datalog.exec.batch`).
+    instance.  The batch runtime instead compiles stratum by stratum with
+    live counts (see :mod:`repro.datalog.exec.batch`).
     """
     order = list(program.validate())
     advisor = None
-    if cost_advice and not stats:
+    if not stats:
         # Imported lazily: the cost analyzer imports this module at load
         # time, so the planner reaches back only at call time.
         from ...analysis.cost.advisor import JoinOrderAdvisor

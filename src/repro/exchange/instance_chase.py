@@ -123,45 +123,6 @@ def chase_with_tgds(
     return result
 
 
-def chase_target_foreign_keys(instance: Instance) -> Instance:
-    """Satisfy target foreign keys by inventing referenced tuples.
-
-    For every dangling non-null foreign-key value a referenced tuple is
-    added, with fresh labeled nulls in its other positions.  Terminates
-    because the schema is weakly acyclic.
-    """
-    result = instance.copy()
-    schema = result.schema
-    changed = True
-    while changed:
-        changed = False
-        for fk in schema.foreign_keys:
-            target_relation = schema.relation(fk.referenced)
-            key_attr = target_relation.key[0]
-            existing = result.relation(fk.referenced).project([key_attr])
-            position = schema.relation(fk.relation).position(fk.attribute)
-            for row in list(result.relation(fk.relation)):
-                value = row[position]
-                if is_null(value) or (value,) in existing:
-                    continue
-                fresh = []
-                for attribute in target_relation.attributes:
-                    if attribute.name == key_attr:
-                        fresh.append(value)
-                    elif attribute.nullable:
-                        fresh.append(NULL)
-                    else:
-                        fresh.append(
-                            LabeledNull(
-                                f"N_{fk.referenced}.{attribute.name}", (value,)
-                            )
-                        )
-                result.add(fk.referenced, tuple(fresh))
-                existing = result.relation(fk.referenced).project([key_attr])
-                changed = True
-    return result
-
-
 @dataclass
 class EgdChaseResult:
     """The result of chasing an instance with the target key egds."""
@@ -262,19 +223,16 @@ def canonical_universal_solution(
     schema_mapping: SchemaMapping,
     source: Instance,
     null_for_nullable_existentials: bool = False,
-    chase_foreign_keys: bool = False,
 ) -> Instance:
-    """Chase with tgds (then optionally target FKs), then with key egds.
+    """Chase with tgds, then with key egds.
 
     Raises :class:`ConstraintViolationError` when the egd chase fails (no
-    solution exists).  The two flags select the paper's null policy and the
-    full data-exchange treatment of target inclusion dependencies.
+    solution exists).  ``null_for_nullable_existentials`` selects the
+    paper's null policy.
     """
     pre = chase_with_tgds(
         schema_mapping, source, null_for_nullable_existentials
     )
-    if chase_foreign_keys:
-        pre = chase_target_foreign_keys(pre)
     result = chase_with_key_egds(
         pre, resolve_nulls=null_for_nullable_existentials
     )

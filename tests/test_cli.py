@@ -91,6 +91,17 @@ class TestRun:
         out = capsys.readouterr().out
         assert "satisfies all constraints" in out
 
+    @pytest.mark.parametrize("engine", ["reference", "batch"])
+    def test_enforce_requires_sqlite(
+        self, problem_file, instance_file, engine, capsys
+    ):
+        assert main([
+            "run", problem_file, instance_file, "--engine", engine, "--enforce",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "--enforce requires --engine sqlite" in captured.err
+        assert captured.out == ""
+
     def test_run_validate_reports_basic_violations(
         self, problem_file, instance_file, capsys
     ):
@@ -652,12 +663,6 @@ class TestEngineFlag:
             "run", problem_file, instance_file, "--engine", "batch",
         ]) == 0
         assert capsys.readouterr().out == reference
-
-    def test_workers_requires_batch_engine(self, problem_file, instance_file, capsys):
-        assert main([
-            "run", problem_file, instance_file, "--workers", "2",
-        ]) == 2
-        assert "--workers" in capsys.readouterr().err
 
 
 class TestPlanCommand:

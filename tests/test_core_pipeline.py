@@ -83,14 +83,6 @@ class TestMappingSystem:
         basic = MappingSystem(figure1_problem, algorithm=BASIC)
         assert novel.transform(cars3_instance) != basic.transform(cars3_instance)
 
-    def test_custom_skolem_strategy(self, figure1_problem, cars3_instance):
-        from repro.core.skolem import ALL_SOURCE_VARS
-
-        system = MappingSystem(figure1_problem, skolem_strategy=ALL_SOURCE_VARS)
-        # Still produces the desirable result: the only invented values would
-        # appear in C2.person, but the null policy removes them.
-        assert system.transform(cars3_instance) == cars.figure3_expected_target()
-
     def test_empty_source_gives_empty_target(self, figure1_problem):
         from repro.model.instance import Instance
 

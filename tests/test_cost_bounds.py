@@ -192,12 +192,6 @@ class TestAdvisor:
         (rule_plan,) = plan.plans["T"]
         assert rule_plan.scan.relation == "R"  # smallest relation first
 
-    def test_cost_advice_can_be_disabled(self):
-        program = _keyed_join_program()
-        plan = plan_program(program, cost_advice=False)
-        (rule_plan,) = plan.plans["T"]
-        assert rule_plan.scan.relation == "R"
-
     def test_single_atom_and_wide_bodies_fall_back(self):
         program = _keyed_join_program()
         advisor = JoinOrderAdvisor.for_program(program)
@@ -240,7 +234,6 @@ class TestCostFacts:
             assert facts.key_sets(name)
         assert facts.functional_rules
         assert facts.nullability  # solved fixpoint values for defined rels
-        assert facts.foreign_keys  # source FKs at least
 
 
 # -- bounds and diagnostics ----------------------------------------------

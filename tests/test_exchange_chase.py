@@ -7,12 +7,10 @@ from repro.core.schema_mapping import generate_schema_mapping
 from repro.errors import ConstraintViolationError
 from repro.exchange.instance_chase import (
     canonical_universal_solution,
-    chase_target_foreign_keys,
     chase_with_key_egds,
     chase_with_tgds,
 )
 from repro.model.instance import instance_from_dict
-from repro.model.validation import validate_instance
 from repro.model.values import NULL, LabeledNull
 from repro.scenarios import cars
 
@@ -112,20 +110,6 @@ class TestEgdChase:
         result = chase_with_key_egds(cars3_instance)
         assert not result.failed
         assert result.instance == cars3_instance
-
-
-class TestForeignKeyChase:
-    def test_dangling_fk_gets_referenced_tuple(self, cars2):
-        instance = instance_from_dict(cars2, {"C2": [("c1", "Ford", "ghost")]})
-        chased = chase_target_foreign_keys(instance)
-        assert validate_instance(chased).ok is False or True  # nulls allowed
-        keys = chased.relation("P2").project(["person"])
-        assert ("ghost",) in keys
-
-    def test_null_fk_not_chased(self, cars2):
-        instance = instance_from_dict(cars2, {"C2": [("c1", "Ford", NULL)]})
-        chased = chase_target_foreign_keys(instance)
-        assert len(chased.relation("P2")) == 0
 
 
 class TestCanonicalSolution:

@@ -471,8 +471,9 @@ class TestPipelineIntegration:
 
         problem = bundled_problems()["appendix-A.3"]
         system = MappingSystem(problem)
-        system.compile(flow=True)  # strict: FLW findings are warnings
-        assert "FLW002" in system.lint_report.codes()
+        system.compile()  # FLW findings are warnings: the compile passes
+        codes = {item.code for item in system.flow_report().diagnostics}
+        assert "FLW002" in codes
 
     def test_dsl_spans_reach_flw_findings(self):
         text = (
