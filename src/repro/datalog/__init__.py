@@ -6,7 +6,7 @@ planned, set-oriented batch runtime (:func:`evaluate_batch`,
 :mod:`repro.datalog.exec`).
 """
 
-from .engine import EvaluationResult, evaluate, evaluate_rule
+from .engine import EvaluationResult, RowStore, evaluate, evaluate_rule
 from .exec import ProgramPlan, evaluate_batch, plan_program
 from .optimize import remove_subsumed_rules, subsumes_rule
 from .program import DatalogProgram, Rule
@@ -16,6 +16,7 @@ __all__ = [
     "DatalogProgram",
     "EvaluationResult",
     "ProgramPlan",
+    "RowStore",
     "Rule",
     "dependencies",
     "evaluate",

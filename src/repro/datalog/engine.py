@@ -1,26 +1,28 @@
 """Evaluation of non-recursive skolemized Datalog programs.
 
 :func:`run_strata` is the evaluation loop both engines share: it
-materializes every defined relation in stratification order, asking the
-engine only for each rule's derived rows.  The reference interpreter
-(:func:`evaluate`) derives them with an index-nested-loop join: the atom
-joined at each depth is the most tightly bound remaining body atom, chosen
-once per depth and rule evaluation, and it is probed through hash indexes
-built per (relation, bound-positions) on demand.  Planning a depth also
-fixes which positions each candidate row is checked at and which it binds,
-so only a matching row copies the bindings.  Skolem terms in
-heads become :class:`repro.model.values.LabeledNull` invented values;
-``null`` becomes :data:`repro.model.values.NULL`.
+materializes every defined relation in stratification order into one
+:class:`RowStore`, asking the engine only for each rule's derived rows.
+The reference interpreter (:func:`evaluate`) derives them with an
+index-nested-loop join: the atom joined at each depth is the most tightly
+bound remaining body atom, chosen once per depth and rule evaluation, and
+it is probed through the store's (relation, bound-positions) hash indexes.
+Planning a depth also fixes which positions each candidate row is checked
+at and which it binds, so only a matching row copies the bindings.  Skolem
+terms in heads become :class:`repro.model.values.LabeledNull` invented
+values; ``null`` becomes :data:`repro.model.values.NULL`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from ..errors import EvaluationError
 from ..logic.atoms import RelationalAtom
+from ..logic.mappings import Premise
 from ..logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
 from ..model.instance import Instance, Row
 from ..model.values import NULL, LabeledNull, is_null
@@ -28,18 +30,22 @@ from ..obs import RunReport, count, current_tracer, span, stage_report
 from .program import DatalogProgram, Rule
 
 
-class _Store:
-    """Rows plus lazily built hash indexes for every readable relation."""
+class RowStore:
+    """Deduplicated rows plus lazily built hash indexes per relation.
+
+    The one row store of every evaluator: the reference interpreter, the
+    batch runtime and its worker slices, the instance-level chase and query
+    answering.  Indexes are keyed ``(relation, positions)`` and map the
+    projection of each row onto ``positions`` to the rows holding it.
+    """
 
     def __init__(self) -> None:
         self._rows: dict[str, list[Row]] = {}
         self._sets: dict[str, set[Row]] = {}
         self._indexes: dict[tuple[str, tuple[int, ...]], dict[Row, list[Row]]] = {}
 
-    def add_relation(self, name: str, rows: Iterator[Row] | list[Row]) -> None:
-        unique: dict[Row, None] = {}
-        for row in rows:
-            unique.setdefault(tuple(row), None)
+    def add_relation(self, name: str, rows: Iterable[Row]) -> None:
+        unique = dict.fromkeys(map(tuple, rows))
         self._rows[name] = list(unique)
         self._sets[name] = set(unique)
         # Replacing a relation's rows invalidates every index built over it;
@@ -47,29 +53,45 @@ class _Store:
         for key in [k for k in self._indexes if k[0] == name]:
             del self._indexes[key]
 
-    #: materialized relations load like source ones
-    add_derived = add_relation
-
     def rows(self, name: str) -> list[Row]:
         try:
             return self._rows[name]
         except KeyError:
             raise EvaluationError(f"unknown relation {name!r} in rule body") from None
 
-    def contains(self, name: str, row: Row) -> bool:
-        return row in self._sets.get(name, ())
+    def row_set(self, name: str) -> set[Row]:
+        return self._sets.get(name, set())
 
     def size(self, name: str) -> int:
         return len(self._rows.get(name, ()))
 
+    def sizes(self) -> dict[str, int]:
+        return {name: len(rows) for name, rows in self._rows.items()}
+
+    def has_index(self, name: str, positions: tuple[int, ...]) -> bool:
+        return (name, positions) in self._indexes
+
     def index(self, name: str, positions: tuple[int, ...]) -> dict[Row, list[Row]]:
+        """The hash index of ``name`` on ``positions``, built on first use.
+
+        No positions give one ``()`` bucket holding every row.
+        """
         key = (name, positions)
         index = self._indexes.get(key)
         if index is None:
-            index = {}
-            for row in self.rows(name):
-                projected = tuple(row[p] for p in positions)
-                index.setdefault(projected, []).append(row)
+            rows = self.rows(name)
+            if not positions:
+                index = {(): rows}
+            elif len(positions) == 1:
+                index = {}
+                position = positions[0]
+                for row in rows:
+                    index.setdefault((row[position],), []).append(row)
+            else:
+                index = {}
+                project = itemgetter(*positions)
+                for row in rows:
+                    index.setdefault(project(row), []).append(row)
             self._indexes[key] = index
         return index
 
@@ -167,7 +189,7 @@ def _match_atom(
     return _extend_bindings(row, bindings, *_atom_checks(atom, bindings, ()))
 
 
-def _join(store: _Store, atoms: list[RelationalAtom], bindings: Bindings) -> Iterator[Bindings]:
+def _join(store: RowStore, atoms: list[RelationalAtom], bindings: Bindings) -> Iterator[Bindings]:
     """All extensions of ``bindings`` satisfying every atom (greedy ordering).
 
     The atom joined at depth ``k`` is the remaining one with the most bound
@@ -181,7 +203,7 @@ def _join(store: _Store, atoms: list[RelationalAtom], bindings: Bindings) -> Ite
 
 
 def _extend(
-    store: _Store,
+    store: RowStore,
     plan: tuple[list[RelationalAtom], set[Variable], list],
     depth: int,
     bindings: Bindings,
@@ -215,7 +237,7 @@ def _extend(
 
 
 def _plan_step(
-    store: _Store, remaining: list[RelationalAtom], bound: set[Variable]
+    store: RowStore, remaining: list[RelationalAtom], bound: set[Variable]
 ) -> tuple[str, tuple[int, ...], list | None, list, list]:
     """Pop the next atom to join and mark its variables bound.
 
@@ -257,7 +279,8 @@ def _plan_step(
     return atom.relation, best_positions, probe, checks, binds
 
 
-def _conditions_hold(rule: Rule, bindings: Bindings) -> bool:
+def _conditions_hold(rule: Rule | Premise, bindings: Bindings) -> bool:
+    """Whether the bindings meet a rule's or a premise's conditions."""
     for var in rule.null_vars:
         if not is_null(bindings[var]):
             return False
@@ -273,15 +296,15 @@ def _conditions_hold(rule: Rule, bindings: Bindings) -> bool:
     return True
 
 
-def _negations_hold(rule: Rule, store: _Store, bindings: Bindings) -> bool:
+def _negations_hold(rule: Rule, store: RowStore, bindings: Bindings) -> bool:
     for atom in rule.negated:
         row = tuple(_eval_term(t, bindings) for t in atom.terms)
-        if store.contains(atom.relation, row):
+        if row in store.row_set(atom.relation):
             return False
     return True
 
 
-def evaluate_rule(rule: Rule, store: _Store) -> list[Row]:
+def evaluate_rule(rule: Rule, store: RowStore) -> list[Row]:
     """All head rows derived by one rule against the current store."""
     # An empty body relation derives nothing; ``rows`` raises first for any
     # relation the store has never seen.
@@ -306,7 +329,7 @@ def evaluate_rules(
     Unlike :func:`evaluate` nothing is materialized between rules: every
     relation a rule reads must be among ``relations``.
     """
-    store = _Store()
+    store = RowStore()
     for name, rows in relations.items():
         store.add_relation(name, rows)
     return [evaluate_rule(rule, store) for rule in rules]
@@ -344,13 +367,11 @@ def evaluate(
     carry empty operator lists; the rollups stay comparable with the batch
     engine's (same metric families, same rule/stratum totals).
     """
-    store = _Store()
     return run_strata(
         program,
         source,
         "reference",
-        store,
-        lambda rule, profile: evaluate_rule(rule, store),
+        lambda rule, store, profile: evaluate_rule(rule, store),
         analyze,
     )
 
@@ -359,20 +380,19 @@ def run_strata(
     program: DatalogProgram,
     source: Instance,
     engine: str,
-    store: Any,
-    derive: Callable[[Rule, Any], list[Row]],
+    derive: Callable[[Rule, RowStore, Any], list[Row]],
     analyze: bool = False,
     workers: int | None = None,
 ) -> EvaluationResult:
     """The evaluation loop both engines share: one stratum at a time.
 
-    ``store`` is the engine's empty row store (``add_relation`` for source
-    rows, ``add_derived`` for materialized relations, ``size``).  For each
-    defined relation in stratification order, ``derive(rule, rule_profile)``
-    returns the head rows of one rule — the only per-engine step; it may
-    fill in the :class:`~repro.datalog.exec.profile.RuleProfile`'s operator
-    pipeline when one is passed.  ``run_strata`` owns everything else: the
-    ``stage.evaluate``/``eval.stratum`` spans, the ``eval.*`` counters,
+    For each defined relation in stratification order,
+    ``derive(rule, store, rule_profile)`` returns the head rows of one rule
+    read from the :class:`RowStore` holding the source and every relation
+    materialized so far — the only per-engine step; it may fill in the
+    :class:`~repro.datalog.exec.profile.RuleProfile`'s operator pipeline
+    when one is passed.  ``run_strata`` owns everything else: the store,
+    the ``stage.evaluate``/``eval.stratum`` spans, the ``eval.*`` counters,
     cross-rule deduplication, the store append, the rule/stratum/run
     rollups of the profile (collected under ``analyze=True`` or an active
     tracer) and the assembled :class:`EvaluationResult`.
@@ -392,6 +412,7 @@ def run_strata(
         )
 
         profile = ExecutionProfile(engine=engine, workers=workers)
+    store = RowStore()
     run_started = time.perf_counter()
     with span("stage.evaluate", rules=len(program.rules), engine=engine) as trace:
         source_rows = 0
@@ -421,7 +442,7 @@ def run_strata(
                         rule_started = time.perf_counter()
                         rule_profile = RuleProfile(relation=relation, rule_index=index)
                         stratum_profile.rules.append(rule_profile)
-                    derived = derive(rule, rule_profile)
+                    derived = derive(rule, store, rule_profile)
                     if rule_profile is not None:
                         rule_profile.rows_unique = len(derived)
                         rule_profile.seconds = time.perf_counter() - rule_started
@@ -439,7 +460,7 @@ def run_strata(
                         time.perf_counter() - stratum_started
                     )
                 computed[relation] = list(rows)
-                store.add_derived(relation, computed[relation])
+                store.add_relation(relation, computed[relation])
 
         target = Instance(program.target_schema)
         for relation in program.target_schema.relation_names():

@@ -6,7 +6,8 @@ Layers:
   (``scan -> hash-join* -> filter* -> antijoin* -> project``) with the join
   order chosen once per rule from relation statistics;
 * :mod:`repro.datalog.exec.batch` — the batch executor: operators over row
-  batches with interned values and per-stratum reusable hash indexes;
+  batches, probing the reusable hash indexes of the shared
+  :class:`~repro.datalog.engine.RowStore`;
 * :mod:`repro.datalog.exec.workers` — opt-in ``workers=N`` mode partitioning
   the outer scan across a process pool for large sources;
 * :mod:`repro.datalog.exec.profile` — the measured operator/rule/stratum
@@ -19,7 +20,7 @@ backend agree on every bundled scenario, the synthetic workloads and
 hypothesis-generated problems.  See ``docs/ENGINE.md``.
 """
 
-from .batch import BATCH_SIZE, BatchStore, Interner, evaluate_batch, run_plan
+from .batch import BATCH_SIZE, evaluate_batch, run_plan
 from .profile import (
     ExecutionProfile,
     OperatorStats,
@@ -45,10 +46,8 @@ from .workers import MIN_PARTITION_ROWS, run_plan_partitioned
 __all__ = [
     "AntiJoinOp",
     "BATCH_SIZE",
-    "BatchStore",
     "ExecutionProfile",
     "FilterOp",
-    "Interner",
     "JoinOp",
     "MIN_PARTITION_ROWS",
     "OperatorStats",

@@ -7,17 +7,16 @@ through a recursive generator, this runtime executes each rule's compiled
 plain tuples of slot values, operators are applied batch-at-a-time, and the
 per-binding work in the hot probe loop is a tuple build plus one dict lookup.
 
-Three ingredients carry the speedup:
+Two ingredients carry the speedup:
 
 * **planned joins** — the join order is chosen once per rule from live
   relation statistics (each stratum is planned right before it runs, so
   intermediate relations have exact counts);
-* **interned values** — every value loaded into the store is canonicalized
-  through an :class:`Interner`, so equal values share one object and tuple
-  comparisons in hash probes short-circuit on identity;
-* **reusable indexes** — hash indexes are keyed ``(relation, positions)``
-  and shared across all rules of a stratum and across strata until the
-  indexed relation changes; cache hits are counted as ``eval.index_reuse``.
+* **reusable indexes** — the hash indexes of the shared
+  :class:`~repro.datalog.engine.RowStore` are keyed ``(relation,
+  positions)`` and shared across all rules of a stratum and across strata
+  until the indexed relation changes; each join that finds its index
+  already built counts one ``eval.index_reuse``.
 
 Observability: ``eval.index_reuse`` counts index cache hits, and the
 evaluation loop both engines share (:func:`repro.datalog.engine.run_strata`)
@@ -38,11 +37,10 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator
 
-from ...errors import EvaluationError
 from ...model.instance import Instance, Row
 from ...model.values import NULL, LabeledNull
 from ...obs import count
-from ..engine import EvaluationResult, run_strata
+from ..engine import EvaluationResult, RowStore, run_strata
 from ..program import DatalogProgram
 from .plan import RulePlan, ValueExpr, plan_rule
 from .profile import OperatorStats, RuleProfile, operators_for_plan
@@ -50,81 +48,6 @@ from .profile import OperatorStats, RuleProfile, operators_for_plan
 #: Rows per scan batch.  Large enough to amortize per-batch overhead, small
 #: enough to keep intermediate buffers cache-friendly.
 BATCH_SIZE = 1024
-
-
-class Interner:
-    """Canonicalizes equal values to one object (identity fast paths)."""
-
-    __slots__ = ("_seen",)
-
-    def __init__(self) -> None:
-        self._seen: dict[Any, Any] = {}
-
-    def intern(self, value: Any) -> Any:
-        try:
-            return self._seen.setdefault(value, value)
-        except TypeError:  # pragma: no cover - unhashable values stay as-is
-            return value
-
-    def intern_row(self, row: Row) -> Row:
-        seen = self._seen
-        return tuple(seen.setdefault(v, v) for v in row)
-
-
-class BatchStore:
-    """Interned rows plus reusable hash indexes for every readable relation."""
-
-    def __init__(self) -> None:
-        self._rows: dict[str, list[Row]] = {}
-        self._sets: dict[str, set[Row]] = {}
-        self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
-        self.interner = Interner()
-
-    def add_relation(self, name: str, rows) -> None:
-        self.add_derived(name, map(self.interner.intern_row, rows))
-
-    def add_derived(self, name: str, rows) -> None:
-        # Derived rows are built from already-interned slot values (plus
-        # fresh LabeledNulls), so they are stored without re-interning.
-        unique = dict.fromkeys(rows)
-        self._rows[name] = list(unique)
-        self._sets[name] = set(unique)
-        # Replacing a relation invalidates every index built over it.
-        for key in [k for k in self._indexes if k[0] == name]:
-            del self._indexes[key]
-
-    def rows(self, name: str) -> list[Row]:
-        try:
-            return self._rows[name]
-        except KeyError:
-            raise EvaluationError(f"unknown relation {name!r} in rule body") from None
-
-    def row_set(self, name: str) -> set[Row]:
-        return self._sets.get(name, set())
-
-    def size(self, name: str) -> int:
-        return len(self._rows.get(name, ()))
-
-    def sizes(self) -> dict[str, int]:
-        return {name: len(rows) for name, rows in self._rows.items()}
-
-    def index(self, name: str, positions: tuple[int, ...]) -> dict:
-        key = (name, positions)
-        index = self._indexes.get(key)
-        if index is not None:
-            count("eval.index_reuse")
-            return index
-        index = {}
-        if len(positions) == 1:
-            position = positions[0]
-            for row in self.rows(name):
-                index.setdefault((row[position],), []).append(row)
-        else:
-            project = itemgetter(*positions)
-            for row in self.rows(name):
-                index.setdefault(project(row), []).append(row)
-        self._indexes[key] = index
-        return index
 
 
 def _compile_expr(expr: ValueExpr) -> Callable[[Row], Any]:
@@ -214,22 +137,24 @@ def _row_builder(exprs: tuple[ValueExpr, ...]) -> Callable[[Row], Row]:
 
 
 def _join_stage(
-    join, store: BatchStore, stats: OperatorStats | None = None
+    join, store: RowStore, stats: OperatorStats | None = None
 ) -> Callable[[list[Row]], list[Row]]:
     """Compile one join into a batch -> batch callable (index built now)."""
-    if stats is None:
-        index = store.index(join.relation, join.key_positions)
-    else:
-        cached = (join.relation, join.key_positions) in store._indexes
-        build_started = perf_counter()
-        index = store.index(join.relation, join.key_positions)
+    cached = store.has_index(join.relation, join.key_positions)
+    if cached:
+        count("eval.index_reuse")
+    build_started = perf_counter()
+    index = store.index(join.relation, join.key_positions)
+    if stats is not None:
         stats.build_seconds += perf_counter() - build_started
         if cached:
             stats.index_hits += 1
         else:
             stats.index_misses += 1
     key_slots = [e[1] if e[0] == "slot" else None for e in join.key_exprs]
-    if all(s is not None for s in key_slots):
+    if not key_slots:
+        probe = lambda slots: ()
+    elif all(s is not None for s in key_slots):
         if len(key_slots) == 1:
             position = key_slots[0]
             probe = lambda slots: (slots[position],)
@@ -283,7 +208,7 @@ def _filter_stage(filter_op) -> Callable[[list[Row]], list[Row]]:
     return lambda batch: [s for s in batch if left(s) != right(s)]
 
 
-def _antijoin_stage(antijoin, store: BatchStore) -> Callable[[list[Row]], list[Row]]:
+def _antijoin_stage(antijoin, store: RowStore) -> Callable[[list[Row]], list[Row]]:
     negated = store.row_set(antijoin.relation)
     if not negated:
         return lambda batch: batch
@@ -325,7 +250,7 @@ def _measured_stage(
 
 def run_plan(
     plan: RulePlan,
-    store: BatchStore,
+    store: RowStore,
     scan_rows: list[Row] | None = None,
     operators: list[OperatorStats] | None = None,
 ) -> list[Row]:
@@ -409,7 +334,6 @@ def evaluate_batch(
     ``EvaluationResult.profile`` and records its totals into the tracer's
     metrics.
     """
-    store = BatchStore()
     partitioned = workers is not None and workers > 1
     if partitioned:
         from .workers import MIN_PARTITION_ROWS, run_plan_partitioned
@@ -417,7 +341,7 @@ def evaluate_batch(
         if min_partition_rows is None:
             min_partition_rows = MIN_PARTITION_ROWS
 
-    def derive(rule, profile: RuleProfile | None) -> list[Row]:
+    def derive(rule, store: RowStore, profile: RuleProfile | None) -> list[Row]:
         plan = plan_rule(rule, store.sizes())
         operators = None
         if profile is not None:
@@ -429,4 +353,4 @@ def evaluate_batch(
             )
         return run_plan(plan, store, operators=operators)
 
-    return run_strata(program, source, "batch", store, derive, analyze, workers)
+    return run_strata(program, source, "batch", derive, analyze, workers)

@@ -292,75 +292,42 @@ def order_atoms(
     return order
 
 
-def _compile_scan(
-    atom: RelationalAtom, slots: dict[Variable, int], stats: Mapping[str, int]
-) -> ScanOp:
-    const_eq: list[tuple[int, Any]] = []
-    null_eq: list[int] = []
+def _walk_atom(
+    atom: RelationalAtom, slots: dict[Variable, int]
+) -> tuple[
+    list[tuple[int, ValueExpr]], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]
+]:
+    """One walk over a body atom's terms, in position order.
+
+    Returns the positions already determined (by a slot, a constant or
+    ``null``) with the value each must equal, the position pairs a repeated
+    new variable makes agree, and the ``(position, slot)`` captures of the
+    atom's new variables, which are added to ``slots``.
+    """
+    keys: list[tuple[int, ValueExpr]] = []
     same: list[tuple[int, int]] = []
     capture: list[tuple[int, int]] = []
     first_seen: dict[Variable, int] = {}
     for position, term in enumerate(atom.terms):
         if isinstance(term, Variable):
+            # Checked before ``slots``: a repeated new variable's slot is
+            # only filled once this atom matches, so it cannot be probed.
             if term in first_seen:
                 same.append((first_seen[term], position))
+            elif term in slots:
+                keys.append((position, ("slot", slots[term])))
             else:
                 first_seen[term] = position
                 slot = len(slots)
                 slots[term] = slot
                 capture.append((position, slot))
         elif isinstance(term, Constant):
-            const_eq.append((position, term.value))
+            keys.append((position, ("const", term.value)))
         elif isinstance(term, NullTerm):
-            null_eq.append(position)
+            keys.append((position, ("null",)))
         else:  # pragma: no cover - Skolem terms never occur in bodies
             raise EvaluationError(f"unexpected body term {term!r}")
-    return ScanOp(
-        relation=atom.relation,
-        rows_estimate=stats.get(atom.relation, 0),
-        const_eq=tuple(const_eq),
-        null_eq=tuple(null_eq),
-        same=tuple(same),
-        capture=tuple(capture),
-    )
-
-
-def _compile_join(
-    atom: RelationalAtom, slots: dict[Variable, int], stats: Mapping[str, int]
-) -> JoinOp:
-    key_positions: list[int] = []
-    key_exprs: list[ValueExpr] = []
-    same: list[tuple[int, int]] = []
-    capture: list[tuple[int, int]] = []
-    first_seen: dict[Variable, int] = {}
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Variable):
-            if term in slots:
-                key_positions.append(position)
-                key_exprs.append(("slot", slots[term]))
-            elif term in first_seen:
-                same.append((first_seen[term], position))
-            else:
-                first_seen[term] = position
-                slot = len(slots)
-                slots[term] = slot
-                capture.append((position, slot))
-        elif isinstance(term, Constant):
-            key_positions.append(position)
-            key_exprs.append(("const", term.value))
-        elif isinstance(term, NullTerm):
-            key_positions.append(position)
-            key_exprs.append(("null",))
-        else:  # pragma: no cover - Skolem terms never occur in bodies
-            raise EvaluationError(f"unexpected body term {term!r}")
-    return JoinOp(
-        relation=atom.relation,
-        rows_estimate=stats.get(atom.relation, 0),
-        key_positions=tuple(key_positions),
-        key_exprs=tuple(key_exprs),
-        same=tuple(same),
-        capture=tuple(capture),
-    )
+    return keys, tuple(same), tuple(capture)
 
 
 def plan_rule(
@@ -381,10 +348,29 @@ def plan_rule(
     joins: list[JoinOp] = []
     for step, atom_index in enumerate(order):
         atom = rule.body[atom_index]
+        estimate = stats.get(atom.relation, 0)
+        keys, same, capture = _walk_atom(atom, slots)
         if step == 0:
-            scan = _compile_scan(atom, slots, stats)
+            # The first atom binds no slots: its keys are constants and nulls.
+            scan = ScanOp(
+                relation=atom.relation,
+                rows_estimate=estimate,
+                const_eq=tuple((p, e[1]) for p, e in keys if e[0] == "const"),
+                null_eq=tuple(p for p, e in keys if e[0] == "null"),
+                same=same,
+                capture=capture,
+            )
         else:
-            joins.append(_compile_join(atom, slots, stats))
+            joins.append(
+                JoinOp(
+                    relation=atom.relation,
+                    rows_estimate=estimate,
+                    key_positions=tuple(p for p, _ in keys),
+                    key_exprs=tuple(e for _, e in keys),
+                    same=same,
+                    capture=capture,
+                )
+            )
     filters: list[FilterOp] = []
     for var in rule.null_vars:
         filters.append(FilterOp("null", compile_term(var, slots)))

@@ -37,7 +37,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from ...model.instance import Row
 from ...obs import MetricsRegistry, Tracer, current_tracer, use_tracer
-from .batch import BatchStore, run_plan
+from ..engine import RowStore
+from .batch import run_plan
 from .plan import RulePlan
 from .profile import OperatorStats, operators_for_plan
 
@@ -65,7 +66,7 @@ def _run_slice(
     and the operator stats.
     """
     plan, scan_rows, relations, measure = payload
-    store = BatchStore()
+    store = RowStore()
     for name, rows in relations.items():
         store.add_relation(name, rows)
     if plan.scan is not None and plan.scan.relation not in relations:
@@ -79,7 +80,7 @@ def _run_slice(
 
 def run_plan_partitioned(
     plan: RulePlan,
-    store: BatchStore,
+    store: RowStore,
     workers: int,
     min_partition_rows: int = MIN_PARTITION_ROWS,
     operators: list[OperatorStats] | None = None,

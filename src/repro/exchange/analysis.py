@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.pipeline import MappingSystem
+from ..errors import ConstraintViolationError
 from ..model.instance import Instance
 from ..model.validation import ValidationReport, validate_instance
 from .instance_chase import canonical_universal_solution
@@ -71,12 +72,12 @@ def analyze_transformation(
         canonical = canonical_universal_solution(
             system.schema_mapping, source, null_for_nullable_existentials=True
         )
+    except ConstraintViolationError:  # the egd chase failed: no solution
+        is_canonical = sound = complete = False
+    else:
         is_canonical = output == canonical
         sound = is_homomorphic_to(output, canonical)
         complete = is_homomorphic_to(canonical, output)
-    except Exception:
-        is_canonical = False
-        sound = complete = False
 
     return TransformationAnalysis(
         output=output,

@@ -21,40 +21,16 @@ from ..model.instance import Instance
 from ..model.schema import Schema
 from ..model.values import NULL, LabeledNull, is_labeled_null, is_null
 from ..obs import count
-from ..datalog.engine import _Store, _eval_term, _join  # reuse the join machinery
+from ..datalog.engine import RowStore, _conditions_hold, _join
 
 
 def _premise_bindings(mapping: LogicalMapping, source: Instance):
     """All premise bindings over the source instance (conditions included)."""
-    store = _Store()
+    store = RowStore()
     for name, relation in source.relations.items():
-        store.add_relation(name, list(relation.rows))
+        store.add_relation(name, relation.rows)
     for bindings in _join(store, list(mapping.premise.atoms), {}):
-        ok = True
-        for var in mapping.premise.null_vars:
-            if not is_null(bindings[var]):
-                ok = False
-                break
-        if ok:
-            for var in mapping.premise.nonnull_vars:
-                if is_null(bindings[var]):
-                    ok = False
-                    break
-        if ok:
-            for equality in mapping.premise.equalities:
-                if _eval_term(equality.left, bindings) != _eval_term(
-                    equality.right, bindings
-                ):
-                    ok = False
-                    break
-        if ok:
-            for disequality in mapping.premise.disequalities:
-                if _eval_term(disequality.left, bindings) == _eval_term(
-                    disequality.right, bindings
-                ):
-                    ok = False
-                    break
-        if ok:
+        if _conditions_hold(mapping.premise, bindings):
             yield bindings
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..datalog.engine import _Store, _join
+from ..datalog.engine import RowStore, _join
 from ..logic.atoms import RelationalAtom
 from ..logic.terms import Variable
 from ..model.instance import Instance, Row
@@ -49,9 +49,9 @@ class ConjunctiveQuery:
 
 def evaluate_query(query: ConjunctiveQuery, instance: Instance) -> set[Row]:
     """All (naive) answers of the query over the instance."""
-    store = _Store()
+    store = RowStore()
     for name, relation in instance.relations.items():
-        store.add_relation(name, list(relation.rows))
+        store.add_relation(name, relation.rows)
     answers: set[Row] = set()
     for bindings in _join(store, list(query.body), {}):
         if any(not is_null(bindings[v]) for v in query.null_vars):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog.engine import evaluate, evaluate_rule, _Store
+from repro.datalog.engine import RowStore, evaluate, evaluate_rule
 from repro.datalog.program import DatalogProgram, Rule
 from repro.errors import EvaluationError
 from repro.logic.atoms import Equality, RelationalAtom
@@ -17,7 +17,7 @@ def V(name):
 
 
 def _store(**relations):
-    store = _Store()
+    store = RowStore()
     for name, rows in relations.items():
         store.add_relation(name, rows)
     return store

@@ -9,7 +9,10 @@ isomorphism (`repro.model.diff.diff_up_to_invented`) — on:
   instances the semantic verifier builds),
 * a sample of seeded generated scenarios with their paired random source
   instances (``repro.scenarios.generator``), and
-* the synthetic CARS workloads the scaling benchmarks sweep.
+* the synthetic CARS workloads the scaling benchmarks sweep, and
+* hand-built rule shapes the generated programs rarely contain: cross
+  products, repeated variables, constant and ``null`` body positions, and
+  negation over an empty relation.
 
 The batch engine must also reproduce the reference engine's intermediate
 relations and per-rule counts, and its opt-in ``workers=N`` mode must change
@@ -24,7 +27,13 @@ from repro.analysis.semantic.verifier import canonical_instances
 from repro.core.pipeline import MappingSystem
 from repro.datalog.engine import evaluate
 from repro.datalog.exec import evaluate_batch
+from repro.datalog.program import DatalogProgram, Rule
+from repro.logic.atoms import RelationalAtom
+from repro.logic.terms import NULL_TERM, Constant, Variable
+from repro.model.builder import SchemaBuilder
 from repro.model.diff import diff_up_to_invented
+from repro.model.instance import instance_from_dict
+from repro.model.values import NULL
 from repro.scenarios import bundled_problems
 from repro.scenarios.cars import figure1_problem, figure12_problem, figure14_problem
 from repro.scenarios.generator import generate_scenario
@@ -124,6 +133,111 @@ class TestSyntheticWorkloads:
         source = instance_factory(size)
         result = _assert_agreement(program, source, f"{label} n={size}")
         assert result.target.total_size() > 0
+
+
+_x, _y, _z = Variable("x"), Variable("y"), Variable("z")
+
+
+def _atom(relation, *terms):
+    return RelationalAtom(relation, terms)
+
+
+#: (id, rules, intermediates, expected T rows) over :func:`_shape_source`.
+HAND_BUILT_SHAPES = [
+    (
+        "cross-product",
+        [Rule(_atom("T", _x, _y), (_atom("R", _x), _atom("S", _y)))],
+        {},
+        {("1", "3"), ("2", "3")},
+    ),
+    (
+        "repeated-variable",
+        [
+            # in the scanned atom, and as a new variable of a joined atom
+            Rule(_atom("T", _x, _x), (_atom("P", _x, _x, _z),)),
+            Rule(_atom("T", _x, _y), (_atom("R", _x), _atom("P", _x, _y, _y))),
+        ],
+        {},
+        {("1", "1"), ("4", "4"), ("2", "5")},
+    ),
+    (
+        "constant-and-null",
+        [
+            Rule(_atom("T", _x, _y), (_atom("P", _x, _y, Constant("7")),)),
+            Rule(_atom("T", _x, _y), (_atom("P", _x, _y, NULL_TERM),)),
+            Rule(
+                _atom("T", _x, _y),
+                (_atom("S", _x), _atom("P", _x, _y, NULL_TERM)),
+            ),
+            Rule(
+                _atom("T", _x, _y),
+                (_atom("R", _x), _atom("P", _x, _y, Constant("5"))),
+            ),
+        ],
+        {},
+        {("1", "1"), ("3", NULL), ("4", "4"), ("2", "5")},
+    ),
+    (
+        "negation-over-empty",
+        [
+            Rule(_atom("Block", _x), (_atom("E", _x),)),
+            Rule(
+                _atom("T", _x, _y),
+                (_atom("P", _x, _y, _z),),
+                negated=(_atom("Block", _x),),
+            ),
+        ],
+        {"Block": 1},
+        {("1", "1"), ("2", "5"), ("3", NULL), ("4", "4")},
+    ),
+]
+
+
+def _shape_source():
+    # Text values: the SQL backends load every column as text.
+    schema = (
+        SchemaBuilder("HAND")
+        .relation("R", "a")
+        .relation("S", "a")
+        .relation("P", "a", "b?", "c?")
+        .relation("E", "a")
+        .build()
+    )
+    return instance_from_dict(
+        schema,
+        {
+            "R": [("1",), ("2",)],
+            "S": [("3",)],
+            "P": [
+                ("1", "1", "7"),
+                ("2", "5", "5"),
+                ("3", NULL, NULL),
+                ("4", "4", NULL),
+            ],
+            "E": [],
+        },
+    )
+
+
+class TestHandBuiltRules:
+    """All engines agree on rule shapes the generator seldom emits."""
+
+    @pytest.mark.parametrize(
+        "label,rules,intermediates,expected",
+        HAND_BUILT_SHAPES,
+        ids=[shape[0] for shape in HAND_BUILT_SHAPES],
+    )
+    def test_shape_agrees(self, label, rules, intermediates, expected):
+        source = _shape_source()
+        target = SchemaBuilder("OUT").relation("T", "a", "b?").build()
+        program = DatalogProgram(
+            rules=list(rules),
+            source_schema=source.schema,
+            target_schema=target,
+            intermediates=dict(intermediates),
+        )
+        result = _assert_agreement(program, source, label)
+        assert set(result.target.relation("T").rows) == expected
 
 
 @pytest.mark.serial

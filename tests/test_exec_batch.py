@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core.pipeline import MappingSystem
+from repro.datalog import RowStore
 from repro.datalog.exec import (
-    BatchStore,
-    Interner,
     evaluate_batch,
     order_atoms,
     plan_program,
@@ -68,34 +67,24 @@ class TestOrderAtoms:
         assert order_atoms(atoms, stats) == order_atoms(atoms, stats)
 
 
-class TestInterner:
-    def test_equal_values_become_one_object(self):
-        interner = Interner()
-        a = interner.intern("x" * 40)
-        b = interner.intern("xxxxx" * 8)
-        assert a == b and a is b
-
-    def test_intern_row(self):
-        interner = Interner()
-        row1 = interner.intern_row(("k1", 1))
-        row2 = interner.intern_row(("k" + "1", 1))
-        assert row1 == row2
-        assert row1[0] is row2[0]
-
-
-class TestBatchStore:
+class TestRowStore:
     def test_readd_invalidates_indexes(self):
-        store = BatchStore()
+        store = RowStore()
         store.add_relation("S", [("a", 1), ("b", 2)])
         assert set(store.index("S", (0,))) == {("a",), ("b",)}
         store.add_relation("S", [("c", 3)])
         assert set(store.index("S", (0,))) == {("c",)}
 
     def test_sizes(self):
-        store = BatchStore()
+        store = RowStore()
         store.add_relation("S", [("a",), ("b",), ("a",)])
         store.add_relation("R", [])
         assert store.sizes() == {"S": 2, "R": 0}
+
+    def test_empty_positions_index_one_bucket(self):
+        store = RowStore()
+        store.add_relation("S", [("a", 1), ("b", 2)])
+        assert store.index("S", ()) == {(): [("a", 1), ("b", 2)]}
 
 
 def _figure1_program():

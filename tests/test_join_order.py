@@ -25,7 +25,7 @@ from repro.analysis.cost.bounds import _calibrate
 from repro.analysis.cost.facts import CostFacts
 from repro.analysis.cost.polynomial import ONE, Polynomial
 from repro.core.pipeline import MappingSystem
-from repro.datalog.engine import _join, _match_atom, _Store, evaluate_rule
+from repro.datalog.engine import RowStore, _join, _match_atom, evaluate_rule
 from repro.datalog.program import Rule
 from repro.errors import EvaluationError, ReproError
 from repro.logic.atoms import RelationalAtom
@@ -125,7 +125,7 @@ def join_cases(draw):
 
 
 def _fresh_store(relations):
-    store = _Store()
+    store = RowStore()
     for name, rows in relations.items():
         store.add_relation(name, rows)
     return store

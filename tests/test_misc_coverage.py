@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pipeline import MappingSystem
-from repro.datalog.engine import _Store, evaluate_rule
+from repro.datalog.engine import RowStore, evaluate_rule
 from repro.datalog.program import Rule
 from repro.logic.atoms import Disequality, Equality, RelationalAtom
 from repro.logic.satisfiability import EgdClosure
@@ -24,7 +24,7 @@ class TestEngineDisequalities:
             body=(RelationalAtom("R", (x, y)),),
             disequalities=(Disequality(y, Constant("skip")),),
         )
-        store = _Store()
+        store = RowStore()
         store.add_relation("R", [("a", "keep"), ("b", "skip")])
         assert evaluate_rule(rule, store) == [("a",)]
 
@@ -35,7 +35,7 @@ class TestEngineDisequalities:
             body=(RelationalAtom("R", (x, y, z)),),
             disequalities=(Disequality(y, z),),
         )
-        store = _Store()
+        store = RowStore()
         store.add_relation("R", [("a", 1, 2), ("b", 1, 1)])
         assert evaluate_rule(rule, store) == [("a",)]
 
