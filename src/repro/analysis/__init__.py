@@ -57,7 +57,6 @@ _EXPORTS = {
     "analyze": ".analyzer",
     "quick_lint": ".analyzer",
     "analyze_flow": ".flow",
-    "flow_diagnostics": ".flow",
     "FlowReport": ".flow",
     "FlowResult": ".flow",
     "NullabilityAnalysis": ".flow",
@@ -107,7 +106,6 @@ if TYPE_CHECKING:  # pragma: no cover
         NullabilityAnalysis,
         ProvenanceAnalysis,
         analyze_flow,
-        flow_diagnostics,
         solve,
     )
     from .diagnostics import (

@@ -100,10 +100,6 @@ class Polynomial:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree (0 for constants and the zero polynomial)."""
         return max(

@@ -74,12 +74,6 @@ class CostReport:
 
     # -- queries ---------------------------------------------------------
 
-    def relation_bound(self, name: str) -> "Polynomial | Unbounded | None":
-        for cost in self.relations:
-            if cost.relation == name:
-                return cost.bound
-        return None
-
     def rule_bounds(self) -> list[RuleBound]:
         return [rule for cost in self.relations for rule in cost.rules]
 

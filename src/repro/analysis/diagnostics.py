@@ -329,13 +329,6 @@ class AnalysisReport:
         """True iff the report has no errors (warnings/infos allowed)."""
         return not self.errors
 
-    def by_code(self) -> dict[str, int]:
-        """Per-code diagnostic counts, sorted by code."""
-        counts: dict[str, int] = {}
-        for item in self.diagnostics:
-            counts[item.code] = counts.get(item.code, 0) + 1
-        return dict(sorted(counts.items()))
-
     def codes(self) -> list[str]:
         """The distinct codes present, sorted."""
         return sorted({d.code for d in self.diagnostics})

@@ -37,7 +37,7 @@ from .keyorigin import (
 )
 from .nullability import NullabilityAnalysis, rule_term_status
 from .provenance import NULL_ORIGIN, ProvenanceAnalysis
-from .report import FlowReport, analyze_flow, flow_diagnostics
+from .report import FlowReport, analyze_flow
 from .solver import Environment, FlowError, FlowResult, FlowStats, solve
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "NullabilityAnalysis",
     "ProvenanceAnalysis",
     "analyze_flow",
-    "flow_diagnostics",
     "functionality_records",
     "rule_term_status",
     "solve",

@@ -230,7 +230,3 @@ def analyze_flow(program: DatalogProgram, problem=None) -> FlowReport:
         report.diagnostics = _flw_diagnostics(program, report, problem)
     return report
 
-
-def flow_diagnostics(program: DatalogProgram, problem=None) -> list[Diagnostic]:
-    """Just the ``FLW*`` findings of :func:`analyze_flow`."""
-    return analyze_flow(program, problem).diagnostics

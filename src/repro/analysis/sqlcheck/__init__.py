@@ -9,7 +9,7 @@ the structural lints (SQL002–SQL005), and :mod:`.report` packages the
 verdicts for the CLI, SARIF export and ``MappingSystem.sql_report()``.
 """
 
-from .checker import check_pipeline, check_program
+from .checker import check_pipeline
 from .lower import LoweringResult, lower_statement, normalize_nulls
 from .report import PROVED, UNKNOWN, SqlCheckReport, SqlStatementVerdict
 
@@ -20,7 +20,6 @@ __all__ = [
     "SqlCheckReport",
     "SqlStatementVerdict",
     "check_pipeline",
-    "check_program",
     "lower_statement",
     "normalize_nulls",
 ]

@@ -41,22 +41,13 @@ from ...sqlgen.ast import (
     looks_like_skolem_encoding,
     match_skolem_encode,
 )
-from ...sqlgen.compiler import CompiledStatement, SqlPipeline, compile_program
+from ...sqlgen.compiler import CompiledStatement, SqlPipeline
 from ..diagnostics import Diagnostic, diagnostic
 from ..semantic.containment import ContainmentEngine, cq_from_rule, default_engine
 from .lower import lower_statement, normalize_nulls
 from .report import PROVED, UNKNOWN, SqlCheckReport, SqlStatementVerdict
 
-__all__ = ["check_pipeline", "check_program"]
-
-
-def check_program(
-    program: DatalogProgram,
-    subject: str = "",
-    engine: ContainmentEngine | None = None,
-) -> SqlCheckReport:
-    """Compile ``program`` and validate the resulting pipeline."""
-    return check_pipeline(compile_program(program), subject=subject, engine=engine)
+__all__ = ["check_pipeline"]
 
 
 def check_pipeline(

@@ -74,8 +74,7 @@ metrics snapshot, schema ``docs/metrics.schema.json``), ``metrics.txt``
 ``--explain-analyze`` to print the measured operator trees.  See
 ``docs/OBSERVABILITY.md``.
 
-Problem files use the text DSL of :mod:`repro.dsl.parser`, or JSON
-(``.json``) as produced by :mod:`repro.dsl.jsonio`.
+Problem files use the text DSL of :mod:`repro.dsl.parser`.
 """
 
 from __future__ import annotations
@@ -88,21 +87,18 @@ import sys
 from .core.matching import suggest_correspondences
 from .core.pipeline import MappingProblem, MappingSystem
 from .core.schema_mapping import BASIC, NOVEL
-from .dsl.jsonio import load_problem
 from .dsl.parser import parse_instance, parse_problem, parse_schema
 from .dsl.renderer import render_program, render_schema, render_schema_mapping
 from .dsl.report import explain
 from .errors import ReproError
 from .model.validation import validate_instance
 from .obs import write_chrome_trace, write_metrics_json, write_openmetrics
+from .sqlgen.compiler import compile_program
 from .sqlgen.executor import SqliteExecutor
-from .sqlgen.queries import program_to_sql
 
 
 def _load_problem(path: str, lenient: bool = False) -> tuple[MappingProblem, list]:
     """A problem file plus, when parsed ``lenient``-ly, its parse findings."""
-    if path.endswith(".json"):
-        return load_problem(path), []
     with open(path) as handle:
         if lenient:
             from .dsl.parser import parse_problem_lenient
@@ -186,7 +182,7 @@ def cmd_compile(args) -> int:
     print()
     if args.sql:
         print("# SQL transformation")
-        for statement in program_to_sql(system.transformation):
+        for statement in compile_program(system.transformation).sql():
             print(statement + ";")
     else:
         print("# transformation (non-recursive Datalog)")

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from ..analysis.diagnostics import Diagnostic, diagnostic
 from ..logic.mappings import UnitaryMapping
 from ..logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
-from ..model.schema import Schema
 from ..obs import count
 from .functionality import PairChecker
 
@@ -90,24 +89,6 @@ class KeyConflict:
             f"source values into {where}",
             subject=where,
         )
-
-
-def find_key_conflicts(
-    left: UnitaryMapping,
-    right: UnitaryMapping,
-    source_schema: Schema,
-    target_schema: Schema,
-) -> list[KeyConflict]:
-    """All key conflicts between two unitary mappings over the same relation.
-
-    The right-hand mapping is renamed apart first (the paper assumes
-    pairwise-disjoint variable sets), which also covers siblings sharing a
-    premise.  The pair is closed once; every non-key attribute is a probe.
-    """
-    if left.consequent.relation != right.consequent.relation:
-        return []
-    checker = PairChecker([left, right], source_schema, target_schema)
-    return pair_conflicts(checker, 0, 1)
 
 
 def pair_conflicts(checker: PairChecker, left: int, right: int) -> list[KeyConflict]:

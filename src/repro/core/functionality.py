@@ -197,26 +197,6 @@ class PairChecker:
         return None
 
 
-def differing_positions(
-    left: UnitaryMapping,
-    right: UnitaryMapping,
-    source_schema: Schema,
-    target_schema: Schema,
-) -> Iterator[tuple[str, Term, Term]]:
-    """:meth:`PairChecker.differing_positions` of one pair of mappings."""
-    checker = PairChecker([left, right], source_schema, target_schema)
-    return checker.differing_positions(0, 1)
-
-
-def check_functionality(
-    mapping: UnitaryMapping,
-    source_schema: Schema,
-    target_schema: Schema,
-) -> FunctionalityViolation | None:
-    """Return a violation witness, or ``None`` when the mapping is functional."""
-    return PairChecker([mapping], source_schema, target_schema).violation(0)
-
-
 def functionality_violations(checker: PairChecker) -> list[FunctionalityViolation]:
     """Every functionality violation among the checker's mappings, in order."""
     with span("qgen.functionality", mappings=len(checker.mappings)):

@@ -48,9 +48,6 @@ class SchemaMappingReport:
     pruned: list[PruneRecord] = field(default_factory=list)
     kept: list[CandidateMapping] = field(default_factory=list)
 
-    def pruned_by_rule(self, rule: str) -> list[PruneRecord]:
-        return [p for p in self.pruned if p.rule == rule]
-
 
 @dataclass
 class SchemaMappingResult:

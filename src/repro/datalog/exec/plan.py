@@ -216,9 +216,6 @@ class ProgramPlan:
     #: relation -> plans of its defining rules, in rule order
     plans: dict[str, list[RulePlan]] = field(default_factory=dict)
 
-    def all_plans(self) -> list[RulePlan]:
-        return [plan for relation in self.order for plan in self.plans[relation]]
-
     def render(self) -> str:
         lines: list[str] = []
         for stratum, relation in enumerate(self.order):

@@ -1,23 +1,10 @@
 """Text DSL (schemas, correspondences, instances) and paper-style rendering."""
 
-from .jsonio import (
-    dump_problem,
-    instance_from_dict_json,
-    instance_to_dict,
-    load_problem,
-    problem_from_dict,
-    problem_to_dict,
-    program_from_dict,
-    program_to_dict,
-    schema_from_dict,
-    schema_to_dict,
-)
 from .parser import parse_instance, parse_problem, parse_schema
 from .report import explain, render_conflict_report, render_generation_report
 from .renderer import (
     FunctorAbbreviator,
     render_instance,
-    render_logical_mapping,
     render_problem,
     render_program,
     render_rule,
@@ -27,24 +14,13 @@ from .renderer import (
 
 __all__ = [
     "FunctorAbbreviator",
-    "dump_problem",
     "explain",
-    "instance_from_dict_json",
-    "instance_to_dict",
-    "load_problem",
-    "problem_from_dict",
-    "problem_to_dict",
-    "program_from_dict",
-    "program_to_dict",
     "render_conflict_report",
     "render_generation_report",
-    "schema_from_dict",
-    "schema_to_dict",
     "parse_instance",
     "parse_problem",
     "parse_schema",
     "render_instance",
-    "render_logical_mapping",
     "render_problem",
     "render_program",
     "render_rule",

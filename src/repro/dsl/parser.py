@@ -252,7 +252,7 @@ def parse_problem(
                 where=where,
                 span=SourceSpan(line_number, file=file),
             )
-        except Exception as error:
+        except ReproError as error:
             raise ParseError(str(error), line_number) from error
     return problem
 

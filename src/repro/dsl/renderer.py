@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from ..logic.mappings import LogicalMapping, SchemaMapping, UnitaryMapping
+from ..logic.mappings import LogicalMapping, SchemaMapping
 from ..logic.terms import Term, Variable
 from ..datalog.program import DatalogProgram, Rule
 from ..model.schema import Schema
@@ -156,19 +156,6 @@ def _displayed(mapping: LogicalMapping) -> LogicalMapping:
         consequent=tuple(a.substitute(renaming) for a in mapping.consequent),
         label=mapping.label,
     )
-
-
-def render_logical_mapping(
-    mapping: LogicalMapping | UnitaryMapping,
-    abbreviator: FunctorAbbreviator | None = None,
-) -> str:
-    """Render one tgd as ``premise -> consequent`` with paper-like functors."""
-    if isinstance(mapping, LogicalMapping):
-        mapping = _displayed(mapping)
-    text = repr(mapping)
-    if abbreviator is not None:
-        text = abbreviator.shorten(text)
-    return text
 
 
 def render_schema_mapping(mapping: SchemaMapping, shorten: bool = True) -> str:

@@ -11,68 +11,8 @@ verify the paper's Appendix-B claims about skolemization strategies.
 
 from __future__ import annotations
 
-from typing import Any
-
+from ..model.diff import find_instance_homomorphism
 from ..model.instance import Instance
-from ..model.values import LabeledNull, is_labeled_null
-
-Assignment = dict[LabeledNull, Any]
-
-
-def _match_value(pattern: Any, value: Any, assignment: Assignment) -> Assignment | None:
-    """Extend the assignment so ``pattern`` maps onto ``value``."""
-    if is_labeled_null(pattern):
-        bound = assignment.get(pattern)
-        if bound is None:
-            extended = dict(assignment)
-            extended[pattern] = value
-            return extended
-        return assignment if bound == value else None
-    return assignment if pattern == value else None
-
-
-def find_instance_homomorphism(a: Instance, b: Instance) -> Assignment | None:
-    """A homomorphism from ``a`` into ``b`` (labeled nulls as variables).
-
-    Ground facts (no labeled nulls) map only to themselves, so they are
-    checked by set membership; backtracking search is limited to the facts
-    that actually contain labeled nulls, keeping the search shallow even on
-    large instances.
-    """
-    open_facts: list[tuple[str, tuple]] = []
-    for relation, row in a.facts():
-        if any(is_labeled_null(v) for v in row):
-            open_facts.append((relation, row))
-        else:
-            try:
-                present = row in b.relation(relation)
-            except Exception:  # pragma: no cover - schema mismatch
-                return None
-            if not present:
-                return None
-
-    def search(index: int, assignment: Assignment) -> Assignment | None:
-        if index == len(open_facts):
-            return assignment
-        relation, row = open_facts[index]
-        try:
-            candidates = b.relation(relation).rows
-        except Exception:  # pragma: no cover - schema mismatch
-            return None
-        for candidate in candidates:
-            extended: Assignment | None = assignment
-            for pattern, value in zip(row, candidate):
-                extended = _match_value(pattern, value, extended)
-                if extended is None:
-                    break
-            if extended is None:
-                continue
-            final = search(index + 1, extended)
-            if final is not None:
-                return final
-        return None
-
-    return search(0, {})
 
 
 def is_homomorphic_to(a: Instance, b: Instance) -> bool:

@@ -1,7 +1,7 @@
 """Logical formalism substrate: terms, atoms, tableaux, tgds, satisfiability."""
 
-from .atoms import Equality, NegatedPremise, RelationalAtom, atoms_variables, iter_positions
-from .homomorphism import embeds, find_homomorphism
+from .atoms import Equality, NegatedPremise, RelationalAtom, atoms_variables
+from .homomorphism import find_homomorphism
 from .mappings import LogicalMapping, Premise, SchemaMapping, UnitaryMapping
 from .satisfiability import EgdClosure
 from .tableau import MAND, NONE, NONNULL, NULL, PartialTableau
@@ -13,9 +13,6 @@ from .terms import (
     Term,
     Variable,
     VariableFactory,
-    is_null_term,
-    is_skolem,
-    is_variable,
     term_variables,
 )
 
@@ -41,11 +38,6 @@ __all__ = [
     "Variable",
     "VariableFactory",
     "atoms_variables",
-    "embeds",
     "find_homomorphism",
-    "is_null_term",
-    "is_skolem",
-    "is_variable",
-    "iter_positions",
     "term_variables",
 ]

@@ -11,7 +11,7 @@ mapping's premise projected on the key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .terms import Term, Variable, term_variables
 
@@ -115,15 +115,6 @@ class NegatedPremise:
         self.equalities = tuple(equalities)
         self.disequalities = tuple(disequalities)
 
-    def local_variables(self) -> list[Variable]:
-        correlated = set(self.correlated)
-        seen: dict[Variable, None] = {}
-        for atom in self.atoms:
-            for var in atom.variables():
-                if var not in correlated:
-                    seen.setdefault(var, None)
-        return list(seen)
-
     def substitute(self, mapping: Mapping[Variable, Term]) -> "NegatedPremise":
         """Substitute the *correlated* variables (locals are never renamed away)."""
         new_atoms = tuple(a.substitute(mapping) for a in self.atoms)
@@ -198,9 +189,3 @@ def atoms_variables(atoms: Sequence[RelationalAtom]) -> list[Variable]:
             seen.setdefault(var, None)
     return list(seen)
 
-
-def iter_positions(atoms: Sequence[RelationalAtom]) -> Iterator[tuple[int, int, Term]]:
-    """All (atom index, position, term) triples of a sequence of atoms."""
-    for i, atom in enumerate(atoms):
-        for j, term in enumerate(atom.terms):
-            yield i, j, term

@@ -147,11 +147,3 @@ def find_homomorphism(
         return assignment
     return None
 
-
-def embeds(
-    pattern: Sequence[RelationalAtom],
-    target: Sequence[RelationalAtom],
-    fixed: Mapping[Variable, Term] | None = None,
-) -> bool:
-    """True iff a homomorphism from ``pattern`` into ``target`` exists."""
-    return find_homomorphism(pattern, target, fixed) is not None

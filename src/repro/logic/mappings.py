@@ -149,12 +149,6 @@ class SchemaMapping:
     def __getitem__(self, index: int) -> LogicalMapping:
         return self.mappings[index]
 
-    def by_label(self, label: str) -> LogicalMapping:
-        for mapping in self.mappings:
-            if mapping.label == label:
-                return mapping
-        raise KeyError(label)
-
     def __repr__(self) -> str:
         lines = [repr(m) for m in self.mappings]
         return "SchemaMapping[\n  " + "\n  ".join(lines) + "\n]"

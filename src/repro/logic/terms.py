@@ -153,18 +153,6 @@ class VariableFactory:
         return self.fresh(hint)
 
 
-def is_variable(term: Term) -> bool:
-    return isinstance(term, Variable)
-
-
-def is_skolem(term: Term) -> bool:
-    return isinstance(term, SkolemTerm)
-
-
-def is_null_term(term: Term) -> bool:
-    return isinstance(term, NullTerm)
-
-
 def term_variables(terms: Iterable[Term]) -> list[Variable]:
     """All variables in a sequence of terms, deduplicated, in first-seen order."""
     seen: dict[Variable, None] = {}

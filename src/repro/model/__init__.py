@@ -30,7 +30,6 @@ from .values import (
     LabeledNull,
     NullValue,
     format_value,
-    is_constant,
     is_labeled_null,
     is_null,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "find_special_cycle",
     "format_value",
     "instance_from_dict",
-    "is_constant",
     "is_labeled_null",
     "is_null",
     "is_weakly_acyclic",

@@ -2,12 +2,15 @@
 
 Useful when comparing transformation outputs (engine vs SQLite, basic vs
 novel, output vs expected figure) — the tests and CLI use it to show *which*
-tuples differ instead of a bare inequality.
+tuples differ instead of a bare inequality.  It also holds the backtracking
+search for homomorphisms between instances, which decides whether two
+instances are equal up to a renaming of invented values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..errors import InstanceError
 from .instance import Instance, Row
@@ -71,10 +74,11 @@ def _invented_masked_key(row: Row) -> tuple[str, ...]:
 def canonicalize_invented(instance: Instance) -> Instance:
     """Rename invented values to ``inv(0), inv(1), ...`` by first appearance.
 
-    The traversal is deterministic and renaming-insensitive (relations in
-    schema order, rows sorted with invented values masked), so two instances
-    that differ only by a bijective renaming of their labeled nulls
-    canonicalize to equal instances.
+    The traversal is deterministic (relations in schema order, rows sorted
+    with invented values masked).  Rows that differ only in invented values
+    tie under that sort and keep their insertion order, so two instances
+    that differ only by a bijective renaming of their labeled nulls may
+    still canonicalize differently.
     """
     mapping: dict[LabeledNull, LabeledNull] = {}
 
@@ -95,19 +99,102 @@ def canonicalize_invented(instance: Instance) -> Instance:
     return clone
 
 
+Assignment = dict[LabeledNull, Any]
+
+
+def _match_value(
+    pattern: Any, value: Any, assignment: Assignment, injective: bool
+) -> Assignment | None:
+    """Extend the assignment so ``pattern`` maps onto ``value``."""
+    if is_labeled_null(pattern):
+        bound = assignment.get(pattern)
+        if bound is None:
+            if injective and (
+                not is_labeled_null(value) or value in assignment.values()
+            ):
+                return None
+            extended = dict(assignment)
+            extended[pattern] = value
+            return extended
+        return assignment if bound == value else None
+    return assignment if pattern == value else None
+
+
+def find_instance_homomorphism(
+    a: Instance, b: Instance, injective: bool = False
+) -> Assignment | None:
+    """A homomorphism from ``a`` into ``b`` (labeled nulls as variables).
+
+    Ground facts (no labeled nulls) map only to themselves, so they are
+    checked by set membership; backtracking search is limited to the facts
+    that actually contain labeled nulls, keeping the search shallow even on
+    large instances.  ``injective`` maps distinct labeled nulls onto
+    distinct labeled nulls.
+    """
+    open_facts: list[tuple[str, tuple]] = []
+    for relation, row in a.facts():
+        if any(is_labeled_null(v) for v in row):
+            open_facts.append((relation, row))
+        else:
+            try:
+                present = row in b.relation(relation)
+            except InstanceError:  # schema mismatch
+                return None
+            if not present:
+                return None
+
+    def search(index: int, assignment: Assignment) -> Assignment | None:
+        if index == len(open_facts):
+            return assignment
+        relation, row = open_facts[index]
+        try:
+            candidates = b.relation(relation).rows
+        except InstanceError:  # pragma: no cover - schema mismatch
+            return None
+        for candidate in candidates:
+            extended: Assignment | None = assignment
+            for pattern, value in zip(row, candidate):
+                extended = _match_value(pattern, value, extended, injective)
+                if extended is None:
+                    break
+            if extended is None:
+                continue
+            final = search(index + 1, extended)
+            if final is not None:
+                return final
+        return None
+
+    return search(0, {})
+
+
 def diff_up_to_invented(left: Instance, right: Instance) -> InstanceDiff:
     """Diff two instances up to a bijective renaming of invented values.
 
     Exactly equal instances short-circuit to the (empty) plain diff; the
     differential-testing harness uses this so engines only have to agree on
     target tuples *up to LabeledNull isomorphism*, not on how Skolem
-    functors spell their invented values.
+    functors spell their invented values.  When the canonical forms
+    differ, an isomorphism search settles it: relations of equal sizes plus
+    an injective homomorphism that maps labeled nulls onto labeled nulls.
     """
     plain = diff_instances(left, right)
     if plain.empty:
         return plain
-    return diff_instances(
+    canonical = diff_instances(
         canonicalize_invented(left), canonicalize_invented(right)
+    )
+    if canonical.empty or not _isomorphic(left, right):
+        return canonical
+    return InstanceDiff({name: RelationDiff(name) for name in canonical.relations})
+
+
+def _isomorphic(left: Instance, right: Instance) -> bool:
+    sizes_agree = all(
+        len(relation) == len(right.relation(name))
+        for name, relation in left.relations.items()
+    )
+    return sizes_agree and (
+        find_instance_homomorphism(left, right, injective=True) is not None
     )
 
 

@@ -2,8 +2,7 @@
 
 Tuples are plain Python tuples whose components are constants, :data:`NULL`,
 or :class:`LabeledNull` invented values.  A :class:`Relation` preserves
-insertion order (useful for readable output) while enforcing set semantics,
-and caches hash indexes on attribute positions for efficient joins.
+insertion order (useful for readable output) while enforcing set semantics.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ class Relation:
     def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()):
         self.schema = schema
         self._rows: dict[Row, None] = {}
-        self._indexes: dict[tuple[int, ...], dict[Row, list[Row]]] = {}
         for row in rows:
             self.add(row)
 
@@ -38,28 +36,13 @@ class Relation:
         if row in self._rows:
             return False
         self._rows[row] = None
-        self._indexes.clear()
         return True
-
-    def add_named(self, **values: Any) -> bool:
-        """Add a tuple given by attribute name, e.g. ``r.add_named(car='c85', model='Ford')``."""
-        row = []
-        for attr in self.schema.attribute_names:
-            if attr not in values:
-                raise InstanceError(f"relation {self.schema.name}: missing value for {attr!r}")
-            row.append(values.pop(attr))
-        if values:
-            raise InstanceError(
-                f"relation {self.schema.name}: unknown attributes {sorted(values)}"
-            )
-        return self.add(row)
 
     def discard(self, row: Iterable[Any]) -> bool:
         """Remove a tuple if present; returns True iff it was removed."""
         row = tuple(row)
         if row in self._rows:
             del self._rows[row]
-            self._indexes.clear()
             return True
         return False
 
@@ -71,17 +54,6 @@ class Relation:
         """The set of projections of all rows onto the named attributes."""
         positions = [self.schema.position(a) for a in attributes]
         return {tuple(row[p] for p in positions) for row in self._rows}
-
-    def index_on(self, positions: tuple[int, ...]) -> Mapping[Row, list[Row]]:
-        """A hash index from projected key to matching rows (cached)."""
-        index = self._indexes.get(positions)
-        if index is None:
-            index = {}
-            for row in self._rows:
-                key = tuple(row[p] for p in positions)
-                index.setdefault(key, []).append(row)
-            self._indexes[positions] = index
-        return index
 
     def value(self, row: Row, attribute: str) -> Any:
         return row[self.schema.position(attribute)]

@@ -144,9 +144,6 @@ class RelationSchema:
     def key_positions(self) -> tuple[int, ...]:
         return self._key_positions
 
-    def nonkey_attribute_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes if a.name not in self.key)
-
     def __repr__(self) -> str:
         parts = []
         for a in self.attributes:
@@ -244,10 +241,6 @@ class Schema:
             if fk is not None:
                 found.append(fk)
         return tuple(found)
-
-    def foreign_keys_into(self, relation: str) -> tuple[ForeignKey, ...]:
-        """All foreign keys referencing ``relation``."""
-        return tuple(fk for fk in self.foreign_keys if fk.referenced == relation)
 
     def validate(self) -> None:
         """Check structural well-formedness plus weak acyclicity of the FKs."""

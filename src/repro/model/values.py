@@ -68,11 +68,6 @@ def is_labeled_null(value: Any) -> bool:
     return isinstance(value, LabeledNull)
 
 
-def is_constant(value: Any) -> bool:
-    """True iff ``value`` is an ordinary (non-null, non-invented) value."""
-    return not is_null(value) and not is_labeled_null(value)
-
-
 def format_value(value: Any) -> str:
     """Render a value the way the paper prints it (``null``, ``f(x)``, ``c85``)."""
     if is_null(value):

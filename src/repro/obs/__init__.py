@@ -30,7 +30,7 @@ The span taxonomy and counter names are documented in
 
 from __future__ import annotations
 
-from .export import report_records, to_chrome_trace, write_chrome_trace
+from .export import to_chrome_trace, write_chrome_trace
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -41,7 +41,6 @@ from .metrics import (
 )
 from .metrics_export import (
     metrics_snapshot_json,
-    read_metrics_json,
     to_openmetrics,
     write_metrics_json,
     write_openmetrics,
@@ -86,8 +85,6 @@ __all__ = [
     "gauge",
     "metrics_snapshot_json",
     "observe",
-    "read_metrics_json",
-    "report_records",
     "span",
     "span_to_dict",
     "stage_report",

@@ -5,47 +5,14 @@ The machine format complementing the human tree of
 format — the ``{"traceEvents": [...]}`` files understood by
 ``chrome://tracing`` and https://ui.perfetto.dev: complete (``"X"``) events
 with microsecond timestamps relative to the earliest span.
-:func:`report_records` flattens a report into span and counter records.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+from typing import Any
 
 from .report import RunReport, _walk_dicts
-
-
-def _flatten(
-    node: dict[str, Any], depth: int, parent: int, counter: list[int]
-) -> Iterator[dict[str, Any]]:
-    index = counter[0]
-    counter[0] += 1
-    yield {
-        "type": "span",
-        "index": index,
-        "parent": parent,
-        "depth": depth,
-        "name": node["name"],
-        "start": node["start"],
-        "duration": node["duration"],
-        "attributes": node.get("attributes") or {},
-        "counters": node.get("counters") or {},
-    }
-    for child in node.get("children", ()):
-        yield from _flatten(child, depth + 1, index, counter)
-
-
-def report_records(report: RunReport) -> list[dict[str, Any]]:
-    """The flat records of a report: spans (depth-first, with ``index``,
-    ``parent`` and ``depth``), then counter totals."""
-    records: list[dict[str, Any]] = []
-    counter = [0]
-    for top in report.spans:
-        records.extend(_flatten(top, 0, -1, counter))
-    for name in sorted(report.counters):
-        records.append({"type": "counter", "name": name, "value": report.counters[name]})
-    return records
 
 
 def to_chrome_trace(report: RunReport) -> dict[str, Any]:

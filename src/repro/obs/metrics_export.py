@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Mapping
+from typing import Mapping
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -114,9 +114,3 @@ def write_metrics_json(registry: MetricsRegistry, path: str) -> None:
     with open(path, "w") as handle:
         handle.write(metrics_snapshot_json(registry))
 
-
-def read_metrics_json(path: str) -> MetricsRegistry:
-    """Load a snapshot file back into a registry (exact round-trip)."""
-    with open(path) as handle:
-        data: dict[str, Any] = json.load(handle)
-    return MetricsRegistry.from_snapshot(data)

@@ -87,15 +87,6 @@ class RunReport:
             "spans": [dict(s) for s in self.spans],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunReport":
-        return cls(
-            label=data.get("label", ""),
-            wall_time=float(data.get("wall_time", 0.0)),
-            counters={str(k): int(v) for k, v in data.get("counters", {}).items()},
-            spans=list(data.get("spans", [])),
-        )
-
     # -- rendering ----------------------------------------------------------
 
     def render(self, counters: bool = True, max_depth: int | None = None) -> str:

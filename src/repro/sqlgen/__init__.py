@@ -20,7 +20,7 @@ from .executor import (
     run_on_duckdb,
     run_on_sqlite,
 )
-from .queries import program_to_sql, rule_insert, rule_select, rule_to_sql
+from .queries import rule_insert, rule_select
 from .values import INVENTED_PREFIX, decode_value, encode_value
 
 __all__ = [
@@ -41,11 +41,9 @@ __all__ = [
     "duckdb_available",
     "encode_value",
     "match_skolem_encode",
-    "program_to_sql",
     "quote_identifier",
     "rule_insert",
     "rule_select",
-    "rule_to_sql",
     "run_on_duckdb",
     "run_on_sqlite",
     "schema_ddl",

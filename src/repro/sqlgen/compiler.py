@@ -58,10 +58,6 @@ class SqlPipeline:
         """The INSERT statements only, in execution order."""
         return [s for s in self.statements if s.kind == "insert"]
 
-    def creates(self) -> list[CompiledStatement]:
-        """The CREATE TABLE statements only."""
-        return [s for s in self.statements if s.kind == "create"]
-
 
 def _rule_reads(rule: Rule) -> tuple[str, ...]:
     seen: list[str] = []

@@ -12,9 +12,7 @@ value — two null foreign keys join like any other pair of equal values.
 The node renders as SQLite's null-safe ``IS`` or DuckDB's standard
 ``IS NOT DISTINCT FROM`` depending on the dialect.
 
-The string-level entry points (:func:`rule_to_sql`, :func:`program_to_sql`,
-:func:`intermediate_ddl`) are thin renderings of the AST builders; the
-whole-program pipeline lives in :mod:`repro.sqlgen.compiler`.
+The whole-program pipeline lives in :mod:`repro.sqlgen.compiler`.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .ast import (
     Cmp,
     Col,
     CreateTable,
-    Dialect,
     InsertSelect,
     IsNull,
     Lit,
@@ -37,7 +34,6 @@ from .ast import (
     NullSafeNe,
     Select,
     SelectItem,
-    SQLITE,
     SqlExpr,
     SqlPred,
     TableRef,
@@ -50,10 +46,7 @@ __all__ = [
     "relation_columns",
     "rule_select",
     "rule_insert",
-    "rule_to_sql",
     "intermediate_tables",
-    "intermediate_ddl",
-    "program_to_sql",
 ]
 
 
@@ -182,13 +175,6 @@ def rule_insert(rule: Rule, program: DatalogProgram) -> InsertSelect:
     return InsertSelect(rule.head_relation, rule_select(rule, program))
 
 
-def rule_to_sql(
-    rule: Rule, program: DatalogProgram, dialect: Dialect = SQLITE
-) -> str:
-    """The ``INSERT ... SELECT`` statement for one rule, rendered."""
-    return rule_insert(rule, program).render(dialect)
-
-
 def intermediate_tables(program: DatalogProgram) -> list[CreateTable]:
     """``CREATE TABLE`` trees for the intermediate (tmp) relations.
 
@@ -204,22 +190,3 @@ def intermediate_tables(program: DatalogProgram) -> list[CreateTable]:
         CreateTable(name, tuple((f"c{i}", "TEXT") for i in range(arity)))
         for name, arity in program.intermediates.items()
     ]
-
-
-def intermediate_ddl(
-    program: DatalogProgram, dialect: Dialect = SQLITE
-) -> list[str]:
-    """``CREATE TABLE`` statements for the intermediate (tmp) relations."""
-    return [table.render(dialect) for table in intermediate_tables(program)]
-
-
-def program_to_sql(program: DatalogProgram, dialect: Dialect = SQLITE) -> list[str]:
-    """All statements, in evaluation order: tmp DDL, then one INSERT per rule.
-
-    Rendering of :func:`repro.sqlgen.compiler.compile_program`; rules are
-    ordered by stratification so intermediate relations are filled before
-    the rules that negate them.
-    """
-    from .compiler import compile_program
-
-    return compile_program(program).sql(dialect)

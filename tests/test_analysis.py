@@ -83,7 +83,7 @@ class TestDiagnosticsFramework:
         assert not report.ok
         assert len(report.errors) == 1
         assert len(report.warnings) == 1
-        assert report.by_code() == {"MAP001": 1, "SCH001": 1}
+        assert sorted(d.code for d in report) == ["MAP001", "SCH001"]
         assert report.codes() == ["MAP001", "SCH001"]
         assert "1 error(s), 1 warning(s)" in report.summary()
 

@@ -195,15 +195,17 @@ class TestErrors:
 
 
 class TestJsonProblems:
-    def test_compile_json_problem(self, tmp_path, capsys):
-        from repro.dsl.jsonio import problem_to_dict
-        from repro.dsl.parser import parse_problem
-
-        problem = parse_problem(PROBLEM_TEXT)
+    @pytest.mark.parametrize(
+        "text", ['[1,2', '{"name": "p", "source": {}}'], ids=["truncated", "object"]
+    )
+    def test_json_problem_is_a_located_parse_error(self, tmp_path, capsys, text):
+        """A ``.json`` path is read as DSL like any other problem file."""
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(problem_to_dict(problem)))
-        assert main(["compile", str(path)]) == 0
-        assert "OCtmp" in capsys.readouterr().out
+        path.write_text(text)
+        assert main(["compile", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: unrecognized line")
+        assert "Traceback" not in err
 
 
 class TestMinimize:

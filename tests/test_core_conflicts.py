@@ -8,8 +8,8 @@ from repro.core.conflicts import (
     INVENT,
     NULL_KIND,
     find_all_conflicts,
-    find_key_conflicts,
     conflicting_sets,
+    pair_conflicts,
     term_kind,
 )
 from repro.core.functionality import PairChecker
@@ -48,8 +48,8 @@ class TestExample63:
         problem, unitary = _unitary(figure1_problem)
         p2_mappings = conflicting_sets(unitary)["P2"]
         assert len(p2_mappings) == 2
-        conflicts = find_key_conflicts(
-            p2_mappings[0], p2_mappings[1], problem.source_schema, problem.target_schema
+        conflicts = pair_conflicts(
+            PairChecker(p2_mappings, problem.source_schema, problem.target_schema), 0, 1
         )
         assert conflicts == []  # the fourth generates a subset of the first
 
@@ -57,8 +57,8 @@ class TestExample63:
         problem, unitary = _unitary(figure1_problem)
         c2_mappings = conflicting_sets(unitary)["C2"]
         assert len(c2_mappings) == 2
-        conflicts = find_key_conflicts(
-            c2_mappings[0], c2_mappings[1], problem.source_schema, problem.target_schema
+        conflicts = pair_conflicts(
+            PairChecker(c2_mappings, problem.source_schema, problem.target_schema), 0, 1
         )
         assert len(conflicts) == 1
         [conflict] = conflicts

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.functionality import (
     PairChecker,
-    check_functionality,
     functionality_violations,
     rename_premise,
 )
@@ -32,13 +31,9 @@ class TestExampleC1:
 
     def test_all_functional(self):
         problem, unitary = _unitary_mappings(cars.figure10_problem())
-        for mapping in unitary:
-            assert (
-                check_functionality(
-                    mapping, problem.source_schema, problem.target_schema
-                )
-                is None
-            ), repr(mapping)
+        checker = PairChecker(unitary, problem.source_schema, problem.target_schema)
+        for index, mapping in enumerate(unitary):
+            assert checker.violation(index) is None, repr(mapping)
 
     def test_functionality_violations_are_none(self):
         problem, unitary = _unitary_mappings(cars.figure10_problem())
@@ -79,11 +74,9 @@ class TestNonFunctionalDetection:
             list(result.schema_mapping), problem.target_schema
         )
         unitary = rewrite_to_unitary(skolemized)
-        offending = [
-            check_functionality(m, problem.source_schema, problem.target_schema)
-            for m in unitary
-        ]
-        violations = [v for v in offending if v is not None]
+        violations = functionality_violations(
+            PairChecker(unitary, problem.source_schema, problem.target_schema)
+        )
         assert violations
         assert violations[0].attribute == "person"
         assert "person" in str(violations[0])
@@ -127,10 +120,6 @@ class TestSkolemizedHeads:
             and not m.consequent.terms[0].__class__.__name__ == "Variable"
         ]
         assert invented  # the C3 -> P2a mapping exists
-        for mapping in invented:
-            assert (
-                check_functionality(
-                    mapping, problem.source_schema, problem.target_schema
-                )
-                is None
-            )
+        assert functionality_violations(
+            PairChecker(invented, problem.source_schema, problem.target_schema)
+        ) == []

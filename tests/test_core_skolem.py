@@ -132,7 +132,8 @@ class TestNullPolicy:
         result = generate_schema_mapping(
             problem.source_schema, problem.target_schema, problem.correspondences
         )
-        cars_mapping = result.schema_mapping.by_label("m2")  # C3 -> C2
+        # C3 -> C2
+        cars_mapping = next(m for m in result.schema_mapping if m.label == "m2")
         skolemized = skolemize_mapping(
             cars_mapping, problem.target_schema, use_null_for_nullable=True
         )
@@ -149,7 +150,8 @@ class TestNullPolicy:
             problem.correspondences,
             algorithm=BASIC,
         )
-        cars_mapping = result.schema_mapping.by_label("m2")  # C3 -> C2, P2
+        # C3 -> C2, P2
+        cars_mapping = next(m for m in result.schema_mapping if m.label == "m2")
         skolemized = skolemize_mapping(
             cars_mapping,
             problem.target_schema,

@@ -57,7 +57,7 @@ class TestPolynomial:
         r = Polynomial.var("R")
         assert (r + ZERO) == r
         assert (r * ONE) == r
-        assert (r * ZERO).is_zero
+        assert (r * ZERO) == ZERO
 
     def test_render_orders_by_degree_then_monomial(self):
         r, s = Polynomial.var("R"), Polynomial.var("S")
@@ -244,7 +244,7 @@ class TestAnalyzeCost:
         program = _keyed_join_program()
         report = analyze_cost(program, subject="keyed")
         assert report.bounded and report.ok
-        assert report.relation_bound("T").render() == "|S|"
+        assert {c.relation: c.bound.render() for c in report.relations} == {"T": "|S|"}
         (rule,) = report.rule_bounds()
         assert not rule.cross_product
         assert rule.degree() == 1
@@ -254,7 +254,8 @@ class TestAnalyzeCost:
     def test_cross_product_raises_pln001_and_pln002(self):
         program = _cross_product_program()
         report = analyze_cost(program, subject="cross")
-        assert report.relation_bound("T").render() == "|R|*|S|"
+        bounds = {c.relation: c.bound.render() for c in report.relations}
+        assert bounds == {"T": "|R|*|S|"}
         codes = {finding.code for finding in report.diagnostics}
         assert codes == {"PLN001", "PLN002"}
         assert all(
@@ -271,7 +272,7 @@ class TestAnalyzeCost:
         )
         assert not report.bounded
         assert report.max_degree() is None
-        assert report.relation_bound("T") is UNBOUNDED
+        assert {c.relation: c.bound for c in report.relations} == {"T": UNBOUNDED}
         (finding,) = report.diagnostics
         assert finding.code == "PLN003" and finding.severity == ERROR
         assert not report.ok

@@ -92,6 +92,16 @@ class TestParseProblem:
             parse_problem(text)
         assert "ghost" in str(error.value)
 
+    def test_correspondence_defect_propagates(self, monkeypatch):
+        from repro.core.pipeline import MappingProblem
+
+        def broken(*args, **kwargs):
+            raise TypeError("defect in add_correspondence")
+
+        monkeypatch.setattr(MappingProblem, "add_correspondence", broken)
+        with pytest.raises(TypeError, match="defect in add_correspondence"):
+            parse_problem(PROBLEM_TEXT)
+
 
 class TestParseSchema:
     def test_standalone_schema(self):

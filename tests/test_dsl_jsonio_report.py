@@ -1,155 +1,8 @@
-"""Tests for JSON serialization and the explain/report renderers."""
-
-import pytest
+"""Tests for the explain/report renderers."""
 
 from repro.core.pipeline import MappingSystem
-from repro.dsl.jsonio import (
-    dump_problem,
-    program_from_dict,
-    instance_from_dict_json,
-    instance_to_dict,
-    load_problem,
-    problem_from_dict,
-    problem_to_dict,
-    program_to_dict,
-    schema_from_dict,
-    schema_to_dict,
-)
 from repro.dsl.report import explain, render_conflict_report, render_generation_report
-from repro.errors import ParseError
-from repro.model.values import NULL, LabeledNull
 from repro.scenarios import cars
-
-
-class TestSchemaJson:
-    def test_roundtrip(self, cars2):
-        restored = schema_from_dict(schema_to_dict(cars2))
-        assert restored.relation("C2").is_nullable("person")
-        assert restored.relation("C2").key == ("car",)
-        assert restored.foreign_key_from("C2", "person").referenced == "P2"
-        assert restored.relation_names() == cars2.relation_names()
-
-    def test_composite_key_roundtrip(self):
-        from repro.model.builder import SchemaBuilder
-
-        schema = (
-            SchemaBuilder("s")
-            .relation("E", "c", "s", "g", key=["c", "s"])
-            .build()
-        )
-        restored = schema_from_dict(schema_to_dict(schema))
-        assert restored.relation("E").key == ("c", "s")
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ParseError):
-            schema_from_dict({"relations": [{"bogus": True}]})
-
-
-class TestProblemJson:
-    def test_roundtrip_preserves_pipeline_output(self, cars3_instance):
-        problem = cars.figure4_ra_problem()  # includes an r-a correspondence
-        restored = problem_from_dict(problem_to_dict(problem))
-        assert len(restored.correspondences) == 3
-        assert not restored.correspondences[2].source.is_plain
-        original_output = MappingSystem(problem).transform(cars3_instance)
-        restored_output = MappingSystem(restored).transform(cars3_instance)
-        assert original_output == restored_output
-
-    def test_file_roundtrip(self, tmp_path, cars3_instance):
-        problem = cars.figure1_problem()
-        path = tmp_path / "problem.json"
-        dump_problem(problem, str(path))
-        restored = load_problem(str(path))
-        assert MappingSystem(restored).transform(cars3_instance) == MappingSystem(
-            problem
-        ).transform(cars3_instance)
-
-    def test_invalid_correspondence_rejected(self):
-        problem = cars.figure1_problem()
-        data = problem_to_dict(problem)
-        data["correspondences"][0]["source"] = [["P3", "ghost"]]
-        with pytest.raises(Exception):
-            problem_from_dict(data)
-
-
-class TestInstanceJson:
-    def test_roundtrip_with_special_values(self, cars2):
-        from repro.model.instance import Instance
-
-        instance = Instance(cars2)
-        invented = LabeledNull("f_p", ("c1", LabeledNull("g", ())))
-        instance.add("C2", ("c1", "Ford", NULL))
-        instance.add("C2", ("c2", "Opel", invented))
-        restored = instance_from_dict_json(cars2, instance_to_dict(instance))
-        assert restored == instance
-
-    def test_json_serializable(self, cars3_instance):
-        import json
-
-        text = json.dumps(instance_to_dict(cars3_instance))
-        assert "c85" in text
-
-
-class TestProgramJson:
-    def test_structure(self, figure1_problem):
-        import json
-
-        program = MappingSystem(figure1_problem).transformation
-        data = program_to_dict(program)
-        json.dumps(data)  # serializable
-        assert data["intermediates"] == {"OCtmp": 1}
-        assert len(data["rules"]) == 4
-        negated_rules = [r for r in data["rules"] if r["negated"]]
-        assert len(negated_rules) == 1
-        head_terms = negated_rules[0]["head"]["terms"]
-        assert head_terms[2] == {"null": True}
-
-    def test_program_roundtrip_evaluates_identically(self, figure1_problem, cars3_instance):
-        from repro.datalog import evaluate
-
-        system = MappingSystem(figure1_problem)
-        program = system.transformation
-        restored = program_from_dict(
-            program_to_dict(program),
-            figure1_problem.source_schema,
-            figure1_problem.target_schema,
-        )
-        restored.validate()
-        assert evaluate(restored, cars3_instance).target == system.transform(
-            cars3_instance
-        )
-
-    def test_program_roundtrip_with_filters(self):
-        from repro.datalog import evaluate
-        from repro.scenarios.publications import digest_problem, pubs_source_instance
-
-        problem = digest_problem()
-        system = MappingSystem(problem)
-        restored = program_from_dict(
-            program_to_dict(system.transformation),
-            problem.source_schema,
-            problem.target_schema,
-        )
-        source = pubs_source_instance()
-        assert evaluate(restored, source).target == system.transform(source)
-
-    def test_malformed_program_rejected(self):
-        from repro.errors import ParseError
-
-        with pytest.raises(ParseError):
-            program_from_dict({"rules": [{"bogus": 1}]})
-
-    def test_skolem_terms_tagged(self):
-        program = MappingSystem(cars.figure10_problem()).transformation
-        data = program_to_dict(program)
-        skolems = [
-            t
-            for rule in data["rules"]
-            for t in rule["head"]["terms"]
-            if isinstance(t, dict) and "skolem" in t
-        ]
-        assert skolems
-        assert all("args" in t for t in skolems)
 
 
 class TestReports:

@@ -61,10 +61,10 @@ class TestRegressionStratifyDeterminism:
     def test_sql_statement_order_stable(self, figure1_problem, cars3_instance):
         """Regression: dependencies() once built its graph from a set, making
         SQL statement order hash-dependent and FK-enforced loads flaky."""
-        from repro.sqlgen.queries import program_to_sql
+        from repro.sqlgen.compiler import compile_program
 
         program = MappingSystem(figure1_problem).transformation
-        orders = {tuple(program_to_sql(program)) for _ in range(10)}
+        orders = {tuple(compile_program(program).sql()) for _ in range(10)}
         assert len(orders) == 1
         statements = next(iter(orders))
         p2_index = next(i for i, s in enumerate(statements) if '"P2"' in s)

@@ -1,5 +1,7 @@
 """Tests for instance homomorphisms, universality and quality metrics."""
 
+import pytest
+
 from repro.core.pipeline import MappingSystem
 from repro.core.schema_mapping import BASIC
 from repro.exchange.instance_chase import canonical_universal_solution
@@ -10,7 +12,7 @@ from repro.exchange.solutions import (
     is_homomorphic_to,
     is_universal_solution,
 )
-from repro.model.instance import instance_from_dict
+from repro.model.instance import Instance, instance_from_dict
 from repro.model.values import NULL, LabeledNull
 from repro.scenarios import cars
 
@@ -50,6 +52,17 @@ class TestHomomorphism:
         b = instance_from_dict(cars2, {"C2": [("c1", "Ford", "p1")]})
         assert not is_homomorphic_to(a, b)
         assert is_homomorphic_to(a, a)
+
+    def test_relation_missing_from_target_blocks(self, cars3_instance, cars2):
+        assert find_instance_homomorphism(cars3_instance, Instance(cars2)) is None
+
+    def test_lookup_defect_propagates(self, monkeypatch, cars3_instance):
+        def broken(self, name):
+            raise TypeError("defect in relation lookup")
+
+        monkeypatch.setattr(Instance, "relation", broken)
+        with pytest.raises(TypeError, match="defect in relation lookup"):
+            find_instance_homomorphism(cars3_instance, cars3_instance)
 
     def test_missing_tuple_blocks(self, cars3_instance):
         smaller = cars3_instance.copy()

@@ -129,11 +129,12 @@ class TestFilteredTransformations:
         assert rows["c85"] == "MJ"
         assert rows["c86"] is NULL
 
-    def test_json_roundtrip_with_filters(self):
-        from repro.dsl.jsonio import problem_from_dict, problem_to_dict
+    def test_dsl_roundtrip_with_filters(self):
+        from repro.dsl.parser import parse_problem
+        from repro.dsl.renderer import render_problem
 
         problem = self._problem("Emp.dept != 'it'")
-        restored = problem_from_dict(problem_to_dict(problem))
+        restored = parse_problem(render_problem(problem))
         assert restored.correspondences[1].filters == problem.correspondences[1].filters
 
     def test_dsl_where_clause(self):

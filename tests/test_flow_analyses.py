@@ -16,7 +16,6 @@ from repro.analysis.flow import (
     NullabilityAnalysis,
     ProvenanceAnalysis,
     analyze_flow,
-    flow_diagnostics,
     functionality_records,
     rule_term_status,
     solve,
@@ -343,7 +342,7 @@ class TestFLW001:
 
     def test_dead_correspondence_is_flagged_with_its_span(self):
         problem, program, corr = self._problem_and_program()
-        found = flow_diagnostics(program, problem)
+        found = analyze_flow(program, problem).diagnostics
         flw001 = [item for item in found if item.code == "FLW001"]
         assert len(flw001) == 1
         assert "T.c" in flw001[0].message
@@ -352,7 +351,7 @@ class TestFLW001:
 
     def test_without_problem_no_flw001(self):
         _, program, _ = self._problem_and_program()
-        found = flow_diagnostics(program)  # no correspondence targets known
+        found = analyze_flow(program).diagnostics  # no correspondence targets known
         assert not [item for item in found if item.code == "FLW001"]
 
     def test_live_correspondence_is_not_flagged(self):
@@ -368,7 +367,7 @@ class TestFLW001:
         )
         assert not [
             item
-            for item in flow_diagnostics(program, problem)
+            for item in analyze_flow(program, problem).diagnostics
             if item.code == "FLW001"
         ]
 
@@ -385,7 +384,7 @@ class TestFLW002:
         program = DatalogProgram(
             rules=[rule], source_schema=source, target_schema=target
         )
-        found = flow_diagnostics(program)
+        found = analyze_flow(program).diagnostics
         flw002 = [item for item in found if item.code == "FLW002"]
         assert len(flw002) == 1
         assert "T.b" in flw002[0].message
@@ -404,7 +403,7 @@ class TestFLW002:
         program = DatalogProgram(
             rules=[rule], source_schema=source, target_schema=target
         )
-        assert not flow_diagnostics(program)
+        assert not analyze_flow(program).diagnostics
 
     def test_mixed_origins_are_not_flagged(self):
         source = schema("s", ("R", ("a", "b"), "a"))
@@ -421,7 +420,7 @@ class TestFLW002:
             rules=rules, source_schema=source, target_schema=target
         )
         assert not [
-            item for item in flow_diagnostics(program) if item.code == "FLW002"
+            item for item in analyze_flow(program).diagnostics if item.code == "FLW002"
         ]
 
 
@@ -437,7 +436,7 @@ class TestFLW003:
         program = DatalogProgram(
             rules=[rule], source_schema=source, target_schema=target
         )
-        found = flow_diagnostics(program)
+        found = analyze_flow(program).diagnostics
         flw003 = [item for item in found if item.code == "FLW003"]
         assert len(flw003) == 1
         assert "T.{c}" in flw003[0].message
@@ -486,7 +485,7 @@ class TestPipelineIntegration:
         )
         problem = parse_problem(text, file="uncovered.txt")
         program = MappingSystem(problem).transformation
-        found = flow_diagnostics(program, problem)
+        found = analyze_flow(program, problem).diagnostics
         flw002 = [item for item in found if item.code == "FLW002"]
         assert len(flw002) == 1
         span = flw002[0].span

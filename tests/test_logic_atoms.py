@@ -5,7 +5,6 @@ from repro.logic.atoms import (
     NegatedPremise,
     RelationalAtom,
     atoms_variables,
-    iter_positions,
 )
 from repro.logic.terms import Constant, Variable
 
@@ -45,21 +44,7 @@ def test_atoms_variables_order():
     assert atoms_variables(atoms) == [x, y, z]
 
 
-def test_iter_positions():
-    x, y = Variable("x"), Variable("y")
-    atoms = [RelationalAtom("R", (x, y))]
-    assert list(iter_positions(atoms)) == [(0, 0, x), (0, 1, y)]
-
-
 class TestNegatedPremise:
-    def test_local_variables(self):
-        k, p, n = Variable("k"), Variable("p"), Variable("n")
-        negation = NegatedPremise(
-            [RelationalAtom("O", (k, p)), RelationalAtom("P", (p, n))],
-            correlated=[k],
-        )
-        assert negation.local_variables() == [p, n]
-
     def test_substitute_renames_correlated_only(self):
         k, k2, p = Variable("k"), Variable("k2"), Variable("p")
         negation = NegatedPremise([RelationalAtom("O", (k, p))], correlated=[k])

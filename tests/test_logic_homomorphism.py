@@ -3,7 +3,7 @@
 import itertools
 
 from repro.logic.atoms import RelationalAtom
-from repro.logic.homomorphism import embeds, find_homomorphism, iter_homomorphisms
+from repro.logic.homomorphism import find_homomorphism, iter_homomorphisms
 from repro.logic.terms import Constant, Variable
 
 
@@ -28,10 +28,10 @@ def test_embedding_into_superset():
 
 
 def test_no_embedding_when_relation_missing():
-    assert not embeds(
+    assert find_homomorphism(
         [RelationalAtom("P", (V("x"),))],
         [RelationalAtom("Q", (V("a"),))],
-    )
+    ) is None
 
 
 def test_join_variable_consistency():
@@ -40,7 +40,7 @@ def test_join_variable_consistency():
     # Pattern shares x between both atoms; target does not share.
     pattern = [RelationalAtom("R", (x, y)), RelationalAtom("S", (x,))]
     disconnected = [RelationalAtom("R", (a, b)), RelationalAtom("S", (c,))]
-    assert not embeds(pattern, disconnected)
+    assert find_homomorphism(pattern, disconnected) is None
     connected = [RelationalAtom("R", (a, b)), RelationalAtom("S", (a,))]
     assignment = find_homomorphism(pattern, connected)
     assert assignment == {x: a, y: b}
@@ -48,8 +48,8 @@ def test_join_variable_consistency():
 
 def test_constants_must_match():
     pattern = [RelationalAtom("R", (Constant("c"),))]
-    assert embeds(pattern, [RelationalAtom("R", (Constant("c"),))])
-    assert not embeds(pattern, [RelationalAtom("R", (Constant("d"),))])
+    assert find_homomorphism(pattern, [RelationalAtom("R", (Constant("c"),))]) == {}
+    assert find_homomorphism(pattern, [RelationalAtom("R", (Constant("d"),))]) is None
 
 
 def test_fixed_bindings_respected():
@@ -93,15 +93,15 @@ def test_duplicate_variable_in_pattern_atom():
     x = V("x")
     a, b = V("a"), V("b")
     pattern = [RelationalAtom("R", (x, x))]
-    assert not embeds(pattern, [RelationalAtom("R", (a, b))])
-    assert embeds(pattern, [RelationalAtom("R", (a, a))])
+    assert find_homomorphism(pattern, [RelationalAtom("R", (a, b))]) is None
+    assert find_homomorphism(pattern, [RelationalAtom("R", (a, a))]) == {x: a}
 
 
 def test_arity_mismatch():
-    assert not embeds(
+    assert find_homomorphism(
         [RelationalAtom("R", (V("x"),))],
         [RelationalAtom("R", (V("a"), V("b")))],
-    )
+    ) is None
 
 
 def test_iter_homomorphisms_enumerates_all():

@@ -7,9 +7,6 @@ from repro.logic.terms import (
     SkolemTerm,
     Variable,
     VariableFactory,
-    is_null_term,
-    is_skolem,
-    is_variable,
     term_variables,
 )
 
@@ -55,10 +52,6 @@ class TestNullTerm:
     def test_repr(self):
         assert repr(NULL_TERM) == "null"
 
-    def test_predicate(self):
-        assert is_null_term(NULL_TERM)
-        assert not is_null_term(Variable("x"))
-
 
 class TestSkolemTerm:
     def test_structural_equality(self):
@@ -83,11 +76,6 @@ class TestSkolemTerm:
         renamed = term.rename_functors({"f": "F", "g": "G"})
         assert renamed.functor == "F"
         assert renamed.args[0].functor == "G"
-
-    def test_predicate(self):
-        assert is_skolem(SkolemTerm("f", []))
-        assert not is_skolem(Variable("x"))
-        assert is_variable(Variable("x"))
 
 
 class TestVariableFactory:

@@ -205,7 +205,7 @@ class TestRendererEdges:
 class TestSqlEdges:
     def test_rule_with_constant_in_body(self):
         from repro.datalog.program import DatalogProgram
-        from repro.sqlgen.queries import rule_to_sql
+        from repro.sqlgen.compiler import compile_program
 
         x = V("x")
         source = SchemaBuilder("s").relation("R", "k", "tag").build()
@@ -217,7 +217,7 @@ class TestSqlEdges:
         program = DatalogProgram(
             rules=[rule], source_schema=source, target_schema=target
         )
-        sql = rule_to_sql(rule, program)
+        (sql,) = compile_program(program).sql()
         assert "= 'only'" in sql
 
     def test_sql_disequality_parity(self):

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import InstanceError
-from repro.model.diff import diff_instances
+from repro.model.builder import SchemaBuilder
+from repro.model.diff import diff_instances, diff_up_to_invented
 from repro.model.instance import instance_from_dict
-from repro.model.values import NULL
+from repro.model.values import NULL, LabeledNull
 
 
 def test_equal_instances(cars3_instance):
@@ -51,3 +52,41 @@ def test_diff_localizes_pipeline_difference(figure1_problem, cars3_instance):
     assert set(diff.changed_relations()) == {"P2", "C2"}
     # The novel output's only exclusive row is the null-owner car.
     assert diff.relations["C2"].only_left == [("c86", "Ford", NULL)]
+
+
+class TestDiffUpToInvented:
+    @pytest.fixture
+    def schema(self):
+        return SchemaBuilder("s").relation("R", "k", "v").relation("S", "k", "w").build()
+
+    @staticmethod
+    def _nulls(prefix):
+        return LabeledNull(prefix, (1,)), LabeledNull(prefix, (2,))
+
+    def test_renaming_with_tied_rows_is_equal(self, schema):
+        # R's rows tie once invented values are masked, so the canonical
+        # renaming follows insertion order, which differs between the sides.
+        n1, n2 = self._nulls("n")
+        m1, m2 = self._nulls("m")
+        left = instance_from_dict(
+            schema, {"R": [("a", n1), ("a", n2)], "S": [(n1, "x"), (n2, "y")]}
+        )
+        right = instance_from_dict(
+            schema, {"R": [("a", m2), ("a", m1)], "S": [(m1, "x"), (m2, "y")]}
+        )
+        assert diff_up_to_invented(left, right).empty
+        assert diff_up_to_invented(right, left).empty
+
+    def test_merging_two_invented_values_differs(self, schema):
+        n1, n2 = self._nulls("n")
+        m1, _ = self._nulls("m")
+        left = instance_from_dict(schema, {"S": [(n1, "x"), (n2, "y")]})
+        right = instance_from_dict(schema, {"S": [(m1, "x"), (m1, "y")]})
+        assert diff_up_to_invented(left, right).changed_relations() == ["S"]
+        assert diff_up_to_invented(right, left).changed_relations() == ["S"]
+
+    def test_invented_value_is_not_a_constant(self, schema):
+        n1, _ = self._nulls("n")
+        left = instance_from_dict(schema, {"S": [(n1, "x")]})
+        right = instance_from_dict(schema, {"S": [("c", "x")]})
+        assert diff_up_to_invented(left, right).changed_relations() == ["S"]

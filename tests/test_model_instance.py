@@ -23,18 +23,6 @@ class TestRelation:
         with pytest.raises(InstanceError):
             person_relation.add(("p1",))
 
-    def test_add_named(self, person_relation):
-        person_relation.add_named(person="p1", name="John")
-        assert ("p1", "John") in person_relation
-
-    def test_add_named_missing_attribute(self, person_relation):
-        with pytest.raises(InstanceError):
-            person_relation.add_named(person="p1")
-
-    def test_add_named_unknown_attribute(self, person_relation):
-        with pytest.raises(InstanceError):
-            person_relation.add_named(person="p1", name="x", extra=1)
-
     def test_discard(self, person_relation):
         person_relation.add(("p1", "John"))
         assert person_relation.discard(("p1", "John"))
@@ -49,18 +37,6 @@ class TestRelation:
             ("p1", "John"),
             ("p2", "John"),
         }
-
-    def test_index_on(self, person_relation):
-        person_relation.add(("p1", "John"))
-        person_relation.add(("p2", "John"))
-        index = person_relation.index_on((1,))
-        assert sorted(index[("John",)]) == [("p1", "John"), ("p2", "John")]
-
-    def test_index_invalidated_on_add(self, person_relation):
-        person_relation.add(("p1", "John"))
-        person_relation.index_on((1,))
-        person_relation.add(("p3", "Mary"))
-        assert ("Mary",) in person_relation.index_on((1,))
 
     def test_value_accessor(self, person_relation):
         person_relation.add(("p1", "John"))

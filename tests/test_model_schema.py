@@ -62,7 +62,6 @@ class TestRelationSchema:
         relation = RelationSchema("P", ["k", "v"])
         assert relation.is_key_attribute("k")
         assert not relation.is_key_attribute("v")
-        assert relation.nonkey_attribute_names() == ("v",)
 
     def test_equality_and_hash(self):
         a = RelationSchema("P", ["x", "y"], key="x")
@@ -97,7 +96,6 @@ class TestSchema:
         assert schema.foreign_key_from("C", "car") is None
         assert schema.has_foreign_key_from("C", "person")
         assert [f.attribute for f in schema.foreign_keys_of("C")] == ["person"]
-        assert [f.relation for f in schema.foreign_keys_into("P")] == ["C"]
 
     def test_duplicate_relation_rejected(self):
         with pytest.raises(SchemaError):

@@ -7,7 +7,6 @@ from repro.model.values import (
     LabeledNull,
     NullValue,
     format_value,
-    is_constant,
     is_labeled_null,
     is_null,
 )
@@ -61,12 +60,6 @@ class TestLabeledNull:
 
 
 class TestClassification:
-    def test_is_constant(self):
-        assert is_constant("x")
-        assert is_constant(42)
-        assert not is_constant(NULL)
-        assert not is_constant(LabeledNull("f", ()))
-
     def test_format_value(self):
         assert format_value(NULL) == "null"
         assert format_value("abc") == "abc"

@@ -29,7 +29,6 @@ from repro.obs import (
 )
 from repro.obs.metrics_export import (
     metrics_snapshot_json,
-    read_metrics_json,
     to_openmetrics,
     write_metrics_json,
     write_openmetrics,
@@ -259,7 +258,7 @@ class TestSnapshot:
         path = tmp_path / "metrics.json"
         write_metrics_json(registry, str(path))
         assert json.loads(path.read_text()) == registry.snapshot()
-        rebuilt = read_metrics_json(str(path))
+        rebuilt = MetricsRegistry.from_snapshot(json.loads(path.read_text()))
         assert rebuilt.snapshot() == registry.snapshot()
         assert metrics_snapshot_json(rebuilt) == metrics_snapshot_json(registry)
 
@@ -279,7 +278,7 @@ class TestSnapshot:
             {"name": "eval.rows", "type": "counter", "help": ""},
         ]}))
         with pytest.raises(MetricTypeError, match="'eval.rows'"):
-            read_metrics_json(str(path))
+            MetricsRegistry.from_snapshot(json.loads(path.read_text()))
 
 
 class TestOpenMetrics:

@@ -12,7 +12,6 @@ from repro.obs import (
     Tracer,
     count,
     current_tracer,
-    report_records,
     span,
     to_chrome_trace,
     use_tracer,
@@ -183,7 +182,7 @@ class TestRunReport:
     def test_dict_round_trip(self):
         _, root = self._traced()
         report = RunReport.from_span(root, label="stage")
-        clone = RunReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        clone = RunReport(**json.loads(json.dumps(report.to_dict())))
         assert clone.to_dict() == report.to_dict()
 
     def test_merged(self):
@@ -230,15 +229,6 @@ class TestExport:
                     count("b")
         return RunReport.from_span(root, label="export")
 
-    def test_report_records_flatten_spans_and_counters(self):
-        records = report_records(self._report())
-        spans = [r for r in records if r["type"] == "span"]
-        counters = [r for r in records if r["type"] == "counter"]
-        assert [s["name"] for s in spans] == ["root", "child"]
-        assert spans[0]["parent"] == -1 and spans[1]["parent"] == 0
-        assert spans[1]["depth"] == 1
-        assert {c["name"]: c["value"] for c in counters} == {"a": 2, "b": 1}
-
     def test_chrome_trace_structure(self):
         report = self._report()
         trace = to_chrome_trace(report)
@@ -258,7 +248,7 @@ class TestExport:
         path = os.path.join(os.path.dirname(__file__), "fixtures", "chrome_trace.json")
         with open(path) as handle:
             recorded = json.load(handle)
-        trace = to_chrome_trace(RunReport.from_dict(recorded["report"]))
+        trace = to_chrome_trace(RunReport(**recorded["report"]))
         assert json.dumps(trace, sort_keys=True) == json.dumps(
             recorded["trace"], sort_keys=True
         )

@@ -14,7 +14,6 @@ from repro.analysis.sqlcheck import (
     PROVED,
     UNKNOWN,
     check_pipeline,
-    check_program,
     lower_statement,
 )
 from repro.core.pipeline import MappingSystem
@@ -51,7 +50,7 @@ class TestRoundTripProofs:
 
     @pytest.mark.parametrize("name", _scenario_names())
     def test_all_statements_proved(self, name):
-        report = check_program(_program(name), subject=name)
+        report = check_pipeline(compile_program(_program(name)), subject=name)
         assert report.verdicts, f"no statements for {name!r}"
         not_proved = [v for v in report.verdicts if v.verdict != PROVED]
         assert not not_proved, "\n".join(v.render() for v in not_proved)
@@ -65,20 +64,22 @@ class TestRoundTripProofs:
 
         scenario = generate_scenario(seed)
         program = MappingSystem(scenario.problem).transformation
-        report = check_program(program, subject=scenario.name)
+        report = check_pipeline(compile_program(program), subject=scenario.name)
         assert report.verdicts
         assert report.ok, "\n".join(
             v.render() for v in report.verdicts if v.verdict != PROVED
         )
 
     def test_proved_verdicts_carry_both_witnesses(self):
-        report = check_program(_program("figure-1"), subject="figure-1")
+        pipeline = compile_program(_program("figure-1"))
+        report = check_pipeline(pipeline, subject="figure-1")
         for verdict in report.verdicts:
             assert "sql ⊆ rule" in verdict.witness
             assert "rule ⊆ sql" in verdict.witness
 
     def test_report_shapes(self):
-        report = check_program(_program("figure-1"), subject="figure-1")
+        pipeline = compile_program(_program("figure-1"))
+        report = check_pipeline(pipeline, subject="figure-1")
         data = report.to_dict()
         assert data["ok"] is True
         assert data["counts"][PROVED] == len(report.verdicts)
@@ -148,7 +149,7 @@ class TestStructuralLints:
 
     def test_canonical_encoding_is_not_flagged(self):
         # The compiler's own output must never trip SQL003.
-        report = check_program(_program("figure-10"))
+        report = check_pipeline(compile_program(_program("figure-10")))
         assert "SQL003" not in [f.code for f in report.structural]
 
     def test_sql004_missing_dedup(self):
@@ -179,7 +180,7 @@ class TestStructuralLints:
 
     def test_compiled_order_has_no_sql005(self):
         for name in ("figure-1", "figure-12", "publications"):
-            report = check_program(_program(name))
+            report = check_pipeline(compile_program(_program(name)))
             assert "SQL005" not in [f.code for f in report.structural], name
 
 

@@ -10,8 +10,9 @@ from repro.errors import EvaluationError
 from repro.model.values import NULL, LabeledNull
 from repro.scenarios import cars
 from repro.sqlgen.ddl import create_table_sql, quote_identifier, schema_ddl
+from repro.sqlgen.compiler import compile_program
 from repro.sqlgen.executor import SqliteExecutor, run_on_sqlite
-from repro.sqlgen.queries import program_to_sql, rule_to_sql, sql_literal
+from repro.sqlgen.queries import sql_literal
 from repro.sqlgen.values import INVENTED_PREFIX, decode_value, encode_value
 
 
@@ -88,28 +89,28 @@ class TestDdl:
 class TestTranslation:
     def test_program_to_sql_statement_count(self, figure1_problem):
         program = MappingSystem(figure1_problem).transformation
-        statements = program_to_sql(program)
+        statements = compile_program(program).sql()
         # 1 CREATE tmp + 4 inserts.
         assert len(statements) == 5
         assert statements[0].startswith("CREATE TABLE")
 
     def test_negation_becomes_not_exists(self, figure1_problem):
         program = MappingSystem(figure1_problem).transformation
-        negated = next(r for r in program.rules if r.negated)
-        sql = rule_to_sql(negated, program)
+        inserts = compile_program(program).inserts()
+        sql = next(s.sql() for s in inserts if s.rule.negated)
         assert "NOT EXISTS" in sql
 
     def test_null_condition_translation(self):
         problem = cars.figure14_problem()
         program = MappingSystem(problem).transformation
-        statements = program_to_sql(program)
+        statements = compile_program(program).sql()
         assert any("IS NULL" in s for s in statements)
         assert any("IS NOT NULL" in s for s in statements)
 
     def test_skolem_expression(self):
         problem = cars.figure10_problem()
         program = MappingSystem(problem).transformation
-        statements = "\n".join(program_to_sql(program))
+        statements = "\n".join(compile_program(program).sql())
         # Length-prefixed functor argument expression (see ast.skolem_argument).
         assert "CASE WHEN" in statements
         assert "LENGTH(CAST(" in statements
