@@ -329,10 +329,6 @@ class AnalysisReport:
         """True iff the report has no errors (warnings/infos allowed)."""
         return not self.errors
 
-    def codes(self) -> list[str]:
-        """The distinct codes present, sorted."""
-        return sorted({d.code for d in self.diagnostics})
-
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.diagnostics)
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 from ...core.query_generation import QueryGenerationResult
 from ...core.resolution import rename_functors_in_atom
-from ...datalog.engine import EvaluationResult, evaluate, evaluate_rules
+from ...datalog.engine import EvaluationResult, PlanMemo, evaluate, evaluate_rules
 from ...datalog.program import DatalogProgram, Rule
 from ...errors import ReproError
 from ...logic.mappings import SchemaMapping, UnitaryMapping
@@ -290,22 +290,30 @@ def _certify_differential(
     when those rows are all in the optimized target.  Otherwise both
     programs run in full.  Returns the optimized program's target on each
     instance, by label.
+
+    Every evaluation here shares one join-plan memo: the instances are
+    small and alike, so most rules rank their body relations' sizes the
+    same way on many of them.  The memo is dropped on return, so no plan
+    outlives the verification.
     """
     removed = _removed_rules(unoptimized, optimized)
     shortcut = _reads_source_only(unoptimized, optimized)
     if shortcut:
         unoptimized.validate()  # raises as a full run of it would
+    plans: PlanMemo = {}
     targets: list[tuple[str, Instance]] = []
     for label, instance in instances:
         if shortcut:
-            after = evaluate(optimized, instance).target
-            disagreement = _missing_row(removed, _relations(instance), after)
+            after = evaluate(optimized, instance, plans=plans).target
+            disagreement = _missing_row(
+                removed, _relations(instance), after, plans
+            )
         else:
-            before = evaluate(unoptimized, instance)
-            after = evaluate(optimized, instance).target
+            before = evaluate(unoptimized, instance, plans=plans)
+            after = evaluate(optimized, instance, plans=plans).target
             disagreement = (
                 None if before.target == after
-                else _disagreement(removed, instance, before, after)
+                else _disagreement(removed, instance, before, after, plans)
             )
         report._record(
             "optimizer:differential", label, disagreement is None,
@@ -358,13 +366,16 @@ def _relations(instance: Instance) -> dict[str, tuple]:
 
 
 def _missing_row(
-    removed: list[tuple[int, Rule]], relations: dict, after: Instance
+    removed: list[tuple[int, Rule]],
+    relations: dict,
+    after: Instance,
+    plans: PlanMemo,
 ) -> str | None:
     """The first removed rule's first row the optimized target lacks, if any.
 
     ``relations`` holds every relation the removed rules read.
     """
-    rows = evaluate_rules([rule for _, rule in removed], relations)
+    rows = evaluate_rules([rule for _, rule in removed], relations, plans=plans)
     for (index, rule), derived in zip(removed, rows):
         target = after.relations.get(rule.head_relation)
         if target is None:
@@ -385,6 +396,7 @@ def _disagreement(
     instance: Instance,
     before: EvaluationResult,
     after: Instance,
+    plans: PlanMemo,
 ) -> str:
     """Name the first row that tells two differing targets apart.
 
@@ -394,7 +406,7 @@ def _disagreement(
     relations = _relations(instance)
     relations.update(before.intermediates)
     relations.update(_relations(before.target))
-    missing = _missing_row(removed, relations, after)
+    missing = _missing_row(removed, relations, after, plans)
     if missing is not None:
         return missing
     for name in dict.fromkeys([*before.target.relations, *after.relations]):

@@ -8,7 +8,12 @@ index-nested-loop join: the atom joined at each depth is the most tightly
 bound remaining body atom, chosen once per depth and rule evaluation, and
 it is probed through the store's (relation, bound-positions) hash indexes.
 Planning a depth also fixes which positions each candidate row is checked
-at and which it binds, so only a matching row copies the bindings.  Skolem
+at and which it binds, so only a matching row copies the bindings.  A
+caller that evaluates the same rules over many stores passes a
+:data:`PlanMemo`: a rule's plan depends only on its body and on how its
+body relations' sizes compare, so evaluations whose sizes rank alike reuse
+it.  The memo lives as long as its caller keeps it (the semantic verifier:
+one verification), never on the rules.  Skolem
 terms in heads become :class:`repro.model.values.LabeledNull` invented
 values; ``null`` becomes :data:`repro.model.values.NULL`.
 """
@@ -182,11 +187,32 @@ def _extend_bindings(
     return extended
 
 
-def _match_atom(
-    atom: RelationalAtom, row: Row, bindings: Bindings
-) -> Bindings | None:
-    """Extend bindings so the atom matches the row, or None on mismatch."""
-    return _extend_bindings(row, bindings, *_atom_checks(atom, bindings, ()))
+#: ``(unplanned atoms, variables the planned ones bind, planned steps)``
+Plan = tuple[list[RelationalAtom], set[Variable], list]
+
+#: join plans shared by the evaluations of one caller, keyed ``(id(rule),
+#: dense rank of each body atom's relation size)``; each entry keeps its
+#: rule, so the id cannot be reused while the memo lives
+PlanMemo = dict[tuple[int, tuple[int, ...]], tuple[Rule, Plan]]
+
+
+def _new_plan(atoms: Iterable[RelationalAtom], bound: Iterable[Variable]) -> Plan:
+    return list(atoms), set(bound), []
+
+
+def _shared_plan(plans: PlanMemo, rule: Rule, sizes: list[int]) -> Plan:
+    """``rule``'s plan in ``plans`` for body relations of these sizes.
+
+    Each depth picks by bound positions, then by relation size, then by
+    body order, so the sizes' dense ranks fix every pick, probe, check and
+    bind.
+    """
+    distinct = sorted(set(sizes))
+    key = (id(rule), tuple(map(distinct.index, sizes)))
+    entry = plans.get(key)
+    if entry is None:
+        entry = plans[key] = (rule, _new_plan(rule.body, ()))
+    return entry[1]
 
 
 def _join(store: RowStore, atoms: list[RelationalAtom], bindings: Bindings) -> Iterator[Bindings]:
@@ -199,21 +225,22 @@ def _join(store: RowStore, atoms: list[RelationalAtom], bindings: Bindings) -> I
     it: each depth is planned once, the first time a binding reaches it.
     Most joins stop at their first atom, so later depths stay unplanned.
     """
-    return _extend(store, (list(atoms), set(bindings), []), 0, bindings)
+    return _extend(store, _new_plan(atoms, bindings), 0, bindings)
 
 
 def _extend(
     store: RowStore,
-    plan: tuple[list[RelationalAtom], set[Variable], list],
+    plan: Plan,
     depth: int,
     bindings: Bindings,
 ) -> Iterator[Bindings]:
     """The join from ``depth`` on.
 
-    ``plan`` is ``(unplanned atoms, variables the planned ones bind, planned
-    steps)``, shared by every binding of one join.  It is passed along, not
-    closed over: a self-recursive closure is a reference cycle, which only
-    the cyclic garbage collector frees, once per rule evaluation.
+    ``plan`` is shared by every binding of one join (and, through a
+    :data:`PlanMemo`, by joins over stores whose sizes rank alike); a step
+    is appended the first time a binding reaches its depth.  It is passed
+    along, not closed over: a self-recursive closure is a reference cycle,
+    which only the cyclic garbage collector frees, once per rule evaluation.
     """
     remaining, bound, steps = plan
     if depth == len(steps):
@@ -304,14 +331,26 @@ def _negations_hold(rule: Rule, store: RowStore, bindings: Bindings) -> bool:
     return True
 
 
-def evaluate_rule(rule: Rule, store: RowStore) -> list[Row]:
-    """All head rows derived by one rule against the current store."""
+def evaluate_rule(
+    rule: Rule, store: RowStore, *, plans: PlanMemo | None = None
+) -> list[Row]:
+    """All head rows derived by one rule against the current store.
+
+    With ``plans`` the join reuses (and extends) the plan the memo holds
+    for this rule and these size ranks; without, it plans afresh.  The
+    rows, their order and any error are the same either way.
+    """
     # An empty body relation derives nothing; ``rows`` raises first for any
     # relation the store has never seen.
-    if not all([store.rows(atom.relation) for atom in rule.body]):
+    relations = [store.rows(atom.relation) for atom in rule.body]
+    if not all(relations):
         return []
+    plan = (
+        _new_plan(rule.body, ()) if plans is None
+        else _shared_plan(plans, rule, list(map(len, relations)))
+    )
     derived: dict[Row, None] = {}
-    for bindings in _join(store, list(rule.body), {}):
+    for bindings in _extend(store, plan, 0, {}):
         if not _conditions_hold(rule, bindings):
             continue
         if not _negations_hold(rule, store, bindings):
@@ -322,17 +361,21 @@ def evaluate_rule(rule: Rule, store: RowStore) -> list[Row]:
 
 
 def evaluate_rules(
-    rules: Iterable[Rule], relations: Mapping[str, Iterable[Row]]
+    rules: Iterable[Rule],
+    relations: Mapping[str, Iterable[Row]],
+    *,
+    plans: PlanMemo | None = None,
 ) -> list[list[Row]]:
     """Each rule's derived rows against ``relations``, rule by rule.
 
     Unlike :func:`evaluate` nothing is materialized between rules: every
-    relation a rule reads must be among ``relations``.
+    relation a rule reads must be among ``relations``.  ``plans`` is passed
+    to :func:`evaluate_rule`.
     """
     store = RowStore()
     for name, rows in relations.items():
         store.add_relation(name, rows)
-    return [evaluate_rule(rule, store) for rule in rules]
+    return [evaluate_rule(rule, store, plans=plans) for rule in rules]
 
 
 @dataclass
@@ -357,7 +400,11 @@ class EvaluationResult:
 
 
 def evaluate(
-    program: DatalogProgram, source: Instance, analyze: bool = False
+    program: DatalogProgram,
+    source: Instance,
+    analyze: bool = False,
+    *,
+    plans: PlanMemo | None = None,
 ) -> EvaluationResult:
     """Run the transformation: compute a target instance from a source instance.
 
@@ -365,13 +412,14 @@ def evaluate(
     timing and derived-row counts into ``EvaluationResult.profile``.  The
     reference interpreter has no static operator pipeline, so its profiles
     carry empty operator lists; the rollups stay comparable with the batch
-    engine's (same metric families, same rule/stratum totals).
+    engine's (same metric families, same rule/stratum totals).  ``plans``
+    is passed to :func:`evaluate_rule`.
     """
     return run_strata(
         program,
         source,
         "reference",
-        lambda rule, store, profile: evaluate_rule(rule, store),
+        lambda rule, store, profile: evaluate_rule(rule, store, plans=plans),
         analyze,
     )
 

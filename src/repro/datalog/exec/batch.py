@@ -1,11 +1,12 @@
 """The batch evaluation runtime: set-oriented execution of compiled plans.
 
-Where the reference interpreter (:mod:`repro.datalog.engine`) re-derives the
-join order for every partial binding and threads ``dict``-based environments
-through a recursive generator, this runtime executes each rule's compiled
-:class:`~repro.datalog.exec.plan.RulePlan` over **row batches**: bindings are
-plain tuples of slot values, operators are applied batch-at-a-time, and the
-per-binding work in the hot probe loop is a tuple build plus one dict lookup.
+Where the reference interpreter (:mod:`repro.datalog.engine`) plans its join
+one depth at a time, as bindings first reach it, and threads ``dict``-based
+environments through a recursive generator, this runtime executes each
+rule's compiled :class:`~repro.datalog.exec.plan.RulePlan` over **row
+batches**: bindings are plain tuples of slot values, operators are applied
+batch-at-a-time, and the per-binding work in the hot probe loop is a tuple
+build plus one dict lookup.
 
 Two ingredients carry the speedup:
 

@@ -14,7 +14,6 @@ from .graph import (
     chase_order,
     check_weak_acyclicity,
     find_special_cycle,
-    is_weakly_acyclic,
 )
 from .instance import Instance, Relation, Row, instance_from_dict
 from .schema import Attribute, ForeignKey, RelationSchema, Schema
@@ -64,7 +63,6 @@ __all__ = [
     "instance_from_dict",
     "is_labeled_null",
     "is_null",
-    "is_weakly_acyclic",
     "parse_attribute",
     "validate_instance",
 ]

@@ -60,11 +60,6 @@ def build_dependency_graph(schema: Schema) -> DependencyGraph:
     return graph
 
 
-def is_weakly_acyclic(schema: Schema) -> bool:
-    """True iff the schema's foreign keys form a weakly acyclic set."""
-    return find_special_cycle(schema) is None
-
-
 def find_special_cycle(schema: Schema) -> list[Node] | None:
     """Return a cycle through a special edge if one exists, else ``None``.
 

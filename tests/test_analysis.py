@@ -84,7 +84,7 @@ class TestDiagnosticsFramework:
         assert len(report.errors) == 1
         assert len(report.warnings) == 1
         assert sorted(d.code for d in report) == ["MAP001", "SCH001"]
-        assert report.codes() == ["MAP001", "SCH001"]
+        assert sorted({d.code for d in report}) == ["MAP001", "SCH001"]
         assert "1 error(s), 1 warning(s)" in report.summary()
 
     def test_span_not_part_of_equality(self):
@@ -322,7 +322,7 @@ class TestAnalyze:
         )
         assert parse_diags == []
         report = analyze(problem)
-        assert report.codes() == ["MAP001", "MAP002", "MAP003"]
+        assert sorted({d.code for d in report}) == ["MAP001", "MAP002", "MAP003"]
         map001 = [d for d in report if d.code == "MAP001"]
         assert map001[0].severity == WARNING
         assert map001[0].span is not None and map001[0].span.line == 13
@@ -348,7 +348,7 @@ class TestAnalyze:
             pipeline.MappingSystem, "transformation", property(boom)
         )
         report = analyze(figure1_problem)
-        assert "MAP005" in report.codes()
+        assert "MAP005" in sorted({d.code for d in report})
         assert "synthetic failure" in report.errors[0].message
 
     def test_carried_diagnostic_is_reused_over_map005(

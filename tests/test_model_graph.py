@@ -9,7 +9,6 @@ from repro.model.graph import (
     chase_order,
     check_weak_acyclicity,
     find_special_cycle,
-    is_weakly_acyclic,
 )
 
 
@@ -26,7 +25,7 @@ def test_dependency_graph_structure(cars3):
 
 def test_paper_schemas_are_weakly_acyclic(cars3, cars2, cars2a):
     for schema in (cars3, cars2, cars2a):
-        assert is_weakly_acyclic(schema)
+        assert find_special_cycle(schema) is None
 
 
 def test_self_referencing_fk_is_rejected():
@@ -37,7 +36,7 @@ def test_self_referencing_fk_is_rejected():
         .foreign_key("E", "manager", "E")
         .build(validate=False)
     )
-    assert not is_weakly_acyclic(schema)
+    assert find_special_cycle(schema) is not None
     cycle = find_special_cycle(schema)
     assert cycle is not None
     with pytest.raises(WeakAcyclicityError):
@@ -53,7 +52,7 @@ def test_mutual_fks_are_rejected():
         .foreign_key("B", "a", "A")
         .build(validate=False)
     )
-    assert not is_weakly_acyclic(schema)
+    assert find_special_cycle(schema) is not None
 
 
 def test_key_to_key_cycle_is_weakly_acyclic():
@@ -67,7 +66,7 @@ def test_key_to_key_cycle_is_weakly_acyclic():
         .foreign_key("B", "k", "A")
         .build(validate=False)
     )
-    assert is_weakly_acyclic(schema)
+    assert find_special_cycle(schema) is None
 
 
 def test_diamond_is_weakly_acyclic():
@@ -83,7 +82,7 @@ def test_diamond_is_weakly_acyclic():
         .foreign_key("R", "d", "Bottom")
         .build()
     )
-    assert is_weakly_acyclic(schema)
+    assert find_special_cycle(schema) is None
 
 
 def test_chase_order_puts_targets_first(cars3):
