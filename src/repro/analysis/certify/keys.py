@@ -157,6 +157,9 @@ def _pair_outcome(
     ``left == right`` is the self pair.  Returns a one-line proof that they
     cannot, or else a confirmed counterexample, or neither.
     """
+    contradiction = checker.clash(left, right)
+    if contradiction is not None:
+        return f"key-equal firings impossible: {contradiction}", None
     closure, pairs = checker.pair(left, right)
     if closure.contradiction is not None:
         return f"key-equal firings impossible: {closure.contradiction}", None

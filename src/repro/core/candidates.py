@@ -27,7 +27,16 @@ from ..logic.tableau import PartialTableau
 from ..logic.terms import Constant, Term, Variable
 from ..obs import count, span
 from .correspondences import Correspondence, Filter
-from .coverage import CoveredCorrespondence, analyse_correspondence, coverage_mappings
+from .coverage import (
+    CoverageMapping,
+    CoveredCorrespondence,
+    SkeletonCoverage,
+    analyse_correspondence,
+    analysis_counts,
+    coverage_walk,
+    level_counts,
+    walked_mappings,
+)
 
 
 @dataclass
@@ -209,6 +218,86 @@ def generate_candidates(
         return result
 
 
+class _CoverageMemo:
+    """Coverage and skeleton analyses of one :func:`generate_candidates` call.
+
+    A referenced attribute's coverage mappings depend only on the chase
+    decisions its walk reads (:func:`coverage_walk`), so sibling tableaux
+    share one result list; an analysis depends only on its correspondence
+    and the two lists, so it is kept per distinct triple.  Each entry counts
+    its hits, and :meth:`flush` counts the ``coverage.*`` counters the full
+    computations would have made; every such name was first counted by a
+    miss, so the counters keep their order.  The memo is dropped when the
+    call returns.
+    """
+
+    def __init__(self, correspondences: list[Correspondence]) -> None:
+        self.correspondences = correspondences
+        #: (correspondence index, side, walk) -> [coverage mappings, hits]
+        self._walks: dict[tuple, list] = {}
+        #: (correspondence index, id(source cms), id(target cms))
+        #: -> [analysis, hits]
+        self._analyses: dict[tuple[int, int, int], list] = {}
+        #: each correspondence's analysis when a side has no coverage
+        #: mapping: nothing to pair, nothing counted
+        self._uncovered = [SkeletonCoverage(c, [], False) for c in correspondences]
+
+    def coverage(self, side: str, tableau: PartialTableau) -> list[list[CoverageMapping]]:
+        """Each correspondence's coverage mappings on ``side`` of ``tableau``."""
+        found = []
+        walks = self._walks
+        for index, correspondence in enumerate(self.correspondences):
+            reference = getattr(correspondence, side)
+            walk = coverage_walk(reference, tableau)
+            entry = walks.setdefault((index, side, walk), [None, -1])
+            if entry[1] < 0:
+                entry[0] = walked_mappings(reference, walk)
+            entry[1] += 1
+            found.append(entry[0])
+        return found
+
+    def analyses(
+        self,
+        source_cms: list[list[CoverageMapping]],
+        target_cms: list[list[CoverageMapping]],
+    ) -> list[SkeletonCoverage]:
+        """Each correspondence's analysis in the skeleton of these coverages."""
+        found = []
+        analyses = self._analyses
+        for index, (source, target) in enumerate(zip(source_cms, target_cms)):
+            if not (source and target):
+                found.append(self._uncovered[index])
+                continue
+            entry = analyses.setdefault((index, id(source), id(target)), [None, -1])
+            if entry[1] < 0:
+                entry[0] = analyse_correspondence(
+                    self.correspondences[index], source, target
+                )
+            entry[1] += 1
+            found.append(entry[0])
+        return found
+
+    def flush(self) -> None:
+        """Count what the hits skipped, and forget the hits."""
+        replayed: dict[str, int] = {}
+        hit_counts = [
+            (level_counts(key[2]), entry)
+            for key, entry in self._walks.items()
+            if entry[1]
+        ] + [
+            (analysis_counts(entry[0]), entry)
+            for entry in self._analyses.values()
+            if entry[1]
+        ]
+        for counts, entry in hit_counts:
+            for name, value in counts.items():
+                replayed[name] = replayed.get(name, 0) + value * entry[1]
+            entry[1] = 0
+        for name, value in replayed.items():
+            if value:
+                count(name, value)
+
+
 def _generate_candidates(
     source_tableaux: list[PartialTableau],
     target_tableaux: list[PartialTableau],
@@ -216,9 +305,8 @@ def _generate_candidates(
     apply_nullable_pruning: bool,
 ) -> CandidateGeneration:
     result = CandidateGeneration()
-
-    def coverage(side: str, tableau: PartialTableau):
-        return [coverage_mappings(getattr(c, side), tableau) for c in correspondences]
+    memo = _CoverageMemo(correspondences)
+    coverage = memo.coverage
 
     # Each side's coverage depends on its own tableau only.  The target side
     # is kept across source tableaux only when there is more than one of
@@ -239,10 +327,7 @@ def _generate_candidates(
                 if target_coverage is None
                 else target_coverage[target_index]
             )
-            analyses = [
-                analyse_correspondence(c, source, target)
-                for c, source, target in zip(correspondences, source_cms, target_cms)
-            ]
+            analyses = memo.analyses(source_cms, target_cms)
             if apply_nullable_pruning:
                 poisoned = [a for a in analyses if a.has_poison]
                 if poisoned:
@@ -291,4 +376,5 @@ def _generate_candidates(
                         )
                         continue
                 result.candidates.append(candidate)
+    memo.flush()
     return result

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..logic.atoms import RelationalAtom
-from ..logic.tableau import NONNULL, NULL, PartialTableau, Path
+from ..logic.tableau import NONNULL, NULL, PartialTableau, Path, build_relation_index
 from ..logic.terms import Variable, VariableFactory
 from ..model.graph import check_weak_acyclicity
 from ..model.schema import Schema
@@ -178,8 +178,14 @@ def _chase_relation(schema: Schema, relation: str, mode: str) -> list[PartialTab
         if not progressed:  # pragma: no cover - defensive
             finished.append(state)
 
-    return [
-        PartialTableau(
+    # Siblings whose atoms are over the same relations share one index.
+    indexes: dict[tuple[str, ...], dict[str, list[int]]] = {}
+    tableaux = []
+    for state in finished:
+        relations = tuple(atom.relation for atom in state.atoms)
+        if relations not in indexes:
+            indexes[relations] = build_relation_index(state.atoms)
+        tableau = PartialTableau(
             schema,
             relation,
             state.atoms,
@@ -188,9 +194,10 @@ def _chase_relation(schema: Schema, relation: str, mode: str) -> list[PartialTab
             null_vars=state.null_vars,
             nonnull_vars=state.nonnull_vars,
             decisions=state.decisions,
+            relation_index=indexes[relations],
         )
-        for state in finished
-    ]
+        tableaux.append(tableau)
+    return tableaux
 
 
 def standard_chase(schema: Schema, relation: str) -> PartialTableau:

@@ -48,6 +48,51 @@ class CoverageMapping:
         return tableau.term_at(self.atom_indices[-1], self.reference.attribute)
 
 
+#: a coverage search's outcome: per complete path, the atom indices it
+#: visits and the level of its last attribute
+Walk = tuple[tuple[tuple[int, ...], str], ...]
+
+
+def coverage_walk(reference: ReferencedAttribute, tableau: PartialTableau) -> Walk:
+    """Where the coverage mappings of ``reference`` lie in ``tableau``.
+
+    Every complete path as its atom indices and last level, in the order
+    :func:`coverage_mappings` returns them.  The walk reads only the
+    tableau's chase decisions along each path (a level or a missing FK
+    child ends it), so sibling tableaux that decided those alike share it;
+    candidate generation keys its coverage memo on it.
+    """
+    steps = reference.steps
+    walks = []
+    for start in tableau.atoms_for(steps[0][0]):
+        index = start
+        indices = [start]
+        for step, (_relation, attribute) in enumerate(steps[:-1]):
+            if tableau.attribute_level(index, attribute) not in _VALUE_LEVELS:
+                break
+            child = tableau.child_of(index, attribute)
+            if child is None or tableau.atoms[child].relation != steps[step + 1][0]:
+                break
+            index = child
+            indices.append(child)
+        else:
+            level = tableau.attribute_level(index, reference.attribute)
+            walks.append((tuple(indices), level))
+    return tuple(walks)
+
+
+def level_counts(walk: Walk) -> dict[str, int]:
+    """The ``coverage.level.*`` counts of one walk (``none`` when it found
+    nothing)."""
+    if not walk:
+        return {f"coverage.level.{NONE}": 1}
+    counts: dict[str, int] = {}
+    for _indices, level in walk:
+        name = f"coverage.level.{level}"
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
 def coverage_mappings(
     reference: ReferencedAttribute, tableau: PartialTableau
 ) -> list[CoverageMapping]:
@@ -57,30 +102,14 @@ def coverage_mappings(
     level null, or a missing FK child) contributes nothing, which realizes the
     ``none`` coverage level for that route.
     """
-    results: list[CoverageMapping] = []
-    first_relation = reference.steps[0][0]
-    for start in tableau.atoms_for(first_relation):
-        indices = [start]
-        ok = True
-        for step, (relation, attribute) in enumerate(reference.steps[:-1]):
-            atom_index = indices[-1]
-            level = tableau.attribute_level(atom_index, attribute)
-            if level not in _VALUE_LEVELS:
-                ok = False
-                break
-            child = tableau.child_of(atom_index, attribute)
-            if child is None or tableau.atoms[child].relation != reference.steps[step + 1][0]:
-                ok = False
-                break
-            indices.append(child)
-        if not ok:
-            continue
-        last_level = tableau.attribute_level(indices[-1], reference.attribute)
-        count(f"coverage.level.{last_level}")
-        results.append(CoverageMapping(reference, tuple(indices), last_level))
-    if not results:
-        count(f"coverage.level.{NONE}")
-    return results
+    return walked_mappings(reference, coverage_walk(reference, tableau))
+
+
+def walked_mappings(reference: ReferencedAttribute, walk: Walk) -> list[CoverageMapping]:
+    """The coverage mappings of ``reference`` that ``walk`` found, counted."""
+    for name, value in level_counts(walk).items():
+        count(name, value)
+    return [CoverageMapping(reference, indices, level) for indices, level in walk]
 
 
 def coverage_level(reference: ReferencedAttribute, tableau: PartialTableau) -> str:
@@ -133,8 +162,9 @@ def analyse_correspondence(
 
     ``source_cms`` and ``target_cms`` are the :func:`coverage_mappings` of the
     correspondence's two referenced attributes in the skeleton's source and
-    target tableau; each depends on one tableau only, so candidate generation
-    computes them once per tableau and pairs them here per skeleton.
+    target tableau.  Each depends on its tableau's :func:`coverage_walk`
+    only, so candidate generation computes them once per distinct walk and
+    this analysis once per distinct pair of them.
     """
     covered: list[CoveredCorrespondence] = []
     poison = False
@@ -147,9 +177,16 @@ def analyse_correspondence(
                 poison = True
     # A correspondence with at least one covered realization is not poisonous:
     # the covered pair is selected and the skeleton survives.
-    if covered:
-        poison = False
-        count("coverage.covered_pairs", len(covered))
-    elif poison:
-        count("coverage.poison_degrees")
-    return SkeletonCoverage(correspondence, covered, poison)
+    analysis = SkeletonCoverage(correspondence, covered, poison and not covered)
+    for name, value in analysis_counts(analysis).items():
+        count(name, value)
+    return analysis
+
+
+def analysis_counts(analysis: SkeletonCoverage) -> dict[str, int]:
+    """The counts of one skeleton analysis: its covered pairs, or its poison."""
+    if analysis.covered_pairs:
+        return {"coverage.covered_pairs": len(analysis.covered_pairs)}
+    if analysis.has_poison:
+        return {"coverage.poison_degrees": 1}
+    return {}

@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 from ..analysis.diagnostics import Diagnostic, diagnostic
 from ..logic.atoms import RelationalAtom
 from ..logic.mappings import Premise, UnitaryMapping
-from ..logic.satisfiability import EgdClosure
+from ..logic.satisfiability import NULL_CLASH, EgdClosure, KeyPaths
 from ..logic.terms import Term, Variable
 from ..model.schema import Schema
 from ..obs import count, span
@@ -117,6 +117,7 @@ class PairChecker:
         self.target_schema = target_schema
         self._left: dict[int, EgdClosure] = {}
         self._right: dict[int, _RightSide] = {}
+        self._key_paths: dict[int, KeyPaths | None] = {}
 
     def _closed(self, premise: Premise) -> EgdClosure:
         closure = premise_closure(premise, self.source_schema)
@@ -144,6 +145,39 @@ class PairChecker:
     def renaming(self, index: int) -> dict[Variable, Term]:
         """The renaming that takes mapping ``index`` to its right side."""
         return self._right_side(index).renaming
+
+    def _key_paths_of(self, index: int) -> KeyPaths | None:
+        """Mapping ``index``'s key paths (the same on both of its sides)."""
+        if index not in self._key_paths:
+            consequent = self.mappings[index].consequent
+            relation = self.target_schema.relation(consequent.relation)
+            self._key_paths[index] = self._left_side(index).key_paths(
+                consequent.terms, relation.key_positions()
+            )
+        return self._key_paths[index]
+
+    def clash(self, left: int, right: int) -> str | None:
+        """What :meth:`pair` would find contradictory, if the key paths show it.
+
+        Returns :data:`~repro.logic.satisfiability.NULL_CLASH` when the two
+        mappings' :class:`~repro.logic.satisfiability.KeyPaths` clash: the
+        pair's closure then ends in that contradiction, the only one such a
+        pair can reach, so callers ask this before joining the pair and
+        skip the join.  Each such answer is counted as
+        ``signature.clash_skips``.  ``None`` decides nothing.
+        """
+        if left == right:
+            return None  # a clause never clashes with its own copy
+        if not (self._left_side(left).has_null() or self._left_side(right).has_null()):
+            return None  # a clash needs a null class on one side
+        left_paths = self._key_paths_of(left)
+        if left_paths is None:
+            return None
+        right_paths = self._key_paths_of(right)
+        if right_paths is None or not left_paths.clashes(right_paths):
+            return None
+        count("signature.clash_skips")
+        return NULL_CLASH
 
     def pair(
         self, left: int, right: int
@@ -175,11 +209,17 @@ class PairChecker:
         Each non-key position is one probe of the :meth:`pair` closure,
         yielding ``(attribute, left term, renamed right term)`` iff the
         closure has no contradiction and does not force the two terms
-        equal.
+        equal.  A pair whose key paths :meth:`clash` is not joined, and
+        yields nothing.
         """
-        closure, pairs = self.pair(left, right)
         relation = self.target_schema.relation(self.mappings[left].consequent.relation)
         key_positions = relation.key_positions()
+        if self.clash(left, right) is not None:
+            probes = relation.arity - len(key_positions)
+            if probes:
+                count("satisfiability.checks", probes)
+            return
+        closure, pairs = self.pair(left, right)
         for position, attribute in enumerate(relation.attributes):
             if position in key_positions:
                 continue

@@ -38,8 +38,16 @@ also prunes against candidates already pruned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from ..logic.homomorphism import find_homomorphism
+from ..logic.homomorphism import (
+    Marks,
+    PreparedClause,
+    condition_check,
+    dominated,
+    find_homomorphism,
+    pattern_marks,
+)
 from ..logic.redundancy import redundant
 from ..logic.tableau import PartialTableau
 from ..logic.terms import Term, Variable
@@ -47,28 +55,61 @@ from ..obs import count, span
 from .candidates import CandidateMapping, PruneRecord
 
 
-def _condition_check(pattern: PartialTableau, target: PartialTableau):
-    """Homomorphism side condition: conditions of the pattern must persist."""
+class PreparedTableaux:
+    """The prepared clauses of the tableaux one pruning run compares.
 
-    def check(var: Variable, image: Term) -> bool:
-        if var in pattern.null_vars:
-            return image in target.null_vars
-        if var in pattern.nonnull_vars:
-            return image in target.nonnull_vars
-        return True
+    Each tableau searched into is prepared once (:class:`~repro.logic.
+    homomorphism.PreparedClause`: canonical buckets and position marks),
+    and each candidate's pattern marks once per side, with the terms its
+    covered correspondences reference left free: the subsumption
+    embeddings pre-bind exactly those.  Kept for one
+    :func:`prune_candidates` call.
+    """
 
-    return check
+    def __init__(self) -> None:
+        self._clauses: dict[int, tuple[PartialTableau, PreparedClause]] = {}
+        self._patterns: dict[tuple[int, str], tuple[CandidateMapping, Marks]] = {}
+
+    def clause(self, tableau: PartialTableau) -> PreparedClause:
+        entry = self._clauses.get(id(tableau))
+        if entry is None:
+            clause = PreparedClause(tableau.atoms, tableau.null_vars, tableau.nonnull_vars)
+            entry = self._clauses[id(tableau)] = (tableau, clause)
+        return entry[1]
+
+    def pattern(self, candidate: CandidateMapping, side: str) -> Marks:
+        """``candidate``'s tableau on ``side`` as a subsumption pattern."""
+        entry = self._patterns.get((id(candidate), side))
+        if entry is None:
+            tableau = getattr(candidate, f"{side}_tableau")
+            referenced = {
+                getattr(covered, side).referenced_term(tableau)
+                for covered in candidate.selection
+            }
+            marks = pattern_marks(
+                tableau.atoms, tableau.null_vars, tableau.nonnull_vars, free=referenced
+            )
+            entry = self._patterns[(id(candidate), side)] = (candidate, marks)
+        return entry[1]
+
+    def may_subsume(self, small: CandidateMapping, big: CandidateMapping) -> bool:
+        """False when mark dominance rules out an embedding :func:`subsumes`
+        needs (both candidates covering the same correspondences)."""
+        return dominated(
+            self.pattern(small, "source"), self.clause(big.source_tableau)
+        ) and dominated(self.pattern(small, "target"), self.clause(big.target_tableau))
 
 
 def _embed_tableau(
     small: PartialTableau,
     big: PartialTableau,
     fixed: dict[Variable, Term],
+    prepared: PreparedTableaux,
 ) -> dict[Variable, Term] | None:
     """An embedding of ``small``'s atoms (and conditions) into ``big``'s."""
-    return find_homomorphism(
-        small.atoms, big.atoms, fixed=fixed, var_check=_condition_check(small, big)
-    )
+    target = prepared.clause(big)
+    check = condition_check(small.null_vars, small.nonnull_vars, target)
+    return find_homomorphism(small.atoms, target, fixed=fixed, var_check=check)
 
 
 def _binding_fixed_pairs(
@@ -103,8 +144,17 @@ def _binding_fixed_pairs(
     return fixed
 
 
-def subsumes(small: CandidateMapping, big: CandidateMapping) -> bool:
-    """True iff ``big`` is subsumed by ``small`` (paper: m' subsumed by m)."""
+def subsumes(
+    small: CandidateMapping,
+    big: CandidateMapping,
+    prepared: PreparedTableaux | None = None,
+) -> bool:
+    """True iff ``big`` is subsumed by ``small`` (paper: m' subsumed by m).
+
+    ``prepared`` shares the tableaux' prepared clauses across the calls of
+    one pruning run.  A pair that fails mark dominance is answered without
+    searching and counted as ``signature.dominance_skips``.
+    """
     if small.covered != big.covered:
         return False
     strict = len(big.source_tableau) > len(small.source_tableau) or len(
@@ -112,26 +162,35 @@ def subsumes(small: CandidateMapping, big: CandidateMapping) -> bool:
     ) > len(small.target_tableau)
     if not strict:
         return False
+    prepared = prepared or PreparedTableaux()
+    if not prepared.may_subsume(small, big):
+        count("signature.dominance_skips")
+        return False
     fixed_source = _binding_fixed_pairs(small, big, "source")
     if fixed_source is None:
         return False
-    g = _embed_tableau(small.source_tableau, big.source_tableau, fixed_source)
+    g = _embed_tableau(small.source_tableau, big.source_tableau, fixed_source, prepared)
     if g is None:
         return False
     fixed_target = _binding_fixed_pairs(small, big, "target")
     if fixed_target is None:
         return False
-    h = _embed_tableau(small.target_tableau, big.target_tableau, fixed_target)
+    h = _embed_tableau(small.target_tableau, big.target_tableau, fixed_target, prepared)
     return h is not None
 
 
-def implies(stronger: CandidateMapping, weaker: CandidateMapping) -> bool:
+def implies(
+    stronger: CandidateMapping,
+    weaker: CandidateMapping,
+    prepared: PreparedTableaux | None = None,
+) -> bool:
     """True iff ``weaker`` is implied by ``stronger``.
 
     Requires the identical source tableau (the same chase result, hence the
     same premise and source variables) and an embedding of the weaker
     candidate's target tableau into the stronger one's that preserves every
-    covered value flow of the weaker candidate.
+    covered value flow of the weaker candidate.  ``prepared`` is as for
+    :func:`subsumes`.
     """
     if stronger.source_tableau is not weaker.source_tableau:
         return False
@@ -152,7 +211,12 @@ def implies(stronger: CandidateMapping, weaker: CandidateMapping) -> bool:
         if weak_var in fixed and fixed[weak_var] != strong_var:
             return False
         fixed[weak_var] = strong_var
-    h = _embed_tableau(weaker.target_tableau, stronger.target_tableau, fixed)
+    h = _embed_tableau(
+        weaker.target_tableau,
+        stronger.target_tableau,
+        fixed,
+        prepared or PreparedTableaux(),
+    )
     return h is not None
 
 
@@ -322,8 +386,9 @@ def _prune_candidates(
             )
         )
 
-    subsumption_test = tested(subsumes, semantic_subsumes)
-    implication_test = tested(implies, semantic_implies)
+    prepared = PreparedTableaux()
+    subsumption_test = tested(partial(subsumes, prepared=prepared), semantic_subsumes)
+    implication_test = tested(partial(implies, prepared=prepared), semantic_implies)
 
     # -- subsumption ------------------------------------------------------
     # Both subsumption tests reject candidates covering different

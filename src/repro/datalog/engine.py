@@ -32,7 +32,7 @@ from ..logic.terms import Constant, NullTerm, SkolemTerm, Term, Variable
 from ..model.instance import Instance, Row
 from ..model.values import NULL, LabeledNull, is_null
 from ..obs import RunReport, count, current_tracer, span, stage_report
-from .program import DatalogProgram, Rule
+from .program import DatalogProgram, Rule, unsafe_rule_variables
 
 
 class RowStore:
@@ -205,14 +205,27 @@ def _shared_plan(plans: PlanMemo, rule: Rule, sizes: list[int]) -> Plan:
 
     Each depth picks by bound positions, then by relation size, then by
     body order, so the sizes' dense ranks fix every pick, probe, check and
-    bind.
+    bind.  A rule is checked (:func:`_check_bound`) when it gets an entry.
     """
     distinct = sorted(set(sizes))
     key = (id(rule), tuple(map(distinct.index, sizes)))
     entry = plans.get(key)
     if entry is None:
+        _check_bound(rule)
         entry = plans[key] = (rule, _new_plan(rule.body, ()))
     return entry[1]
+
+
+def _check_bound(rule: Rule) -> None:
+    """Raise :class:`EvaluationError` naming a variable ``rule`` uses but
+    its positive body does not bind (in its head, a condition or a negated
+    atom)."""
+    problems = unsafe_rule_variables(rule)
+    if problems:
+        kind, var = problems[0]
+        raise EvaluationError(
+            f"unsafe rule: {kind} variable {var!r} not bound in body: {rule!r}"
+        )
 
 
 def _join(store: RowStore, atoms: list[RelationalAtom], bindings: Bindings) -> Iterator[Bindings]:
@@ -338,17 +351,29 @@ def evaluate_rule(
 
     With ``plans`` the join reuses (and extends) the plan the memo holds
     for this rule and these size ranks; without, it plans afresh.  The
-    rows, their order and any error are the same either way.
+    rows, their order and any error are the same either way.  A rule
+    using a variable its positive body does not bind raises
+    :class:`EvaluationError` naming it when its join is planned.
     """
+    return _derive(rule, store, plans, checked=False)
+
+
+def _derive(
+    rule: Rule, store: RowStore, plans: PlanMemo | None, checked: bool
+) -> list[Row]:
+    """:func:`evaluate_rule`; ``checked`` rules (of a validated program)
+    are not checked again unless the memo gives them a new entry."""
     # An empty body relation derives nothing; ``rows`` raises first for any
     # relation the store has never seen.
     relations = [store.rows(atom.relation) for atom in rule.body]
     if not all(relations):
         return []
-    plan = (
-        _new_plan(rule.body, ()) if plans is None
-        else _shared_plan(plans, rule, list(map(len, relations)))
-    )
+    if plans is not None:
+        plan = _shared_plan(plans, rule, list(map(len, relations)))
+    else:
+        if not checked:
+            _check_bound(rule)
+        plan = _new_plan(rule.body, ())
     derived: dict[Row, None] = {}
     for bindings in _extend(store, plan, 0, {}):
         if not _conditions_hold(rule, bindings):
@@ -419,7 +444,7 @@ def evaluate(
         program,
         source,
         "reference",
-        lambda rule, store, profile: evaluate_rule(rule, store, plans=plans),
+        lambda rule, store, profile: _derive(rule, store, plans, checked=True),
         analyze,
     )
 

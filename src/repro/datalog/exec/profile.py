@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ...obs import count, current_tracer, observe
+from ...obs import current_tracer
 from .plan import RulePlan
 
 
@@ -266,27 +266,33 @@ def emit_profile_metrics(profile: ExecutionProfile) -> None:
     ``exec.index.lookups{result}``.  (``eval.strata`` is counted per
     stratum while the loop runs.)  A no-op when tracing is off.
     """
-    if not current_tracer().enabled:
+    tracer = current_tracer()
+    if not tracer.enabled:
         return
-    engine = profile.engine
-    count("eval.rows", profile.source_rows, engine=engine, kind="source")
-    count("eval.rows", profile.target_rows, engine=engine, kind="target")
-    observe("eval.run.seconds", profile.seconds, engine=engine)
+    # One tracer.record call: the label keys below are in canonical form.
+    engine = ("engine", str(profile.engine))
+    counts: list[tuple[str, tuple, int]] = [
+        ("eval.rows", (engine, ("kind", "source")), profile.source_rows),
+        ("eval.rows", (engine, ("kind", "target")), profile.target_rows),
+    ]
+    observations = [("eval.run.seconds", (engine,), profile.seconds)]
     rules = [rule for stratum in profile.strata for rule in stratum.rules]
     if rules:
-        count("eval.rules", len(rules), engine=engine)
+        counts.append(("eval.rules", (engine,), len(rules)))
         derived = sum(rule.rows_unique for rule in rules)
-        count("eval.rows", derived, engine=engine, kind="derived")
+        counts.append(("eval.rows", (engine, ("kind", "derived")), derived))
     for rule in rules:
-        relation = rule.relation
-        observe("eval.rule.seconds", rule.seconds, engine=engine, relation=relation)
+        key = (engine, ("relation", str(rule.relation)))
+        observations.append(("eval.rule.seconds", key, rule.seconds))
     for kind, totals in sorted(profile.operator_totals().items()):
-        count("exec.operator.rows_in", totals.rows_in, engine=engine, op=kind)
-        count("exec.operator.rows_out", totals.rows_out, engine=engine, op=kind)
-        observe("exec.operator.seconds", totals.seconds, engine=engine, op=kind)
+        key = (engine, ("op", kind))
+        counts.append(("exec.operator.rows_in", key, totals.rows_in))
+        counts.append(("exec.operator.rows_out", key, totals.rows_out))
+        observations.append(("exec.operator.seconds", key, totals.seconds))
         if kind == "scan":
-            count("exec.batches", totals.batches, engine=engine)
+            counts.append(("exec.batches", (engine,), totals.batches))
         elif kind == "join":
             lookups = totals.index_hits, totals.index_misses
             for result, value in zip(("hit", "miss"), lookups):
-                count("exec.index.lookups", value, engine=engine, result=result)
+                counts.append(("exec.index.lookups", (engine, ("result", result)), value))
+    tracer.record(counts, observations)

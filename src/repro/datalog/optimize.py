@@ -14,9 +14,16 @@ head relation and arity only, and keeps the earlier of two duplicates.
 from __future__ import annotations
 
 from ..logic.atoms import RelationalAtom
-from ..logic.homomorphism import find_homomorphism
+from ..logic.homomorphism import (
+    Marks,
+    PreparedClause,
+    condition_check,
+    dominated,
+    find_homomorphism,
+    pattern_marks,
+)
 from ..logic.redundancy import redundant
-from ..logic.terms import Term, Variable
+from ..obs import count
 from .program import DatalogProgram, Rule
 
 _HEAD = "__head__"
@@ -26,25 +33,28 @@ def _with_head_marker(rule: Rule) -> list[RelationalAtom]:
     return [RelationalAtom(_HEAD, rule.head.terms), *rule.body]
 
 
-def subsumes_rule(general: Rule, specific: Rule) -> bool:
-    """True iff every tuple derived by ``specific`` is derived by ``general``."""
+def prepared_rule(rule: Rule) -> PreparedClause:
+    """``rule``'s head (under a marker relation) and body, prepared once."""
+    return PreparedClause(_with_head_marker(rule), rule.null_vars, rule.nonnull_vars)
+
+
+def subsumes_rule(
+    general: Rule,
+    specific: Rule,
+    clauses: tuple[PreparedClause, PreparedClause] | None = None,
+) -> bool:
+    """True iff every tuple derived by ``specific`` is derived by ``general``.
+
+    ``clauses`` are the two rules' :func:`prepared_rule`, when the caller
+    compares each rule more than once.
+    """
     if general.head_relation != specific.head_relation:
         return False
     if general.head.arity != specific.head.arity:
         return False
-
-    def var_check(var: Variable, image: Term) -> bool:
-        if var in general.null_vars:
-            return isinstance(image, Variable) and image in specific.null_vars
-        if var in general.nonnull_vars:
-            return isinstance(image, Variable) and image in specific.nonnull_vars
-        return True
-
-    assignment = find_homomorphism(
-        _with_head_marker(general),
-        _with_head_marker(specific),
-        var_check=var_check,
-    )
+    pattern, target = clauses or (prepared_rule(general), prepared_rule(specific))
+    check = condition_check(general.null_vars, general.nonnull_vars, target)
+    assignment = find_homomorphism(pattern.atoms, target, var_check=check)
     if assignment is None:
         return False
     specific_equalities = {
@@ -73,10 +83,35 @@ def subsumes_rule(general: Rule, specific: Rule) -> bool:
 
 
 def remove_subsumed_rules(program: DatalogProgram) -> DatalogProgram:
-    """Drop rules subsumed by other rules (and exact duplicates)."""
+    """Drop rules subsumed by other rules (and exact duplicates).
+
+    Each rule compared is prepared once; a pair whose marks rule out the
+    homomorphism (:func:`~repro.logic.homomorphism.dominated`) is not
+    searched, and is counted as ``signature.dominance_skips``.
+    """
     rules = program.rules
+    prepared: dict[int, tuple[PreparedClause, Marks]] = {}
+
+    def prepare(index: int) -> tuple[PreparedClause, Marks]:
+        if index not in prepared:
+            rule = rules[index]
+            clause = prepared_rule(rule)
+            prepared[index] = clause, pattern_marks(
+                clause.atoms, rule.null_vars, rule.nonnull_vars
+            )
+        return prepared[index]
+
+    def covers(general: int, specific: int) -> bool:
+        (pattern, marks), (target, _) = prepare(general), prepare(specific)
+        if not dominated(marks, target):
+            count("signature.dominance_skips")
+            return False
+        return subsumes_rule(rules[general], rules[specific], (pattern, target))
+
     removed = redundant(
-        rules, subsumes_rule, key=lambda rule: (rule.head_relation, rule.head.arity)
+        range(len(rules)),
+        covers,
+        key=lambda index: (rules[index].head_relation, rules[index].head.arity),
     )
     kept = [rule for i, rule in enumerate(rules) if i not in removed]
     return drop_dead_intermediates(program, kept)

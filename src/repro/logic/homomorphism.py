@@ -11,19 +11,43 @@ term exactly.
 The search is deterministic: candidate target atoms are ordered by a
 canonical structural key, so the witness returned for a given pattern/target
 pair does not depend on the order in which the target atoms were supplied.
-A constants/arity pre-filter removes incompatible targets before the
-backtracking starts, which bounds the branching factor by the number of
-*structurally* compatible atoms instead of the relation size.
+A target searched many times is a :class:`PreparedClause`, whose atoms are
+bucketed by relation and put in that order once, on its first search; a
+plain atom list is bucketed and ordered on every search.  A constants/arity
+pre-filter removes incompatible targets before the backtracking starts,
+which bounds the branching factor by the number of *structurally*
+compatible atoms instead of the relation size.
+
+A prepared clause also carries a *mark* per atom position: null or non-null
+for a variable with that condition, free for any other variable, the term
+itself for a constant, ``null`` or Skolem term.  A search whose variables
+may only map onto terms with the same condition (:func:`condition_check`)
+maps each pattern atom onto a target atom whose marks *dominate* its own
+(:func:`pattern_marks`), so :func:`dominated` failing proves no
+homomorphism exists without searching.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .atoms import RelationalAtom
 from .terms import Term, Variable
 
 Assignment = dict[Variable, Term]
+
+
+#: Position marks; any other mark is the position's (non-variable) term,
+#: and a term never equals a string.
+FREE = None
+NULL_MARK = "null"
+NONNULL_MARK = "nonnull"
+#: a target variable carrying both conditions (a contradictory clause)
+BOTH_MARK = "null+nonnull"
+
+#: per relation, the distinct mark tuples of its atoms
+Marks = dict[str, set[tuple]]
 
 
 def _canonical_atom_key(atom: RelationalAtom) -> tuple:
@@ -58,9 +82,150 @@ def _compatible(
     return True
 
 
+class PreparedClause:
+    """A clause prepared once for many searches: buckets, order and marks.
+
+    ``buckets`` holds the atoms by relation, each bucket in the canonical
+    order :func:`iter_homomorphisms` searches a target in; ``marks`` holds,
+    per relation, the distinct mark tuples of its atoms as a target.  Each
+    is built on first use: a clause every search skips is never sorted, and
+    one no test reads is never marked.
+    """
+
+    def __init__(
+        self,
+        atoms: Iterable[RelationalAtom],
+        null_vars: Collection[Variable] = frozenset(),
+        nonnull_vars: Collection[Variable] = frozenset(),
+    ) -> None:
+        self.atoms = tuple(atoms)
+        self.null_vars = frozenset(null_vars)
+        self.nonnull_vars = frozenset(nonnull_vars)
+        self._by_relation = _by_relation(self.atoms)
+
+    @cached_property
+    def buckets(self) -> dict[str, list[RelationalAtom]]:
+        return _canonical_buckets(self._by_relation)
+
+    @cached_property
+    def marks(self) -> Marks:
+        marked = dict.fromkeys(self.nonnull_vars, NONNULL_MARK)
+        for var in self.null_vars:
+            marked[var] = BOTH_MARK if var in marked else NULL_MARK
+        return _marks(self._by_relation, marked)
+
+
+def pattern_marks(
+    atoms: Iterable[RelationalAtom],
+    null_vars: Collection[Variable],
+    nonnull_vars: Collection[Variable],
+    free: Collection[Variable] = (),
+) -> Marks:
+    """A clause's marks as a search pattern, ``free`` variables unmarked.
+
+    A variable's null condition wins over its non-null one, as in
+    :func:`condition_check`; pass as ``free`` the variables a search
+    pre-binds, whose images no condition check sees.
+    """
+    marked = dict.fromkeys(nonnull_vars, NONNULL_MARK)
+    marked.update(dict.fromkeys(null_vars, NULL_MARK))
+    for var in free:
+        marked.pop(var, None)
+    return _marks(_by_relation(atoms), marked)
+
+
+def condition_check(
+    null_vars: Collection[Variable],
+    nonnull_vars: Collection[Variable],
+    target: PreparedClause,
+) -> Callable[[Variable, Term], bool]:
+    """The search's side condition: a pattern's conditions persist.
+
+    A null (non-null) pattern variable may only map onto a variable with
+    the null (non-null) condition in ``target``.
+    """
+
+    def check(var: Variable, image: Term) -> bool:
+        if var in null_vars:
+            return image in target.null_vars
+        if var in nonnull_vars:
+            return image in target.nonnull_vars
+        return True
+
+    return check
+
+
+def _marks(
+    by_relation: Mapping[str, list[RelationalAtom]], marked: Mapping[Variable, str]
+) -> Marks:
+    """Each relation's distinct atom marks: a variable's from ``marked``
+    (else free), any other term itself."""
+    marks: Marks = {}
+    for relation, atoms in by_relation.items():
+        rows = marks[relation] = set()
+        for atom in atoms:
+            marks_of_atom = [
+                marked.get(term, FREE) if isinstance(term, Variable) else term
+                for term in atom.terms
+            ]
+            rows.add(tuple(marks_of_atom))
+    return marks
+
+
+def _mark_dominates(target_mark, pattern_mark) -> bool:
+    if pattern_mark is FREE:
+        return True
+    if isinstance(pattern_mark, str):
+        return target_mark == pattern_mark or target_mark == BOTH_MARK
+    return target_mark == pattern_mark
+
+
+def dominated(pattern: Marks, target: PreparedClause) -> bool:
+    """Does every pattern atom meet a target atom whose marks dominate its own?
+
+    Necessary for a homomorphism under :func:`condition_check` (variables
+    pre-bound by ``fixed`` left free in ``pattern``): it maps each pattern
+    atom onto a target atom of the same relation and arity, keeps every
+    constant, and sends a null (non-null) variable onto a variable carrying
+    that condition.
+    """
+    for relation, pattern_rows in pattern.items():
+        target_rows = target.marks.get(relation)
+        if target_rows is None:
+            return False
+        for row in pattern_rows:
+            if row in target_rows:
+                continue
+            if not any(
+                len(candidate) == len(row)
+                and all(map(_mark_dominates, candidate, row))
+                for candidate in target_rows
+            ):
+                return False
+    return True
+
+
+def _canonical_buckets(
+    by_relation: Mapping[str, list[RelationalAtom]],
+) -> dict[str, list[RelationalAtom]]:
+    """The atoms by relation, each bucket in canonical order: witnesses are
+    stable under permutations of the target atom list."""
+    return {
+        relation: sorted(atoms, key=_canonical_atom_key)
+        for relation, atoms in by_relation.items()
+    }
+
+
+def _by_relation(atoms: Iterable[RelationalAtom]) -> dict[str, list[RelationalAtom]]:
+    by_relation: dict[str, list[RelationalAtom]] = {}
+    for atom in atoms:
+        by_relation.setdefault(atom.relation, []).append(atom)
+    return by_relation
+
+
 def iter_homomorphisms(
     pattern: Sequence[RelationalAtom],
-    target: Sequence[RelationalAtom],
+    target: Sequence[RelationalAtom] | PreparedClause,
     fixed: Mapping[Variable, Term] | None = None,
     var_check: Callable[[Variable, Term], bool] | None = None,
 ) -> Iterator[Assignment]:
@@ -73,13 +238,11 @@ def iter_homomorphisms(
     deterministic given the pattern order and the canonical target ordering.
     """
     assignment: Assignment = dict(fixed or {})
-    by_relation: dict[str, list[RelationalAtom]] = {}
-    for atom in target:
-        by_relation.setdefault(atom.relation, []).append(atom)
-    # Canonical candidate ordering: witnesses are stable under permutations
-    # of the target atom list.
-    for bucket in by_relation.values():
-        bucket.sort(key=_canonical_atom_key)
+    by_relation = (
+        target.buckets
+        if isinstance(target, PreparedClause)
+        else _canonical_buckets(_by_relation(target))
+    )
 
     # Arity/constants pre-filter, computed once per pattern atom.
     candidates: list[list[RelationalAtom]] = [
@@ -135,7 +298,7 @@ def iter_homomorphisms(
 
 def find_homomorphism(
     pattern: Sequence[RelationalAtom],
-    target: Sequence[RelationalAtom],
+    target: Sequence[RelationalAtom] | PreparedClause,
     fixed: Mapping[Variable, Term] | None = None,
     var_check: Callable[[Variable, Term], bool] | None = None,
 ) -> Assignment | None:

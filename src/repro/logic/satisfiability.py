@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..model.schema import Schema
 from .atoms import Disequality, Equality, RelationalAtom
@@ -59,6 +59,9 @@ from .terms import Constant, NullTerm, SkolemTerm, Term, Variable
 #: Upper bound on homomorphisms examined per conditioned search; beyond it
 #: the answer degrades to the conservative "not found".
 MAX_WITNESS_CANDIDATES = 10_000
+
+#: the contradiction of a class marked both null and non-null
+NULL_CLASH = "a value is required to be both null and non-null"
 
 
 @dataclass(frozen=True)
@@ -232,6 +235,35 @@ def _marked(info: _ClassInfo, null: bool, nonnull: bool) -> _ClassInfo:
     return _ClassInfo(info.pin, null, nonnull)
 
 
+#: a key path: ``(position,)`` for a consequent's key term, or ``(row,
+#: position)`` for a position of a source row, where ``row`` is the
+#: relation and the key paths of its key classes
+KeyPath = tuple
+
+
+class KeyPaths(NamedTuple):
+    """The key paths of a closed clause that end at a null or non-null class.
+
+    A key path names a class of the clause from the consequent's key: a
+    key term by its position, any other class by the source row it stands
+    in and its position there, the row named by its relation and the key
+    paths of its key classes.  When two clauses fire on one target key,
+    the source key FDs make the classes at a path both clauses reach equal
+    (induction on the path: the key terms are equated, and two rows of one
+    relation whose key classes are equal agree everywhere).  So a path
+    null on one side and non-null on the other proves the pair's closure
+    contradictory (:meth:`clashes`).
+    """
+
+    null: frozenset[KeyPath]
+    nonnull: frozenset[KeyPath]
+
+    def clashes(self, other: "KeyPaths") -> bool:
+        return not (
+            self.null.isdisjoint(other.nonnull) and self.nonnull.isdisjoint(other.null)
+        )
+
+
 @dataclass
 class EgdClosure:
     """A congruence closure over query variables under source FDs."""
@@ -331,14 +363,14 @@ class EgdClosure:
     def _mark_null_root(self, root: Variable) -> None:
         info = self._info[root]
         if info.nonnull or info.pin is not None:
-            self._fail("a value is required to be both null and non-null")
+            self._fail(NULL_CLASH)
         if not info.null:
             self._info[root] = _marked(info, True, info.nonnull)
 
     def _mark_nonnull_root(self, root: Variable) -> None:
         info = self._info[root]
         if info.null:
-            self._fail("a value is required to be both null and non-null")
+            self._fail(NULL_CLASH)
         if not info.nonnull:
             self._info[root] = _marked(info, info.null, True)
 
@@ -494,6 +526,79 @@ class EgdClosure:
     def terms_equal(self, left: Term, right: Term) -> bool:
         """True iff the closure proves the terms denote the same value."""
         return self.normalize(left) == self.normalize(right)
+
+    def has_null(self) -> bool:
+        """Does some class carry the null mark?"""
+        return any(info.null for info in self._info.values())
+
+    def key_paths(
+        self, terms: Sequence[Term], key_positions: Sequence[int]
+    ) -> KeyPaths | None:
+        """This saturated clause's :class:`KeyPaths` from the key ``terms``.
+
+        ``terms`` are the consequent's terms and ``key_positions`` its
+        relation's key.  Classes are reached breadth first, each by its
+        first path; a source row is entered once every class of its key has
+        been reached.  ``None`` unless a pair closure with this clause can
+        fail only as :data:`NULL_CLASH`: the clause must be consistent, pin
+        no constant, and hold only variables in its source atoms and its key
+        terms, so no constant, ``null`` or Skolem term is ever equated.
+        """
+        if self.contradiction is not None:
+            return None
+        for info in self._info.values():
+            if info.pin is not None:
+                return None
+        find = self.find
+        #: each class -> the distinct source rows holding it at a key position
+        keyed: dict[Variable, list[tuple[str, tuple[int, ...], list[Variable]]]] = {}
+        for name, atoms in self._by_relation.items():
+            key = self.schema.relation(name).key_positions()
+            seen: set[tuple[Variable, ...]] = set()
+            for atom in atoms:
+                roots = []
+                for term in atom.terms:
+                    if not isinstance(term, Variable):
+                        return None
+                    roots.append(find(term))
+                if len(roots) <= max(key):
+                    continue
+                key_roots = tuple([roots[p] for p in key])
+                if key_roots not in seen:
+                    seen.add(key_roots)
+                    for root in set(key_roots):
+                        keyed.setdefault(root, []).append((name, key, roots))
+        queue: list[tuple[KeyPath, Variable]] = []
+        for position in key_positions:
+            term = terms[position]
+            if not isinstance(term, Variable):
+                return None
+            queue.append(((position,), find(term)))
+        paths: dict[Variable, KeyPath] = {}
+        null: list[KeyPath] = []
+        nonnull: list[KeyPath] = []
+        entered: set[tuple[str, tuple[Variable, ...]]] = set()
+        for path, root in queue:  # the queue grows while it is read
+            if root in paths:
+                continue
+            paths[root] = path
+            info = self._info[root]
+            if info.null:
+                null.append(path)
+            elif info.nonnull:
+                nonnull.append(path)
+            for name, key, roots in keyed.get(root, ()):
+                key_roots = tuple([roots[p] for p in key])
+                if (name, key_roots) in entered:
+                    continue
+                if len(key) > 1 and not all(r in paths for r in key_roots):
+                    continue
+                entered.add((name, key_roots))
+                row = (name, tuple([paths[r] for r in key_roots]))
+                for position, child in enumerate(roots):
+                    if child not in paths:
+                        queue.append(((row, position), child))
+        return KeyPaths(frozenset(null), frozenset(nonnull))
 
     # -- the canonical instance ----------------------------------------------
 

@@ -33,6 +33,14 @@ NONNULL = "nonnull"
 NONE = "none"
 
 
+def build_relation_index(atoms: Sequence[RelationalAtom]) -> dict[str, list[int]]:
+    """The indices of ``atoms`` by relation."""
+    index: dict[str, list[int]] = {}
+    for i, atom in enumerate(atoms):
+        index.setdefault(atom.relation, []).append(i)
+    return index
+
+
 class PartialTableau:
     """A partial tableau: rooted atoms plus null / non-null conditions."""
 
@@ -46,6 +54,7 @@ class PartialTableau:
         null_vars: Sequence[Variable] = (),
         nonnull_vars: Sequence[Variable] = (),
         decisions: dict[tuple[Path, str], str] | None = None,
+        relation_index: dict[str, list[int]] | None = None,
     ):
         if len(atoms) != len(paths) or len(atoms) != len(parents):
             raise ValueError("atoms, paths and parents must have equal length")
@@ -61,6 +70,9 @@ class PartialTableau:
         for i, parent in enumerate(self.parents):
             if parent is not None:
                 self._children[parent] = i
+        #: the atom indices by relation (:func:`build_relation_index`); the chase
+        #: shares one among siblings whose atoms are over the same relations
+        self._by_relation = relation_index or build_relation_index(self.atoms)
 
     # -- basic queries ---------------------------------------------------
 
@@ -72,8 +84,9 @@ class PartialTableau:
         return atoms_variables(self.atoms)
 
     def atoms_for(self, relation: str) -> list[int]:
-        """Indices of all atoms over ``relation``."""
-        return [i for i, a in enumerate(self.atoms) if a.relation == relation]
+        """Indices of all atoms over ``relation`` (a shared list: do not
+        mutate it)."""
+        return self._by_relation.get(relation, [])
 
     def term_at(self, atom_index: int, attribute: str) -> Term:
         atom = self.atoms[atom_index]
@@ -88,10 +101,11 @@ class PartialTableau:
 
     def attribute_level(self, atom_index: int, attribute: str) -> str:
         """Coverage level of one attribute occurrence: mand, null or nonnull."""
-        relation = self.schema.relation(self.atoms[atom_index].relation)
+        atom = self.atoms[atom_index]
+        relation = self.schema.relation(atom.relation)
         if not relation.is_nullable(attribute):
             return MAND
-        term = self.term_at(atom_index, attribute)
+        term = atom.terms[relation.position(attribute)]
         if term in self.null_vars:
             return NULL
         if term in self.nonnull_vars:

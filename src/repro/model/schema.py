@@ -87,6 +87,7 @@ class RelationSchema:
             raise SchemaError(f"relation {name} has duplicate attribute names: {names}")
         self.attributes: tuple[Attribute, ...] = tuple(attrs)
         self._by_name = {a.name: a for a in attrs}
+        self._positions = {a.name: i for i, a in enumerate(attrs)}
         if key is None:
             key_names: tuple[str, ...] = (attrs[0].name,)
         elif isinstance(key, str):
@@ -101,7 +102,7 @@ class RelationSchema:
             if self._by_name[k].nullable:
                 raise SchemaError(f"relation {name}: key attribute {k!r} cannot be nullable")
         self.key: tuple[str, ...] = key_names
-        self._key_positions = tuple(names.index(k) for k in key_names)
+        self._key_positions = tuple(self._positions[k] for k in key_names)
 
     # -- queries ---------------------------------------------------------
 
@@ -129,10 +130,10 @@ class RelationSchema:
 
     def position(self, name: str) -> int:
         """0-based position of attribute ``name`` in the relation."""
-        for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        raise SchemaError(f"relation {self.name} has no attribute {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(f"relation {self.name} has no attribute {name!r}") from None
 
     def is_key_attribute(self, name: str) -> bool:
         self.attribute(name)

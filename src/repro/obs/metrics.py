@@ -79,9 +79,12 @@ class Counter:
         self._values: dict[LabelKey, float] = {}
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
+        self.add(_label_key(labels), value)
+
+    def add(self, key: LabelKey, value: float) -> None:
+        """:meth:`inc` under a label key already in canonical form."""
         if value < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease ({value})")
-        key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
     def value(self, **labels: Any) -> float:
@@ -163,7 +166,10 @@ class Histogram:
         self._series: dict[LabelKey, tuple[list[int], float, int]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        self.observe_at(_label_key(labels), value)
+
+    def observe_at(self, key: LabelKey, value: float) -> None:
+        """:meth:`observe` under a label key already in canonical form."""
         series = self._series.get(key)
         if series is None:
             series = ([0] * (len(self.buckets) + 1), 0.0, 0)

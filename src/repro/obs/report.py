@@ -46,13 +46,26 @@ class RunReport:
 
     @classmethod
     def from_span(cls, span: Span, label: str = "") -> "RunReport":
-        """A report for one stage: the subtree rooted at its top-level span."""
-        return cls(
-            label=label or span.name,
-            wall_time=span.duration,
-            counters=span.total_counters(),
-            spans=[span_to_dict(span)],
-        )
+        """A report for one stage: the subtree rooted at its top-level span.
+
+        The span must be closed.  Its counters and span tree are copied on
+        first read, so a report nobody reads costs no copy.
+        """
+        report = cls(label=label or span.name, wall_time=span.duration)
+        del report.counters, report.spans
+        report._span = span
+        return report
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for a missing attribute: the lazy fields of a
+        # report made by from_span, filled in from its span once.
+        span = self.__dict__.get("_span")
+        if span is None or name not in ("counters", "spans"):
+            raise AttributeError(name)
+        self.counters = span.total_counters()
+        self.spans = [span_to_dict(span)]
+        del self._span
+        return getattr(self, name)
 
     # -- combination --------------------------------------------------------
 

@@ -36,9 +36,9 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-from .metrics import DEFAULT_BUCKETS, Counter, MetricsRegistry
+from .metrics import DEFAULT_BUCKETS, Counter, LabelKey, MetricsRegistry
 
 
 @dataclass
@@ -182,6 +182,35 @@ class Tracer:
     ) -> None:
         """Record a histogram observation."""
         self.metrics.histogram(name, buckets=buckets).observe(value, **labels)
+
+    def record(
+        self,
+        counts: Iterable[tuple[str, LabelKey, int]],
+        observations: Iterable[tuple[str, LabelKey, float]] = (),
+    ) -> None:
+        """Many counter increments and histogram observations in one pass.
+
+        Each entry is ``(family, label key, value)`` with the key in the
+        canonical form of :func:`~repro.obs.metrics._label_key` (label
+        names sorted, values as strings).  Every family is resolved once
+        per call; the samples, span counters and totals are those of one
+        :meth:`count` or :meth:`observe` (default buckets) per entry.
+        """
+        registry = self.metrics
+        current = _CURRENT_SPAN.get()
+        families: dict[str, Any] = {}
+        for name, key, value in counts:
+            family = families.get(name)
+            if family is None:
+                family = families[name] = registry.counter(name)
+            family.add(key, value)
+            if current is not None:
+                current.counters[name] = current.counters.get(name, 0) + value
+        for name, key, value in observations:
+            family = families.get(name)
+            if family is None:
+                family = families[name] = registry.histogram(name)
+            family.observe_at(key, value)
 
     def merge(self, registry: MetricsRegistry) -> None:
         """Fold another recorder's registry (e.g. a worker process's) into

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog.engine import RowStore, evaluate, evaluate_rule
+from repro.datalog.engine import RowStore, evaluate, evaluate_rule, evaluate_rules
 from repro.datalog.program import DatalogProgram, Rule
 from repro.errors import EvaluationError
 from repro.logic.atoms import Equality, RelationalAtom
@@ -133,6 +133,34 @@ class TestRuleEvaluation:
         rule = Rule(head=RelationalAtom("T", (x,)), body=(RelationalAtom("Nope", (x,)),))
         with pytest.raises(EvaluationError):
             evaluate_rule(rule, _store())
+
+    @pytest.mark.parametrize("kind", ["null", "nonnull", "negated", "head"])
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_unbound_variable_is_a_named_evaluation_error(self, kind, memo):
+        """A rule using a variable its body does not bind fails where its
+        join is planned, naming the variable, with or without a plan memo
+        and whether or not the join finds a binding."""
+        x, y = V("x"), V("y")
+        fields = {
+            "null": {"null_vars": (y,)},
+            "nonnull": {"nonnull_vars": (y,)},
+            "negated": {"negated": (RelationalAtom("N", (y,)),)},
+            "head": {"head": RelationalAtom("H", (x, y))},
+        }[kind]
+        rule = Rule(
+            **{"head": RelationalAtom("H", (x,)), **fields},
+            body=(RelationalAtom("S", (x,)),),
+        )
+        for rows in ([("a",)], [("a",), ("b",)]):
+            plans = {} if memo else None
+            with pytest.raises(EvaluationError, match="variable y not bound"):
+                evaluate_rules([rule], {"S": rows, "N": []}, plans=plans)
+        rule = Rule(  # its join finds no binding
+            **{"head": RelationalAtom("H", (x,)), **fields},
+            body=(RelationalAtom("S", (x,)), RelationalAtom("S2", (x,))),
+        )
+        with pytest.raises(EvaluationError, match="variable y not bound"):
+            evaluate_rules([rule], {"S": [("a",)], "S2": [("b",)], "N": []})
 
     def test_cartesian_product(self):
         x, y = V("x"), V("y")

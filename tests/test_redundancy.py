@@ -128,9 +128,9 @@ def test_optimizer_compares_rules_of_one_head_relation(monkeypatch):
     original = optimize.subsumes_rule
     pairs = []
 
-    def spy(general, specific):
+    def spy(general, specific, *prepared):
         pairs.append((general.head_relation, specific.head_relation))
-        return original(general, specific)
+        return original(general, specific, *prepared)
 
     monkeypatch.setattr(optimize, "subsumes_rule", spy)
     optimized = optimize.remove_subsumed_rules(program)

@@ -118,25 +118,33 @@ def test_stage1_matches_fixture(subjects, golden):
 
 
 def test_coverage_analysed_once_per_reference_and_tableau(monkeypatch):
-    """Each (referenced attribute, tableau) pair is analysed exactly once.
+    """Each (referenced attribute, tableau) pair is walked once, and each
+    distinct chase-decision walk's coverage mappings are built once.
 
     The source side of a correspondence depends only on the source tableau
     and the target side only on the target tableau, so candidate generation
-    costs (|S| + |T|) · |C| coverage analyses, not 2 · |S| · |T| · |C|.
+    costs (|S| + |T|) · |C| coverage walks, not 2 · |S| · |T| · |C|;
+    sibling tableaux whose walks read the same decisions share one result.
     """
-    calls = []
-    original = candidates.coverage_mappings
+    walks, built = [], []
+    walk, build = candidates.coverage_walk, candidates.walked_mappings
 
-    def spy(reference, tableau):
-        calls.append((reference, id(tableau)))
-        return original(reference, tableau)
+    def walk_spy(reference, tableau):
+        walks.append((reference, id(tableau)))
+        return walk(reference, tableau)
 
-    monkeypatch.setattr(candidates, "coverage_mappings", spy)
+    def build_spy(reference, found):
+        built.append((reference, found))
+        return build(reference, found)
+
+    monkeypatch.setattr(candidates, "coverage_walk", walk_spy)
+    monkeypatch.setattr(candidates, "walked_mappings", build_spy)
     problem = chain_problem(4)
     report = generate_schema_mapping(
         problem.source_schema, problem.target_schema, problem.correspondences
     ).report
     sources, targets = len(report.source_tableaux), len(report.target_tableaux)
     assert sources > 1 and targets > 1
-    assert len(calls) == (sources + targets) * len(problem.correspondences)
-    assert len(set(calls)) == len(calls)
+    assert len(walks) == (sources + targets) * len(problem.correspondences)
+    assert len(set(walks)) == len(walks)
+    assert len(set(built)) == len(built) < len(walks)
