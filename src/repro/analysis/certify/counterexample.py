@@ -175,12 +175,8 @@ def minimize(
 
 
 def _without_row(instance: Instance, relation: str, row: tuple) -> Instance:
-    copy = Instance(instance.schema)
-    for rel_schema in instance.schema:
-        for existing in instance.relation(rel_schema.name).rows:
-            if rel_schema.name == relation and existing == row:
-                continue
-            copy.add(rel_schema.name, existing)
+    copy = instance.copy()
+    copy.relation(relation).discard(row)
     return copy
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import EvaluationError
 from ..logic.atoms import RelationalAtom
@@ -36,36 +37,42 @@ from .program import DatalogProgram, Rule, unsafe_rule_variables
 
 
 class RowStore:
-    """Deduplicated rows plus lazily built hash indexes per relation.
+    """Unique rows plus lazily built hash indexes per relation.
 
     The one row store of every evaluator: the reference interpreter, the
     batch runtime and its worker slices, the instance-level chase and query
-    answering.  Indexes are keyed ``(relation, positions)`` and map the
-    projection of each row onto ``positions`` to the rows holding it.
+    answering.  It keeps the rows it is given, neither copied nor
+    deduplicated, so every caller hands it unique tuples: an
+    :class:`Instance` relation, a derived relation or a slice of one.
+    Indexes, keyed ``(relation, positions)`` and mapping the projection of
+    each row onto ``positions`` to the rows holding it, and the row set
+    that negated atoms and antijoins test are built on first use.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[str, list[Row]] = {}
+        self._rows: dict[str, Sequence[Row]] = {}
         self._sets: dict[str, set[Row]] = {}
         self._indexes: dict[tuple[str, tuple[int, ...]], dict[Row, list[Row]]] = {}
 
-    def add_relation(self, name: str, rows: Iterable[Row]) -> None:
-        unique = dict.fromkeys(map(tuple, rows))
-        self._rows[name] = list(unique)
-        self._sets[name] = set(unique)
-        # Replacing a relation's rows invalidates every index built over it;
-        # keeping them would serve stale entries to later joins.
+    def add_relation(self, name: str, rows: Sequence[Row]) -> None:
+        self._rows[name] = rows
+        # Replacing a relation's rows invalidates its row set and every index
+        # built over it; keeping them would serve stale entries to later joins.
+        self._sets.pop(name, None)
         for key in [k for k in self._indexes if k[0] == name]:
             del self._indexes[key]
 
-    def rows(self, name: str) -> list[Row]:
+    def rows(self, name: str) -> Sequence[Row]:
         try:
             return self._rows[name]
         except KeyError:
             raise EvaluationError(f"unknown relation {name!r} in rule body") from None
 
     def row_set(self, name: str) -> set[Row]:
-        return self._sets.get(name, set())
+        rows = self._sets.get(name)
+        if rows is None:
+            rows = self._sets[name] = set(self._rows.get(name, ()))
+        return rows
 
     def size(self, name: str) -> int:
         return len(self._rows.get(name, ()))
@@ -387,15 +394,16 @@ def _derive(
 
 def evaluate_rules(
     rules: Iterable[Rule],
-    relations: Mapping[str, Iterable[Row]],
+    relations: Mapping[str, Sequence[Row]],
     *,
     plans: PlanMemo | None = None,
 ) -> list[list[Row]]:
     """Each rule's derived rows against ``relations``, rule by rule.
 
     Unlike :func:`evaluate` nothing is materialized between rules: every
-    relation a rule reads must be among ``relations``.  ``plans`` is passed
-    to :func:`evaluate_rule`.
+    relation a rule reads must be among ``relations``, each a sequence of
+    unique rows (see :class:`RowStore`).  ``plans`` is passed to
+    :func:`evaluate_rule`.
     """
     store = RowStore()
     for name, rows in relations.items():
@@ -460,15 +468,17 @@ def run_strata(
     """The evaluation loop both engines share: one stratum at a time.
 
     For each defined relation in stratification order,
-    ``derive(rule, store, rule_profile)`` returns the head rows of one rule
-    read from the :class:`RowStore` holding the source and every relation
-    materialized so far — the only per-engine step; it may fill in the
-    :class:`~repro.datalog.exec.profile.RuleProfile`'s operator pipeline
-    when one is passed.  ``run_strata`` owns everything else: the store,
+    ``derive(rule, store, rule_profile)`` returns the head rows of one rule,
+    each once, read from the :class:`RowStore` holding the source and every
+    relation materialized so far — the only per-engine step; it may fill in
+    the :class:`~repro.datalog.exec.profile.RuleProfile`'s operator pipeline
+    when one is passed.  ``run_strata`` owns everything else: the store
+    (holding each source ``Relation.rows`` tuple and derived list as is),
     the ``stage.evaluate``/``eval.stratum`` spans, the ``eval.*`` counters,
-    cross-rule deduplication, the store append, the rule/stratum/run
-    rollups of the profile (collected under ``analyze=True`` or an active
-    tracer) and the assembled :class:`EvaluationResult`.
+    deduplication across the rules of one head, the store append, the
+    target's :meth:`Instance.add_all` loads, the rule/stratum/run rollups of
+    the profile (collected under ``analyze=True`` or an active tracer) and
+    the assembled :class:`EvaluationResult`.
     """
     if program.target_schema is None:
         raise EvaluationError("program has no target schema")
@@ -508,7 +518,7 @@ def run_strata(
                         stratum=stratum, relation=relation
                     )
                     profile.strata.append(stratum_profile)
-                rows: dict[Row, None] = {}
+                derived_by_rule: list[list[Row]] = []
                 for index, rule in by_head.get(relation, ()):
                     rule_profile = None
                     if stratum_profile is not None:
@@ -522,8 +532,11 @@ def run_strata(
                     rule_counts[index] = len(derived)
                     count("eval.rules_evaluated")
                     count("eval.derived_tuples", len(derived))
-                    for row in derived:
-                        rows.setdefault(row, None)
+                    derived_by_rule.append(derived)
+                # Each rule's rows are unique already (``derive``).
+                rows = derived_by_rule[0] if len(derived_by_rule) == 1 else (
+                    list(dict.fromkeys(chain.from_iterable(derived_by_rule)))
+                )
                 count("eval.strata", engine=engine)
                 count("eval.tuples", len(rows))
                 stratum_trace.set(tuples=len(rows))
@@ -532,8 +545,8 @@ def run_strata(
                     stratum_profile.seconds = (
                         time.perf_counter() - stratum_started
                     )
-                computed[relation] = list(rows)
-                store.add_relation(relation, computed[relation])
+                computed[relation] = rows
+                store.add_relation(relation, rows)
 
         target = Instance(program.target_schema)
         for relation in program.target_schema.relation_names():

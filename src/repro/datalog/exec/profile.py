@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ...obs import current_tracer
-from .plan import RulePlan
+from .plan import AntiJoinOp, FilterOp, JoinOp, ProjectOp, RulePlan, ScanOp
 
 
 @dataclass
@@ -44,7 +44,8 @@ class OperatorStats:
     """Measured totals for one operator of one rule pipeline."""
 
     kind: str  # scan | join | filter | antijoin | project
-    description: str  # the operator's static rendering (plan text)
+    #: the plan operator measured, or None for a per-kind rollup
+    operator: Any = None
     relation: str | None = None  # the relation read (scan/join/antijoin)
     rows_in: int = 0
     rows_out: int = 0
@@ -54,6 +55,14 @@ class OperatorStats:
     build_seconds: float = 0.0
     index_hits: int = 0
     index_misses: int = 0
+
+    @property
+    def description(self) -> str:
+        """The operator's static rendering (plan text), made when read:
+        most measured runs never show it."""
+        if self.operator is None:
+            return f"all {self.kind} operators"
+        return self.operator.render()
 
     @property
     def selectivity(self) -> float | None:
@@ -108,41 +117,20 @@ class OperatorStats:
         return data
 
 
+_KINDS = {
+    ScanOp: "scan", JoinOp: "join", FilterOp: "filter",
+    AntiJoinOp: "antijoin", ProjectOp: "project",
+}
+
+
 def operators_for_plan(plan: RulePlan) -> list[OperatorStats]:
     """Fresh, zeroed operator stats mirroring one compiled rule plan."""
-    stats: list[OperatorStats] = []
-    if plan.scan is not None:
-        stats.append(
-            OperatorStats(
-                kind="scan",
-                description=plan.scan.render(),
-                relation=plan.scan.relation,
-            )
-        )
-    for join in plan.joins:
-        stats.append(
-            OperatorStats(
-                kind="join", description=join.render(), relation=join.relation
-            )
-        )
-    for filter_op in plan.filters:
-        stats.append(OperatorStats(kind="filter", description=filter_op.render()))
-    for antijoin in plan.antijoins:
-        stats.append(
-            OperatorStats(
-                kind="antijoin",
-                description=antijoin.render(),
-                relation=antijoin.relation,
-            )
-        )
-    stats.append(
+    return [
         OperatorStats(
-            kind="project",
-            description=plan.project.render(),
-            relation=plan.project.relation,
+            kind=_KINDS[type(op)], operator=op, relation=getattr(op, "relation", None)
         )
-    )
-    return stats
+        for op in plan.operators()
+    ]
 
 
 @dataclass
@@ -209,9 +197,7 @@ class ExecutionProfile:
             for op in rule.operators:
                 rollup = totals.get(op.kind)
                 if rollup is None:
-                    totals[op.kind] = rollup = OperatorStats(
-                        kind=op.kind, description=f"all {op.kind} operators"
-                    )
+                    totals[op.kind] = rollup = OperatorStats(kind=op.kind)
                 rollup.merge(op)
         return totals
 

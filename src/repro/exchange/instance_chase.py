@@ -24,16 +24,6 @@ from ..obs import count
 from ..datalog.engine import RowStore, _conditions_hold, _join
 
 
-def _premise_bindings(mapping: LogicalMapping, source: Instance):
-    """All premise bindings over the source instance (conditions included)."""
-    store = RowStore()
-    for name, relation in source.relations.items():
-        store.add_relation(name, relation.rows)
-    for bindings in _join(store, list(mapping.premise.atoms), {}):
-        if _conditions_hold(mapping.premise, bindings):
-            yield bindings
-
-
 def _nullable_only(
     mapping: LogicalMapping, target_schema: Schema, variable: Variable
 ) -> bool:
@@ -71,11 +61,16 @@ def chase_with_tgds(
     bindings_seen = 0
     invented = 0
     rows_added = 0
+    store = RowStore()
+    for name, relation in source.relations.items():
+        store.add_relation(name, relation.rows)
     for mapping in schema_mapping:
         source_vars = mapping.source_variables()
         existential = mapping.existential_variables()
         label = mapping.label or "m"
-        for bindings in _premise_bindings(mapping, source):
+        for bindings in _join(store, list(mapping.premise.atoms), {}):
+            if not _conditions_hold(mapping.premise, bindings):
+                continue
             bindings_seen += 1
             values: dict[Variable, Any] = dict(bindings)
             witness = tuple(bindings[v] for v in source_vars)

@@ -37,9 +37,13 @@ class ConjunctiveQuery:
 
     def __post_init__(self) -> None:
         bound = {v for atom in self.body for v in atom.variables()}
-        for var in self.head:
-            if var not in bound:
-                raise ValueError(f"unsafe query: head variable {var!r} unbound")
+        for kind, variables in (
+            ("head", self.head),
+            ("condition", self.null_vars + self.nonnull_vars),
+        ):
+            for var in variables:
+                if var not in bound:
+                    raise ValueError(f"unsafe query: {kind} variable {var.name!r} unbound")
 
     def __repr__(self) -> str:
         head = ",".join(repr(v) for v in self.head)
@@ -131,16 +135,12 @@ def parse_query(text: str) -> ConjunctiveQuery:
     if not atoms:
         raise ParseError(f"query has no body atoms: {text!r}")
     head_names = [n for n in head_text[1:-1].split(",") if n.strip()]
-    bound = {v for atom in atoms for v in atom.variables()}
-    head_vars = []
-    for name in head_names:
-        candidate = var(name)
-        if candidate not in bound:
-            raise ParseError(f"unsafe query: head variable {name.strip()!r} unbound")
-        head_vars.append(candidate)
-    return ConjunctiveQuery(
-        head=tuple(head_vars),
-        body=tuple(atoms),
-        null_vars=tuple(null_vars),
-        nonnull_vars=tuple(nonnull_vars),
-    )
+    try:
+        return ConjunctiveQuery(
+            head=tuple(var(name) for name in head_names),
+            body=tuple(atoms),
+            null_vars=tuple(null_vars),
+            nonnull_vars=tuple(nonnull_vars),
+        )
+    except ValueError as error:  # an unsafe query
+        raise ParseError(str(error)) from None

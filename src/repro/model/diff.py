@@ -94,8 +94,7 @@ def canonicalize_invented(instance: Instance) -> Instance:
     clone = Instance(instance.schema)
     for name in instance.schema.relation_names():
         rows = sorted(instance.relation(name).rows, key=_invented_masked_key)
-        for row in rows:
-            clone.add(name, tuple(rename(v) for v in row))
+        clone.add_all(name, [tuple(map(rename, row)) for row in rows])
     return clone
 
 

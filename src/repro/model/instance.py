@@ -7,6 +7,7 @@ insertion order (useful for readable output) while enforcing set semantics.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import InstanceError
@@ -19,24 +20,25 @@ Row = tuple[Any, ...]
 class Relation:
     """A set of tuples over a :class:`RelationSchema`, insertion-ordered."""
 
-    def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()):
+    def __init__(self, schema: RelationSchema):
         self.schema = schema
         self._rows: dict[Row, None] = {}
-        for row in rows:
-            self.add(row)
 
     def add(self, row: Iterable[Any]) -> bool:
         """Add a tuple; returns True iff it was not already present."""
         row = tuple(row)
         if len(row) != self.schema.arity:
-            raise InstanceError(
-                f"relation {self.schema.name}: tuple {row!r} has arity {len(row)}, "
-                f"expected {self.schema.arity}"
-            )
+            raise self._wrong_arity(row)
         if row in self._rows:
             return False
         self._rows[row] = None
         return True
+
+    def _wrong_arity(self, row: Row) -> InstanceError:
+        return InstanceError(
+            f"relation {self.schema.name}: tuple {row!r} has arity {len(row)}, "
+            f"expected {self.schema.arity}"
+        )
 
     def discard(self, row: Iterable[Any]) -> bool:
         """Remove a tuple if present; returns True iff it was removed."""
@@ -112,19 +114,22 @@ class Instance:
         return self.relation(relation).add(row)
 
     def add_all(self, relation: str, rows: Iterable[Iterable[Any]]) -> None:
+        """The one bulk load: every tuple's arity is checked before any is
+        added, then one dictionary update adds them in first-seen order."""
         target = self.relation(relation)
-        for row in rows:
-            target.add(row)
+        rows = list(map(tuple, rows))
+        arity = target.schema.arity
+        wrong = next((row for row in rows if len(row) != arity), None)
+        if wrong is not None:
+            raise target._wrong_arity(wrong)
+        target._rows.update(zip(rows, repeat(None)))
 
     def total_size(self) -> int:
         """Total number of tuples over all relations."""
         return sum(len(r) for r in self.relations.values())
 
     def copy(self) -> "Instance":
-        clone = Instance(self.schema)
-        for name, relation in self.relations.items():
-            clone.add_all(name, relation.rows)
-        return clone
+        return instance_from_dict(self.schema, self.relations)
 
     def facts(self) -> Iterator[tuple[str, Row]]:
         """All tuples as (relation name, row) pairs."""

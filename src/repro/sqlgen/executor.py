@@ -110,8 +110,7 @@ class _PipelineExecutor:
             cursor = connection.execute(
                 f"SELECT {columns} FROM {quote_identifier(relation.name)}"
             )
-            for row in cursor.fetchall():
-                instance.add(relation.name, tuple(decode_value(v) for v in row))
+            instance.add_all(relation.name, (map(decode_value, row) for row in cursor))
         return instance
 
 

@@ -181,6 +181,17 @@ class TestQuery:
         assert main(["query", problem_file, instance_file, "nonsense"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unbound_condition_variable_reports_error(
+        self, problem_file, instance_file, capsys
+    ):
+        assert main([
+            "query", problem_file, instance_file, "(c) <- C2(c, m, p), z = null",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: unsafe query: condition variable 'z' unbound"
+        ]
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

@@ -127,6 +127,18 @@ class TestParseQuery:
         with pytest.raises(ParseError):
             parse_query("(x) <- ")  # no atoms
 
+    @pytest.mark.parametrize("condition", ["z = null", "z != null"])
+    def test_unbound_condition_variable(self, condition):
+        from repro.errors import ParseError
+        from repro.exchange.queries import parse_query
+
+        with pytest.raises(ParseError) as error:
+            parse_query(f"(c) <- C2(c, m, p), {condition}")
+        assert str(error.value) == "unsafe query: condition variable 'z' unbound"
+        c, m, p, z = (Variable(n) for n in "cmpz")
+        with pytest.raises(ValueError, match="condition variable 'z' unbound"):
+            query([c], RelationalAtom("C2", (c, m, p)), null_vars=[z])
+
     def test_certain_answers_from_text(self, figure1_problem, cars3_instance):
         from repro.exchange.queries import parse_query
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pipeline import MappingSystem
-from repro.datalog import RowStore
+from repro.datalog import RowStore, evaluate
 from repro.datalog.exec import (
     evaluate_batch,
     order_atoms,
@@ -11,12 +11,14 @@ from repro.datalog.exec import (
     plan_rule,
 )
 from repro.datalog.program import DatalogProgram, Rule
+from repro.errors import InstanceError
 from repro.logic.atoms import RelationalAtom
 from repro.logic.terms import Constant, Variable
 from repro.model.builder import SchemaBuilder
-from repro.model.instance import instance_from_dict
+from repro.model.instance import Relation, instance_from_dict
 from repro.obs import Tracer, use_tracer
 from repro.scenarios import bundled_problems
+from repro.scenarios.synthetic import cars3_instance
 
 
 def V(name):
@@ -77,9 +79,25 @@ class TestRowStore:
 
     def test_sizes(self):
         store = RowStore()
-        store.add_relation("S", [("a",), ("b",), ("a",)])
+        store.add_relation("S", [("a",), ("b",)])
         store.add_relation("R", [])
         assert store.sizes() == {"S": 2, "R": 0}
+
+    def test_rows_kept_as_given(self):
+        """The caller's unique rows are adopted, not copied."""
+        rows = (("a", 1), ("b", 2))
+        store = RowStore()
+        store.add_relation("S", rows)
+        assert store.rows("S") is rows
+
+    def test_row_set_built_on_first_use_and_replaced_with_the_rows(self):
+        store = RowStore()
+        store.add_relation("S", [("a",)])
+        assert store.row_set("S") == {("a",)}
+        assert store.row_set("S") is store.row_set("S")
+        store.add_relation("S", [("b",)])
+        assert store.row_set("S") == {("b",)}
+        assert store.row_set("Missing") == set()
 
     def test_empty_positions_index_one_bucket(self):
         store = RowStore()
@@ -89,6 +107,50 @@ class TestRowStore:
 
 def _figure1_program():
     return MappingSystem(bundled_problems()["figure-1"]).transformation
+
+
+ENGINES = pytest.mark.parametrize(
+    "run", [evaluate, evaluate_batch], ids=["reference", "batch"]
+)
+
+
+class TestRowHandOff:
+    """Rows enter and leave both in-process engines in bulk."""
+
+    @ENGINES
+    def test_target_loads_without_per_row_adds(self, run, monkeypatch):
+        program = _figure1_program()
+        source = cars3_instance(20, 40, seed=0)
+        added = []
+        add = Relation.add
+        monkeypatch.setattr(
+            Relation, "add", lambda self, row: added.append(row) or add(self, row)
+        )
+        result = run(program, source)
+        assert result.target.total_size() > 0
+        assert added == []
+
+    def test_head_width_disagreeing_with_target_raises_on_both_engines(self):
+        source_schema = SchemaBuilder("S").relation("S", "a", "b", key="a").build()
+        target_schema = SchemaBuilder("T").relation("T", "a", key="a").build()
+        x, y = V("x"), V("y")
+        program = DatalogProgram(
+            rules=[
+                Rule(
+                    head=RelationalAtom("T", (x, y)),
+                    body=(RelationalAtom("S", (x, y)),),
+                )
+            ],
+            source_schema=source_schema,
+            target_schema=target_schema,
+        )
+        source = instance_from_dict(source_schema, {"S": [("a", 1)]})
+        messages = []
+        for run in (evaluate, evaluate_batch):
+            with pytest.raises(InstanceError) as error:
+                run(program, source)
+            messages.append(str(error.value))
+        assert messages == ["relation T: tuple ('a', 1) has arity 2, expected 1"] * 2
 
 
 class TestCounters:

@@ -80,6 +80,27 @@ class TestInstance:
         with pytest.raises(InstanceError):
             instance.relation("missing")
 
+    def test_add_all_keeps_first_seen_order(self, cars3):
+        instance = Instance(cars3)
+        instance.add("C3", ("c2", "Fiat"))
+        instance.add_all(
+            "C3", [["c1", "Ford"], ("c2", "Fiat"), ("c3", "VW"), ("c1", "Ford")]
+        )
+        assert instance.relation("C3").rows == (
+            ("c2", "Fiat"), ("c1", "Ford"), ("c3", "VW")
+        )
+
+    def test_add_all_checks_arity_before_adding(self, cars3):
+        instance = Instance(cars3)
+        with pytest.raises(InstanceError) as bulk:
+            instance.add_all("C3", [("c1", "Ford"), ("c2",), ("c3", "VW", "x")])
+        assert len(instance.relation("C3")) == 0
+        with pytest.raises(InstanceError) as single:
+            instance.add("C3", ("c2",))
+        assert str(bulk.value) == str(single.value) == (
+            "relation C3: tuple ('c2',) has arity 1, expected 2"
+        )
+
     def test_copy_is_independent(self, cars3_instance):
         clone = cars3_instance.copy()
         clone.add("C3", ("c99", "Lada"))
