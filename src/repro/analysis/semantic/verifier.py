@@ -24,11 +24,19 @@ so certifying runs no stage again:
   violations (the whole point of resolution).  Failures are ``SEM004``
   errors.
 
-Each canonical instance is evaluated once per program at most: when no rule
-reads a derived relation, the differential runs the optimized program and
-only the rules the optimizer removed; otherwise it runs both programs.  It
-keeps the final (optimized) program's targets, and the key certificate
-checks those.
+Each class of canonical instances is evaluated once per program at most:
+when no rule reads a derived relation, the differential runs the optimized
+program and only the rules the optimizer removed; otherwise it runs both
+programs.  The key certificate checks the final (optimized) program's
+target of the same run.  A class holds the instances that are equal up to
+a renaming of their fresh values.  The interpreter reads values only
+through equality, disequality and null tests, and negation is a membership
+test, so evaluation commutes with any bijection on values no program
+mentions; fresh values are non-null, so isomorphic instances have
+isomorphic targets and pass or fail both checks together, negation
+included.  A class's later members reuse the passes of a member that
+passed both checks; while no member has, each is evaluated, so a failure
+is always reported from its own instance's run.
 
 The canonical instances are the frozen rule bodies: for each rule, every
 variable class becomes a distinct fresh constant (null-conditioned classes
@@ -49,7 +57,7 @@ from ...datalog.program import DatalogProgram, Rule
 from ...errors import ReproError
 from ...logic.mappings import SchemaMapping, UnitaryMapping
 from ...logic.satisfiability import EgdClosure
-from ...logic.terms import Constant, NullTerm, Variable
+from ...logic.terms import Constant, NullTerm, SkolemTerm, Variable
 from ...model.instance import Instance
 from ...model.validation import validate_instance
 from ...model.values import NULL, format_value
@@ -111,16 +119,44 @@ def canonical_instances(program: DatalogProgram) -> list[tuple[str, Instance]]:
     null-conditioned classes become ``NULL`` — so rule ``i``'s instance
     satisfies exactly the premises that embed into rule ``i``'s body.
     """
+    return [
+        (label, instance)
+        for label, instance, _ in _classed_instances(
+            program, _constants(program)
+        )
+    ]
+
+
+#: an instance's class: its relations' rows in instance order, each fresh
+#: value replaced by ``(0, index of its first appearance)`` and every other
+#: value ``v`` (``NULL``, pinned or ground constants) by ``(1, v)``; ``None``
+#: makes the instance a class of its own
+ClassKey = tuple | None
+
+
+def _classed_instances(
+    program: DatalogProgram, constants: set
+) -> list[tuple[str, Instance, ClassKey]]:
+    """:func:`canonical_instances`, each with its :data:`ClassKey`.
+
+    Two instances with one key are equal up to a bijection between their
+    fresh values.  An instance whose fresh values meet ``constants`` (which
+    must hold every constant of the programs that will read it), and the
+    union, get ``None``.  Key validity is a matter of equality alone, so
+    it is checked once per class.
+    """
     schema = program.source_schema
     assert schema is not None
-    labeled: list[tuple[str, Instance]] = []
+    labeled: list[tuple[str, Instance, ClassKey]] = []
+    valid: dict[ClassKey, bool] = {}
     union = Instance(schema)
     source_relations = set(schema.relation_names())
     for i, rule in enumerate(program.rules):
         instance = Instance(schema)
-        values = _frozen_values(rule, prefix=f"r{i}", schema=schema)
-        if values is None:
+        frozen = _frozen_values(rule, prefix=f"r{i}", schema=schema)
+        if frozen is None:
             continue  # unsatisfiable under the source fds: never fires
+        values, fresh = frozen
         added = False
         for atom in rule.body:
             if atom.relation not in source_relations:
@@ -132,25 +168,69 @@ def canonical_instances(program: DatalogProgram) -> list[tuple[str, Instance]]:
             instance.add(atom.relation, row)
             union.add(atom.relation, row)
             added = True
-        if added and not validate_instance(instance).key_violations:
-            labeled.append((f"rule[{i}]:{rule.head_relation}", instance))
+        if not added:
+            continue
+        key = None if fresh & constants else _class_key(instance, fresh)
+        ok = valid.get(key)
+        if ok is None:
+            ok = not validate_instance(instance).key_violations
+            if key is not None:
+                valid[key] = ok
+        if ok:
+            labeled.append((f"rule[{i}]:{rule.head_relation}", instance, key))
     if not validate_instance(union).key_violations:
-        labeled.append(("union", union))
+        labeled.append(("union", union, None))
     return labeled
+
+
+def _class_key(instance: Instance, fresh: set) -> tuple:
+    first: dict[object, int] = {}
+    return tuple(
+        tuple(
+            tuple(
+                (0, first.setdefault(value, len(first))) if value in fresh
+                else (1, value)
+                for value in row
+            )
+            for row in relation.rows
+        )
+        for relation in instance.relations.values()
+    )
+
+
+def _constants(*programs: DatalogProgram) -> set:
+    """Every constant the programs' rules mention, Skolem arguments included."""
+    terms: list = []
+    for program in programs:
+        for rule in program.rules:
+            for atom in (rule.head, *rule.body, *rule.negated):
+                terms.extend(atom.terms)
+            for condition in (*rule.equalities, *rule.disequalities):
+                terms.extend((condition.left, condition.right))
+    constants = set()
+    while terms:
+        term = terms.pop()
+        if isinstance(term, Constant):
+            constants.add(term.value)
+        elif isinstance(term, SkolemTerm):
+            terms.extend(term.args)
+    return constants
 
 
 def _frozen_values(
     rule: Rule, prefix: str, schema
-) -> dict[object, object] | None:
-    """One fresh value per variable class of the rule's body.
+) -> tuple[dict[object, object], set] | None:
+    """One value per variable class of the rule's body, and the fresh ones.
 
     Classes follow the rule's equalities *closed under the source key
     dependencies* (:class:`~repro.logic.satisfiability.EgdClosure`): two
     body atoms over the same relation with equal key classes must agree on
     every other position (a valid instance cannot distinguish them — the
     instance-level analogue of the chase's fd rule, which the fused premises
-    of Example 6.6 rely on).  Returns ``None`` when the closure is
-    contradictory: the body is unsatisfiable on valid instances.
+    of Example 6.6 rely on).  A class gets its pinned constant, ``NULL``, or
+    a fresh value invented here; the second result holds the fresh values.
+    Returns ``None`` when the closure is contradictory: the body is
+    unsatisfiable on valid instances.
     """
     closure = EgdClosure(schema)
     closure.add_atoms(rule.body)
@@ -163,6 +243,7 @@ def _frozen_values(
     null_roots = {closure.find(v) for v in rule.null_vars}
     class_values: dict[Variable, object] = {}
     values: dict[object, object] = {}
+    fresh: set = set()
     for v in rule.body_variables():
         root = closure.find(v)
         if root not in class_values:
@@ -173,8 +254,9 @@ def _frozen_values(
                 class_values[root] = NULL
             else:
                 class_values[root] = f"{prefix}.{root.name}#{len(class_values)}"
+                fresh.add(class_values[root])
         values[v] = class_values[root]
-    return values
+    return values, fresh
 
 
 def _ground(term: object) -> object:
@@ -214,11 +296,20 @@ def verify_result(
     with span("semantic.verify", problem=problem):
         unoptimized, optimized = result.unoptimized, result.program
         _certify_optimizer(report, engine, unoptimized, optimized)
-        instances = canonical_instances(unoptimized)
-        targets = _certify_differential(report, unoptimized, optimized, instances)
-        if result.resolution is not None:
+        instances = _classed_instances(
+            unoptimized, _constants(unoptimized, optimized)
+        )
+        count(
+            "verify.instance_classes",
+            len({label if key is None else key for label, _, key in instances}),
+        )
+        resolved = result.resolution is not None
+        violations = _certify_differential(
+            report, unoptimized, optimized, instances, resolved
+        )
+        if resolved:
             _certify_resolution_rewrites(report, engine, result)
-            _certify_resolution_keys(report, targets)
+            _certify_resolution_keys(report, violations)
     return report
 
 
@@ -278,8 +369,9 @@ def _certify_differential(
     report: VerificationReport,
     unoptimized: DatalogProgram,
     optimized: DatalogProgram,
-    instances: list[tuple[str, Instance]],
-) -> list[tuple[str, Instance]]:
+    instances: list[tuple[str, Instance, ClassKey]],
+    resolved: bool,
+) -> list[tuple[str, list]]:
     """Before/after evaluation on canonical instances (``SEM003``).
 
     When the optimized rules are rules of the unoptimized program and no
@@ -288,8 +380,14 @@ def _certify_differential(
     the removed rules' rows, relation by relation: each instance runs the
     optimized program and only the removed rules, and the programs agree
     when those rows are all in the optimized target.  Otherwise both
-    programs run in full.  Returns the optimized program's target on each
-    instance, by label.
+    programs run in full.  Returns the key violations of the optimized
+    program's target on each instance, by label (checked only when
+    ``resolved``).
+
+    Instances of one class pass or fail both checks together (see the
+    module docstring).  Once a member has passed both, the class's later
+    members record the same passes unevaluated; until then each member is
+    evaluated, so every failure text is the one its own run writes.
 
     Every evaluation here shares one join-plan memo: the instances are
     small and alike, so most rules rank their body relations' sizes the
@@ -301,20 +399,27 @@ def _certify_differential(
     if shortcut:
         unoptimized.validate()  # raises as a full run of it would
     plans: PlanMemo = {}
-    targets: list[tuple[str, Instance]] = []
-    for label, instance in instances:
-        if shortcut:
-            after = evaluate(optimized, instance, plans=plans).target
-            disagreement = _missing_row(
-                removed, _relations(instance), after, plans
-            )
+    passed: set[ClassKey] = set()
+    violations: list[tuple[str, list]] = []
+    for label, instance, key in instances:
+        if key is not None and key in passed:
+            disagreement, found = None, []
         else:
-            before = evaluate(unoptimized, instance, plans=plans)
-            after = evaluate(optimized, instance, plans=plans).target
-            disagreement = (
-                None if before.target == after
-                else _disagreement(removed, instance, before, after, plans)
-            )
+            if shortcut:
+                after = evaluate(optimized, instance, plans=plans).target
+                disagreement = _missing_row(
+                    removed, _relations(instance), after, plans
+                )
+            else:
+                before = evaluate(unoptimized, instance, plans=plans)
+                after = evaluate(optimized, instance, plans=plans).target
+                disagreement = (
+                    None if before.target == after
+                    else _disagreement(removed, instance, before, after, plans)
+                )
+            found = validate_instance(after).key_violations if resolved else []
+            if disagreement is None and not found and key is not None:
+                passed.add(key)
         report._record(
             "optimizer:differential", label, disagreement is None,
             "optimized and unoptimized programs agree"
@@ -323,8 +428,8 @@ def _certify_differential(
             + disagreement,
             code="SEM003",
         )
-        targets.append((label, after))
-    return targets
+        violations.append((label, found))
+    return violations
 
 
 def _removed_rules(
@@ -376,12 +481,15 @@ def _missing_row(
     ``relations`` holds every relation the removed rules read.
     """
     rows = evaluate_rules([rule for _, rule in removed], relations, plans=plans)
+    present: dict[str, set] = {}
     for (index, rule), derived in zip(removed, rows):
-        target = after.relations.get(rule.head_relation)
-        if target is None:
-            continue  # not a target relation: no target row depends on it
-        present = set(target.rows)
-        row = next((row for row in derived if row not in present), None)
+        name = rule.head_relation
+        if name not in present:
+            target = after.relations.get(name)
+            if target is None:
+                continue  # not a target relation: no target row depends on it
+            present[name] = set(target.rows)
+        row = next((row for row in derived if row not in present[name]), None)
         if row is not None:
             return (
                 f"removed rule[{index}] {rule!r} derives "
@@ -463,17 +571,16 @@ def _certify_resolution_rewrites(
 
 
 def _certify_resolution_keys(
-    report: VerificationReport, targets: list[tuple[str, Instance]]
+    report: VerificationReport, violations: list[tuple[str, list]]
 ) -> None:
     """The resolved program's canonical-instance targets must respect keys."""
-    for label, target in targets:
-        violations = validate_instance(target).key_violations
-        ok = not violations
+    for label, found in violations:
+        ok = not found
         report._record(
             "resolution:keys", label, ok,
             "no key violations on the canonical instance"
             if ok
             else f"resolved program violates target keys on {label}: "
-            + "; ".join(str(v) for v in violations),
+            + "; ".join(str(v) for v in found),
             code="SEM004",
         )

@@ -63,8 +63,8 @@ def _compile_expr(expr: ValueExpr) -> Callable[[Row], Any]:
     if kind == "null":
         return lambda slots: NULL
     functor = expr[1]
-    args = tuple(_compile_expr(a) for a in expr[2])
-    return lambda slots: LabeledNull(functor, tuple(f(slots) for f in args))
+    args = _row_builder(expr[2])
+    return lambda slots: LabeledNull(functor, args(slots))
 
 
 def _capture_extractor(capture: tuple[tuple[int, int], ...]):
@@ -124,7 +124,12 @@ def _scan_batches(scan, rows: list[Row]) -> Iterator[list[Row]]:
 
 
 def _row_builder(exprs: tuple[ValueExpr, ...]) -> Callable[[Row], Row]:
-    """Slot tuple -> output row.  All-slot templates compile to itemgetter."""
+    """Slot tuple -> output row.  All-slot templates compile to itemgetter.
+
+    Any other template of several positions picks its row with one
+    itemgetter from its constants and nulls, then its Skolem terms'
+    values, then the slots: no per-position call or generator per row.
+    """
     if all(e[0] == "slot" for e in exprs):
         positions = tuple(e[1] for e in exprs)
         if len(positions) == 1:
@@ -133,8 +138,34 @@ def _row_builder(exprs: tuple[ValueExpr, ...]) -> Callable[[Row], Row]:
         if positions:
             return itemgetter(*positions)
         return lambda slots: ()
-    build = tuple(_compile_expr(e) for e in exprs)
-    return lambda slots: tuple(f(slots) for f in build)
+    if len(exprs) == 1:
+        value = _compile_expr(exprs[0])
+        return lambda slots: (value(slots),)
+    fixed, computed = [], []
+    for e in exprs:
+        if e[0] == "skolem":
+            computed.append(_compile_expr(e))
+        elif e[0] != "slot":
+            fixed.append(NULL if e[0] == "null" else e[1])
+    picks, next_fixed, next_computed = [], 0, len(fixed)
+    slots_at = next_computed + len(computed)
+    for e in exprs:
+        if e[0] == "slot":
+            picks.append(slots_at + e[1])
+        elif e[0] == "skolem":
+            picks.append(next_computed)
+            next_computed += 1
+        else:
+            picks.append(next_fixed)
+            next_fixed += 1
+    pick = itemgetter(*picks)
+    values = tuple(fixed)
+    if not computed:
+        return lambda slots: pick(values + slots)
+    if len(computed) == 1:
+        skolem = computed[0]
+        return lambda slots: pick(values + (skolem(slots),) + slots)
+    return lambda slots: pick(values + tuple([f(slots) for f in computed]) + slots)
 
 
 def _join_stage(
@@ -152,18 +183,7 @@ def _join_stage(
             stats.index_hits += 1
         else:
             stats.index_misses += 1
-    key_slots = [e[1] if e[0] == "slot" else None for e in join.key_exprs]
-    if not key_slots:
-        probe = lambda slots: ()
-    elif all(s is not None for s in key_slots):
-        if len(key_slots) == 1:
-            position = key_slots[0]
-            probe = lambda slots: (slots[position],)
-        else:
-            probe = itemgetter(*key_slots)
-    else:
-        key_funcs = tuple(_compile_expr(e) for e in join.key_exprs)
-        probe = lambda slots: tuple(f(slots) for f in key_funcs)
+    probe = _row_builder(join.key_exprs)
     extract = _capture_extractor(join.capture)
     same = join.same
 

@@ -5,18 +5,28 @@ from dataclasses import replace
 
 import pytest
 
+import repro.analysis.semantic.verifier as verifier
+from repro.analysis.semantic.containment import default_engine
 from repro.analysis.semantic.verifier import (
     VerificationReport,
     canonical_instances,
+    verify_result,
 )
 from repro.core.pipeline import MappingSystem
 from repro.core.schema_mapping import BASIC
+from repro.datalog.engine import evaluate
 from repro.datalog.program import DatalogProgram, Rule
 from repro.errors import ReproError
-from repro.logic.atoms import RelationalAtom
-from repro.logic.terms import Variable
+from repro.logic.atoms import Disequality, RelationalAtom
+from repro.logic.terms import Constant, Variable
 from repro.model.builder import SchemaBuilder
+from repro.model.validation import validate_instance
+from repro.model.values import NULL
 from repro.scenarios import bundled_problems, cars
+from repro.scenarios.generator import DEFAULT, generate_scenario
+from repro.scenarios.synthetic import chain_problem, wide_problem
+
+from .larger_shape import LARGER
 
 SCENARIOS = sorted(bundled_problems())
 
@@ -46,16 +56,14 @@ class TestPipelineFlag:
         assert system.verify() is report  # cached
 
     def test_verify_without_flag_is_lazy(self, monkeypatch):
-        import repro.analysis.semantic.verifier as verifier_module
-
         calls = []
-        real = verifier_module.verify_result
+        real = verifier.verify_result
 
         def spy(*args, **kwargs):
             calls.append(kwargs.get("problem"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(verifier_module, "verify_result", spy)
+        monkeypatch.setattr(verifier, "verify_result", spy)
         system = MappingSystem(cars.figure1_problem())
         system.query_result()
         assert calls == []
@@ -214,14 +222,12 @@ class TestDifferentialDetail:
         )
 
     def test_both_paths_write_the_same_text(self, monkeypatch):
-        import repro.analysis.semantic.verifier as verifier_module
-
         _break_optimizer(
             monkeypatch, lambda rules: [r for r in rules if r.head_relation != "O3"]
         )
         shortcut = _differential_failures("figure-7")
         monkeypatch.setattr(
-            verifier_module, "_reads_source_only", lambda *programs: False
+            verifier, "_reads_source_only", lambda *programs: False
         )
         assert _differential_failures("figure-7") == shortcut
 
@@ -256,7 +262,8 @@ def _drop_disabling_negations(monkeypatch):
 
 
 class TestOneRunPerInstance:
-    """Each canonical instance is evaluated once per program at most.
+    """Each canonical instance is evaluated once per program at most, and
+    a class of them only once while its members pass.
 
     Programs whose rules read only source relations run the optimized
     program alone (plus the removed rules); the others run both programs.
@@ -265,44 +272,51 @@ class TestOneRunPerInstance:
 
     RESOLVED = ["example-6-6", "example-6-7", "figure-1", "figure-12"]
 
-    def test_evaluate_runs_twice_per_instance(self, monkeypatch):
-        import repro.analysis.semantic.verifier as verifier_module
-
+    def test_evaluate_runs_twice_per_class(self, monkeypatch):
         runs = []
-        real = verifier_module.evaluate
+        real = verifier.evaluate
 
         def counting(program, instance, *args, **kwargs):
             runs.append(id(instance))
             return real(program, instance, *args, **kwargs)
 
-        monkeypatch.setattr(verifier_module, "evaluate", counting)
+        monkeypatch.setattr(verifier, "evaluate", counting)
         problem = cars.figure1_problem()
         report = MappingSystem(problem).verify()
-        unoptimized = MappingSystem(problem, optimize=False).query_result().program
-        instances = canonical_instances(unoptimized)
         assert any(c.name == "resolution:keys" for c in report.checks)
-        assert len(runs) == 2 * len(instances)
-        assert sorted(Counter(runs).values()) == [2] * len(instances)
+        result = MappingSystem(problem).query_result()
+        firsts = _class_firsts(result)
+        assert len(firsts) < len(canonical_instances(result.unoptimized))
+        assert len(runs) == 2 * len(firsts)
+        assert sorted(Counter(runs).values()) == [2] * len(firsts)
 
-    def test_source_only_programs_evaluate_once_per_instance(self, monkeypatch):
-        import repro.analysis.semantic.verifier as verifier_module
-
+    def test_source_only_programs_evaluate_once_per_class(self, monkeypatch):
         runs = []
-        real = verifier_module.evaluate
+        real = verifier.evaluate
 
         def counting(program, instance, *args, **kwargs):
             runs.append((id(program), id(instance)))
             return real(program, instance, *args, **kwargs)
 
-        monkeypatch.setattr(verifier_module, "evaluate", counting)
+        monkeypatch.setattr(verifier, "evaluate", counting)
         system = MappingSystem(bundled_problems()["figure-7"])
         result = system.query_result()
         assert len(result.program.rules) < len(result.unoptimized.rules)
         report = system.verify()
         assert report.ok
-        instances = canonical_instances(result.unoptimized)
-        assert len(runs) == len(set(runs)) == len(instances)
+        firsts = _class_firsts(result)
+        assert len(runs) == len(set(runs)) == len(firsts)
         assert {program for program, _ in runs} == {id(result.program)}
+
+    def test_instance_classes_are_counted(self):
+        from repro.obs import Tracer, use_tracer
+
+        result = MappingSystem(chain_problem(4)).query_result()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert verify_result(result).ok
+        classes = tracer.metrics.counter("verify.instance_classes").total()
+        assert classes == len(_class_firsts(result)) == 16
 
     def test_missing_disabling_negations_fail_the_key_check(self, monkeypatch):
         """A resolution that adds no negations leaves a key conflict: SEM004."""
@@ -339,3 +353,190 @@ class TestOneRunPerInstance:
             assert all(str(v) in check.detail for v in validation.key_violations)
         if negations == "dropped":
             assert not all(check.ok for check in checks)
+
+
+def _class_firsts(result):
+    """The label of each instance class's first member, in instance order."""
+    unoptimized = result.unoptimized
+    firsts = {}
+    for label, _, key in verifier._classed_instances(
+        unoptimized, verifier._constants(unoptimized, result.program)
+    ):
+        firsts.setdefault(label if key is None else key, label)
+    return list(firsts.values())
+
+
+def _per_instance_report(result, engine):
+    """The verification as it ran before instance classes: every canonical
+    instance is evaluated, and its key check reads its own target."""
+    report = VerificationReport()
+    unoptimized, optimized = result.unoptimized, result.program
+    verifier._certify_optimizer(report, engine, unoptimized, optimized)
+    removed = verifier._removed_rules(unoptimized, optimized)
+    shortcut = verifier._reads_source_only(unoptimized, optimized)
+    plans = {}
+    targets = []
+    for label, instance in canonical_instances(unoptimized):
+        if shortcut:
+            after = evaluate(optimized, instance, plans=plans).target
+            disagreement = verifier._missing_row(
+                removed, verifier._relations(instance), after, plans
+            )
+        else:
+            before = evaluate(unoptimized, instance, plans=plans)
+            after = evaluate(optimized, instance, plans=plans).target
+            disagreement = (
+                None if before.target == after
+                else verifier._disagreement(
+                    removed, instance, before, after, plans
+                )
+            )
+        report._record(
+            "optimizer:differential", label, disagreement is None,
+            "optimized and unoptimized programs agree"
+            if disagreement is None
+            else f"programs disagree on canonical instance {label}: "
+            + disagreement,
+            code="SEM003",
+        )
+        targets.append((label, after))
+    if result.resolution is not None:
+        verifier._certify_resolution_rewrites(report, engine, result)
+        for label, target in targets:
+            violations = validate_instance(target).key_violations
+            report._record(
+                "resolution:keys", label, not violations,
+                "no key violations on the canonical instance"
+                if not violations
+                else f"resolved program violates target keys on {label}: "
+                + "; ".join(str(v) for v in violations),
+                code="SEM004",
+            )
+    return report
+
+
+def _assert_shared_report_matches(problem):
+    result = MappingSystem(problem).query_result()
+    engine = default_engine()
+    shared = verify_result(result, engine=engine)
+    reference = _per_instance_report(result, engine)
+    assert shared.checks == reference.checks
+    assert shared.diagnostics == reference.diagnostics
+    return shared
+
+
+SHARED_SUBJECTS = {
+    **{f"chain-{n}": lambda n=n: chain_problem(n) for n in range(2, 9)},
+    **{f"wide-{n}": lambda n=n: wide_problem(n) for n in range(2, 9)},
+    **{
+        f"default-{seed}": lambda seed=seed: generate_scenario(seed, DEFAULT).problem
+        for seed in sorted({*range(0, 200, 3), 106})
+    },
+    **{
+        f"larger-{seed}": lambda seed=seed: generate_scenario(seed, LARGER).problem
+        for seed in range(10, 22)
+    },
+    **{name: lambda name=name: bundled_problems()[name] for name in SCENARIOS},
+}
+FAILING_SUBJECTS = ["chain-4", "chain-6", "default-106", "larger-14", *SCENARIOS]
+
+
+class TestClassSharing:
+    """Certifying each instance class once writes the per-instance report."""
+
+    @pytest.mark.parametrize("name", sorted(SHARED_SUBJECTS))
+    def test_matches_the_per_instance_report(self, name):
+        _assert_shared_report_matches(SHARED_SUBJECTS[name]())
+
+    @pytest.mark.parametrize("name", FAILING_SUBJECTS)
+    def test_matches_without_disabling_negations(self, name, monkeypatch):
+        _drop_disabling_negations(monkeypatch)
+        _assert_shared_report_matches(SHARED_SUBJECTS[name]())
+
+    @pytest.mark.parametrize("name", FAILING_SUBJECTS)
+    def test_matches_when_a_needed_rule_is_dropped(self, name, monkeypatch):
+        # The optimizer keeps no rule another kept rule contains, so
+        # dropping its first kept rule changes the target: SEM003.
+        _break_optimizer(monkeypatch, lambda rules: rules[1:])
+        report = _assert_shared_report_matches(SHARED_SUBJECTS[name]())
+        assert "SEM003" in {d.code for d in report.diagnostics}
+
+    def test_a_failing_class_has_several_members(self, monkeypatch):
+        # The properties above compare failures of one class's members,
+        # not only of classes of one.
+        _break_optimizer(monkeypatch, lambda rules: rules[1:])
+        result = MappingSystem(cars.figure1_problem()).query_result()
+        unoptimized = result.unoptimized
+        keys = {
+            label: key
+            for label, _, key in verifier._classed_instances(
+                unoptimized, verifier._constants(unoptimized, result.program)
+            )
+        }
+        failed = Counter(
+            keys[check.subject]
+            for check in verify_result(result).failures()
+            if check.name == "optimizer:differential"
+            and keys[check.subject] is not None
+        )
+        assert max(failed.values()) >= 2
+
+
+class TestClassKey:
+    """Two instances share a class exactly when a renaming of their fresh
+    values maps one onto the other."""
+
+    def _keys(self, *rules):
+        schema = SchemaBuilder("S").relation("R", "a", "b", "c").build()
+        target = SchemaBuilder("T").relation("T", "a", "b").build()
+        program = DatalogProgram(
+            rules=list(rules), source_schema=schema, target_schema=target
+        )
+        classed = verifier._classed_instances(
+            program, verifier._constants(program)
+        )
+        assert [label for label, _ in canonical_instances(program)] == [
+            label for label, _, _ in classed
+        ]
+        return {label: key for label, _, key in classed}
+
+    @staticmethod
+    def _rule(*terms, **conditions):
+        x, y = Variable("x"), Variable("y")
+        return Rule(
+            head=RelationalAtom("T", (x, y)),
+            body=(RelationalAtom("R", terms),),
+            **conditions,
+        )
+
+    def test_isomorphic_instances_share_a_key(self):
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        u, v, w = Variable("u"), Variable("v"), Variable("w")
+        renamed = Rule(
+            head=RelationalAtom("T", (u, v)),
+            body=(RelationalAtom("R", (u, v, w)),),
+        )
+        keys = self._keys(self._rule(x, y, z), renamed, self._rule(x, y, x))
+        assert keys["rule[0]:T"] == keys["rule[1]:T"] is not None
+        assert keys["rule[2]:T"] not in (keys["rule[0]:T"], None)
+        assert keys["union"] is None
+
+    def test_null_and_fresh_differ(self):
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        keys = self._keys(self._rule(x, y, z), self._rule(x, y, z, null_vars=(z,)))
+        assert keys["rule[0]:T"] != keys["rule[1]:T"]
+        assert keys["rule[1]:T"][0][0][2] == (1, NULL)
+
+    def test_pinned_constant_and_fresh_differ(self):
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        keys = self._keys(self._rule(x, y, z), self._rule(x, y, Constant("k")))
+        assert keys["rule[0]:T"] != keys["rule[1]:T"]
+        assert keys["rule[1]:T"][0][0][2] == (1, "k")
+
+    def test_a_fresh_value_equal_to_a_program_constant_is_a_class_of_its_own(self):
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        plain = self._rule(x, y, z)
+        mentions = self._rule(x, y, z, disequalities=(Disequality(z, Constant("r2.x#0")),))
+        keys = self._keys(plain, mentions, plain)
+        assert keys["rule[0]:T"] == keys["rule[1]:T"] is not None
+        assert keys["rule[2]:T"] is None  # its fresh x is "r2.x#0"
